@@ -10,9 +10,9 @@ RACE_PKGS = ./internal/rts ./internal/sched ./internal/profiler ./internal/hiera
 # paths that clean tests never reach.
 CHAOS_PKGS = ./internal/rts ./internal/sched ./internal/power ./internal/fault ./internal/fleet
 
-.PHONY: all build vet lint lint-sarif lint-fix-check test test-race test-chaos test-crash test-fleet test-query metrics-check fmt-check bench repro csv fuzz fuzz-smoke clean
+.PHONY: all build vet lint lint-sarif lint-fix-check test test-race test-chaos test-crash test-fleet test-query bench-selftest metrics-check fmt-check bench repro csv fuzz fuzz-smoke clean
 
-all: build vet lint lint-fix-check test test-race test-chaos test-crash test-fleet test-query metrics-check
+all: build vet lint lint-fix-check test test-race test-chaos test-crash test-fleet test-query bench-selftest metrics-check
 
 # Where the cached lint results live (content-addressed; safe to share
 # across branches and restore in CI).
@@ -96,16 +96,25 @@ test-fleet:
 
 # Selection-service soak under the race detector: a seeded closed-loop
 # load generator (8 clients, 30k queries; 10k with QUERY_SHORT=1, which
-# CI sets) drives an undersized service through two hot reloads and an
-# injected slow-shard fault; every response is checked bitwise against
-# a single-threaded oracle, and admission control must shed without any
-# request outliving its deadline. The run's latency/shed summary is
-# written to $(QUERY_SUMMARY) (CI uploads it as a build artifact).
+# CI sets) drives a service admitting only 6 selections in flight
+# through two hot reloads and an injected slow-shard fault; every
+# response is checked bitwise against a single-threaded oracle, and
+# in-flight admission must shed without any request outliving its
+# deadline. The run's latency/shed summary is written to
+# $(QUERY_SUMMARY) (CI uploads it as a build artifact).
 QUERY_SUMMARY ?= query-summary.json
 test-query:
 	ACSEL_QUERY_SUMMARY=$(abspath $(QUERY_SUMMARY)) $(GO) test -race -count=1 -v \
 		$(if $(QUERY_SHORT),-short,) \
 		-run 'TestSoakSelectionService|TestStressHotReloadRace' ./internal/query
+
+# Self-tests of the repository benchmark (perfbench/, its own module):
+# same seed, same inputs and counts; a second seed passes every gate;
+# every reported metric is measured. It compiles against the query,
+# core and fleet APIs and reads their metric families, so it catches a
+# renamed API or a dropped family. About 40 s.
+bench-selftest:
+	cd perfbench && GOPROXY=off $(GO) test .
 
 # End-to-end observability smoke test: a one-iteration bench run must
 # produce a JSON snapshot carrying every instrumented subsystem's

@@ -52,8 +52,7 @@ func main() {
 	flag.StringVar(&cfg.ModelCache, "model-cache", "", "optional directory for the content-addressed trained-model cache")
 	flag.IntVar(&cfg.MaxRestarts, "max-restarts", 5, "consecutive worker restarts before giving up (0 = unlimited)")
 	flag.BoolVar(&cfg.Query, "query", false, "serve the selection query API (POST /v1/select, /v1/select/batch, GET+POST /v1/models) on -addr")
-	flag.IntVar(&cfg.QueryWorkers, "query-workers", 0, "selection query worker pool size (0 = default)")
-	flag.IntVar(&cfg.QueryQueue, "query-queue", 0, "selection query queue depth before admission control sheds (0 = default)")
+	flag.IntVar(&cfg.QueryInFlight, "query-max-inflight", 0, "selection queries computed at once before admission control sheds with 429 (0 = default)")
 	flag.IntVar(&cfg.QueryCache, "query-cache", 0, "selection LRU cache entries (0 = default, negative disables)")
 	flag.Parse()
 
@@ -91,7 +90,6 @@ type config struct {
 	ModelCache      string
 	MaxRestarts     int
 	Query           bool
-	QueryWorkers    int
-	QueryQueue      int
+	QueryInFlight   int
 	QueryCache      int
 }

@@ -175,10 +175,9 @@ func run(ctx context.Context, cfg config, stderr io.Writer) error {
 		mux := metrics.Default.NewMux()
 		if cfg.Query {
 			qs, qerr := query.NewService(model, query.Options{
-				Workers:    cfg.QueryWorkers,
-				QueueDepth: cfg.QueryQueue,
-				CacheSize:  cfg.QueryCache,
-				Faults:     inj,
+				MaxInFlight: cfg.QueryInFlight,
+				CacheSize:   cfg.QueryCache,
+				Faults:      inj,
 			})
 			if qerr != nil {
 				return qerr

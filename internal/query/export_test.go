@@ -1,28 +1,9 @@
 package query
 
-import "context"
-
-// Test-only bridges: the admission-control test lives in the external
-// query_test package (it shares fixtures with the soak tests, which
-// import query/loadgen and would cycle in-package) but needs to drive
-// submit/wait separately to fill the queue deterministically.
-
-// Pending is the external-test name for a submitted-but-unwaited query.
-type Pending = pending
-
-// SetComputeGate installs the worker gate used to hold computations
-// mid-task.
+// SetComputeGate installs the hook that holds selections after they
+// take their in-flight slot, so tests can fill every slot
+// deterministically.
 func (o *Options) SetComputeGate(fn func()) { o.computeGate = fn }
-
-// Submit exposes the admission half of Select.
-func (s *Service) Submit(req Request) (*Pending, error) { return s.submit(req) }
-
-// Wait exposes the completion half of Select.
-func (s *Service) Wait(ctx context.Context, p *Pending) (Response, error) { return s.wait(ctx, p) }
-
-// IsCoalesced reports whether the pending request piggybacked on an
-// in-flight computation.
-func (p *Pending) IsCoalesced() bool { return p.coalesced }
 
 // CacheLen reports the live entry count of the selection cache.
 func (s *Service) CacheLen() int { return s.cache.len() }

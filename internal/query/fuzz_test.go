@@ -33,6 +33,12 @@ func fuzzService(t *testing.T) *query.Service {
 	return fuzzSvc
 }
 
+// oversizedBody is a valid request padded past the 1 MiB body limit and
+// followed by trailing garbage. A decoder that stops reading at the
+// limit never sees the garbage, so it must reject the body for its
+// size.
+var oversizedBody = `{"kernel":"k","cap_w":10}` + strings.Repeat(" ", 1<<20) + `{"garbage":1}`
+
 // FuzzSelectRequestDecode pins the decoder's total contract: any byte
 // string either decodes into a Request that validates cleanly, or fails
 // with an ErrBadRequest-typed error — never a panic. Inputs that decode
@@ -57,6 +63,7 @@ func FuzzSelectRequestDecode(f *testing.F) {
 		"",
 		"null",
 		"{}",
+		oversizedBody,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -91,9 +92,18 @@ func DecodeSelectRequest(r io.Reader) (Request, error) {
 }
 
 // decodeStrict decodes exactly one JSON value with unknown fields
-// rejected and the body size bounded.
+// rejected and the body size bounded. It reads one byte past the bound,
+// so a body cut at the limit is rejected instead of being checked for
+// trailing data only up to the cut.
 func decodeStrict(r io.Reader, out any) error {
-	dec := json.NewDecoder(io.LimitReader(r, maxBodyBytes))
+	body, err := io.ReadAll(io.LimitReader(r, maxBodyBytes+1))
+	if err != nil {
+		return fmt.Errorf("%w: reading body: %v", ErrBadRequest, err)
+	}
+	if len(body) > maxBodyBytes {
+		return fmt.Errorf("%w: body exceeds %d bytes", ErrBadRequest, maxBodyBytes)
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(out); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -168,11 +178,8 @@ type handler struct {
 // NewHandler mounts the selection API for s on a fresh mux. The caller
 // owns the Service lifecycle; closing it makes every route answer 503.
 func NewHandler(s *Service) http.Handler {
-	h := &handler{s: s}
 	mux := http.NewServeMux()
-	mux.HandleFunc(PathSelect, h.handleSelect)
-	mux.HandleFunc(PathSelectBatch, h.handleBatch)
-	mux.HandleFunc(PathModels, h.handleModels)
+	Register(mux, s)
 	return mux
 }
 

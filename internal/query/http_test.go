@@ -66,12 +66,14 @@ func TestHTTPTypedErrors(t *testing.T) {
 	}
 
 	// Raw wire-level rejects: bad JSON, unknown fields, trailing data,
-	// wrong method. All must answer a JSON error envelope, never a panic.
+	// an oversized body, wrong method. All must answer a JSON error
+	// envelope, never a panic.
 	for _, body := range []string{
 		"{not json",
 		`{"kernel":"a","cap_w":10,"bogus":1}`,
 		`{"kernel":"a","cap_w":10}{"again":true}`,
 		`{"kernel":"a","cap_w":"many"}`,
+		oversizedBody,
 	} {
 		resp, err := http.Post(srv.URL+query.PathSelect, "application/json", strings.NewReader(body))
 		if err != nil {
@@ -79,7 +81,7 @@ func TestHTTPTypedErrors(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("body %q: status %d, want 400", body, resp.StatusCode)
+			t.Fatalf("body %.60q (%d bytes): status %d, want 400", body, len(body), resp.StatusCode)
 		}
 	}
 	resp, err := http.Get(srv.URL + query.PathSelect)
@@ -92,47 +94,33 @@ func TestHTTPTypedErrors(t *testing.T) {
 	}
 }
 
-// TestHTTPOverloadIs429: with the single worker held and the queue
-// full, a remote select sheds with HTTP 429, which the client maps back
-// to ErrOverloaded.
+// TestHTTPOverloadIs429: with every in-flight slot held, a remote
+// select sheds with HTTP 429, which the client maps back to
+// ErrOverloaded.
 func TestHTTPOverloadIs429(t *testing.T) {
 	mA, _ := testModels(t)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	opts := query.Options{Workers: 1, QueueDepth: 1, CacheSize: -1}
-	opts.SetComputeGate(func() {
-		started <- struct{}{}
-		<-release
-	})
+	const maxInFlight = 2
+	g := newGate()
+	opts := query.Options{MaxInFlight: maxInFlight, CacheSize: -1}
+	opts.SetComputeGate(g.hold)
 	s := newTestService(t, mA, opts)
 	_, c := newTestServer(t, s)
-	ks := s.Kernels()
-	ctx := context.Background()
 
-	p1, err := s.Submit(query.Request{Kernel: ks[0], CapW: 10})
-	if err != nil {
-		t.Fatal(err)
+	held := fillInFlight(s, g, maxInFlight)
+	req := query.Request{Kernel: s.Kernels()[maxInFlight], CapW: 14}
+	if _, err := c.Select(context.Background(), req); !errors.Is(err, query.ErrOverloaded) {
+		t.Fatalf("remote select with every slot held: %v, want ErrOverloaded", err)
 	}
-	<-started
-	p2, err := s.Submit(query.Request{Kernel: ks[1], CapW: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Select(ctx, query.Request{Kernel: ks[2], CapW: 14}); !errors.Is(err, query.ErrOverloaded) {
-		t.Fatalf("remote select on full queue: %v, want ErrOverloaded", err)
+	if got := s.Stats().Shed; got != 1 {
+		t.Fatalf("shed counter = %d, want 1", got)
 	}
 
-	close(release)
-	go func() {
-		for range started {
-		}
-	}()
-	for _, p := range []*query.Pending{p1, p2} {
-		if _, err := s.Wait(ctx, p); err != nil {
-			t.Fatal(err)
+	close(g.release)
+	for i := 0; i < maxInFlight; i++ {
+		if err := <-held; err != nil {
+			t.Fatalf("held selection: %v", err)
 		}
 	}
-	close(started)
 }
 
 func TestHTTPBatch(t *testing.T) {
@@ -144,7 +132,7 @@ func TestHTTPBatch(t *testing.T) {
 
 	reqs := []query.Request{
 		{Kernel: k, CapW: 15},
-		{Kernel: k, CapW: 15}, // duplicate: coalesces or hits cache
+		{Kernel: k, CapW: 15}, // duplicate: hits the cache the first item filled
 		{Kernel: "No/Such/Kernel", CapW: 15},
 		{Kernel: k, CapW: 30, Z: 1.5},
 	}
@@ -163,6 +151,10 @@ func TestHTTPBatch(t *testing.T) {
 	}
 	if resps[0].Selection != resps[1].Selection {
 		t.Fatal("duplicate batch items disagree")
+	}
+	if resps[0].Cached || !resps[1].Cached {
+		t.Fatalf("cached flags %v, %v: want the duplicate, and only it, served from cache",
+			resps[0].Cached, resps[1].Cached)
 	}
 	if resps[0].Selection != oracle(t, s, mA, k, resps[0].EffectiveCapW, 0) {
 		t.Fatal("batch selection does not match oracle")

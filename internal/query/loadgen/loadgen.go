@@ -42,8 +42,8 @@ type Config struct {
 	CapsW   []float64
 	Zs      []float64
 	// Timeout is the per-request deadline (default 2s). A request never
-	// outlives it: the driver's Select returns on context expiry even
-	// while the underlying computation proceeds.
+	// outlives it: the service's Select returns the context's error
+	// once it expires, cutting short any injected slow-shard delay.
 	Timeout time.Duration
 	// Verify, when set, checks each successful response (the soak
 	// test's oracle seat). A non-nil return counts as a mismatch.
@@ -62,9 +62,12 @@ type Config struct {
 // private fixed-bucket histogram (metrics.Histogram.Quantile), so the
 // artifact is stable in layout and cheap to merge.
 type Summary struct {
-	Requests   int `json:"requests"`
-	OK         int `json:"ok"`
-	Cached     int `json:"cached"`
+	Requests int `json:"requests"`
+	OK       int `json:"ok"`
+	Cached   int `json:"cached"`
+	// Coalesced always reads 0: the service computes each cache miss
+	// on the caller's goroutine and no longer merges identical
+	// in-flight requests. The field stays for readers of the summary.
 	Coalesced  int `json:"coalesced"`
 	Shed       int `json:"shed"`
 	Deadline   int `json:"deadline"`
@@ -147,7 +150,6 @@ func Run(ctx context.Context, d Driver, cfg Config) (Summary, error) {
 		sum.Requests += p.Requests
 		sum.OK += p.OK
 		sum.Cached += p.Cached
-		sum.Coalesced += p.Coalesced
 		sum.Shed += p.Shed
 		sum.Deadline += p.Deadline
 		sum.Errors += p.Errors
@@ -199,9 +201,6 @@ func runWorker(ctx context.Context, d Driver, cfg Config, rng *rand.Rand, n int,
 			part.OK++
 			if resp.Cached {
 				part.Cached++
-			}
-			if resp.Coalesced {
-				part.Coalesced++
 			}
 			part.ByGeneration[resp.ModelHash]++
 			if cfg.Verify != nil {

@@ -11,13 +11,14 @@
 //     generation, so a query is a cap sweep over cached predictions —
 //     core.SelectAmong, the exact loop behind core.SelectUnderCap, so
 //     every path is bitwise-identical to the single-threaded call.
-//   - A bounded worker pool with a depth-limited queue provides
-//     admission control: a full queue sheds the request with a typed
-//     ErrOverloaded (the HTTP layer's 429) instead of queueing without
-//     bound, and queue-wait/shed are first-class metrics.
-//   - Identical in-flight questions coalesce: requests for the same
-//     (generation, kernel, quantized cap, z) key attach to the leader's
-//     computation and all receive its result.
+//   - A cache miss is computed on the caller's goroutine: it costs one
+//     memoized-prediction lookup plus one SelectAmong scan, less than a
+//     hand-off to a worker goroutine would, so the service owns no
+//     goroutines. Before computing, the request takes one of
+//     Options.MaxInFlight slots without blocking; when every slot is
+//     taken it is shed with a typed ErrOverloaded (the HTTP layer's
+//     429) instead of waiting without bound, and shed is a first-class
+//     metric.
 //   - Completed selections land in an LRU keyed by the model's SHA-256
 //     content hash (the same content-addressing scheme as
 //     core.TrainCached), so a hot model reload — an atomic generation
@@ -57,8 +58,8 @@ var (
 	ErrBadRequest = errors.New("query: bad request")
 	// ErrUnknownKernel marks a kernel ID outside the service universe.
 	ErrUnknownKernel = errors.New("query: unknown kernel")
-	// ErrOverloaded is the admission-control shed: the worker queue was
-	// full. Clients should back off and retry (HTTP 429).
+	// ErrOverloaded is the admission-control shed: every in-flight slot
+	// was taken. Clients should back off and retry (HTTP 429).
 	ErrOverloaded = errors.New("query: overloaded, request shed")
 	// ErrClosed is returned once the service has shut down.
 	ErrClosed = errors.New("query: service closed")
@@ -68,15 +69,15 @@ var (
 
 // DefaultCapQuantumW is the cap quantization step: incoming caps are
 // floored to a multiple of it at admission, so requests within one
-// quantum share cache entries and coalesce. 1/32 W is far below any
+// quantum share cache entries. 1/32 W is far below any
 // power-measurement resolution in the paper's testbed, and the
 // response's EffectiveCapW always reports the cap actually used.
 const DefaultCapQuantumW = 1.0 / 32
 
 // Slow-shard fault pacing: a fault.NetDelay resolved at the SiteNet
 // seam stretches one shard's computation by Magnitude × slowShardUnit,
-// bounded by maxSlowShardDelay so chaos plans cannot stall a worker
-// indefinitely.
+// bounded by maxSlowShardDelay so chaos plans cannot hold an in-flight
+// slot indefinitely.
 const (
 	slowShardUnit     = 100 * time.Microsecond
 	maxSlowShardDelay = 5 * time.Millisecond
@@ -84,11 +85,10 @@ const (
 
 // Options configures a Service. The zero value selects sane defaults.
 type Options struct {
-	// Workers is the worker-pool size (default: 4).
-	Workers int
-	// QueueDepth bounds the pending-task queue; a full queue sheds new
-	// requests with ErrOverloaded (default: 256).
-	QueueDepth int
+	// MaxInFlight bounds the selections computed at once; a cache miss
+	// that finds every slot taken is shed with ErrOverloaded (default:
+	// 256).
+	MaxInFlight int
 	// CacheSize is the LRU capacity in selections (default: 4096;
 	// negative disables caching).
 	CacheSize int
@@ -110,9 +110,9 @@ type Options struct {
 	// Now is the clock (time.Now if nil); tests pin it.
 	Now func() time.Time
 
-	// computeGate, when non-nil, is called by workers before each
-	// computation. Tests use it to hold workers mid-task and fill the
-	// queue deterministically.
+	// computeGate, when non-nil, is called after a request takes its
+	// in-flight slot and before it computes. Tests use it to hold
+	// selections mid-flight and fill every slot deterministically.
 	computeGate func()
 }
 
@@ -152,21 +152,19 @@ type Response struct {
 	ModelHash string  `json:"model_hash"`
 	ModelSeq  uint64  `json:"model_seq"`
 	Cached    bool    `json:"cached,omitempty"`
-	Coalesced bool    `json:"coalesced,omitempty"`
 }
 
 // Stats is a point-in-time snapshot of the service's own counters
 // (mirrors of the metric families, readable without registry scraping).
 type Stats struct {
-	Served    uint64 `json:"served"`
-	Cached    uint64 `json:"cached"`
-	Coalesced uint64 `json:"coalesced"`
-	Shed      uint64 `json:"shed"`
-	Reloads   uint64 `json:"reloads"`
+	Served  uint64 `json:"served"`
+	Cached  uint64 `json:"cached"`
+	Shed    uint64 `json:"shed"`
+	Reloads uint64 `json:"reloads"`
 }
 
 // generation is one immutable loaded model: swap-in is an atomic
-// pointer store, and every task pins the generation it was admitted
+// pointer store, and every request pins the generation it was admitted
 // under for its whole life.
 type generation struct {
 	model *core.Model
@@ -225,33 +223,6 @@ func (sh *shard) predictions(g *generation) (*shardPreds, error) {
 	return p, nil
 }
 
-// result is what a worker delivers to every waiter of one computation.
-type result struct {
-	resp Response
-	err  error
-}
-
-// task is one enqueued computation; all coalesced requests for its key
-// are waiters on it.
-type task struct {
-	key        string
-	gen        *generation
-	shard      *shard
-	capW, z    float64
-	enqueuedAt time.Time
-	// waiters is guarded by Service.inflightMu.
-	waiters []chan result
-}
-
-// pending is one admitted request waiting for its answer.
-type pending struct {
-	reqCapW   float64
-	cached    bool
-	resp      Response // valid when cached
-	coalesced bool
-	ch        chan result
-}
-
 // Service answers selection queries. Construct with NewService; all
 // methods are safe for concurrent use.
 type Service struct {
@@ -259,41 +230,29 @@ type Service struct {
 	now    func() time.Time
 	shards map[string]*shard
 	cache  *lruCache
-	queue  chan *task
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	// slots is the in-flight semaphore: a computing request holds one
+	// token, so its capacity is Options.MaxInFlight.
+	slots chan struct{}
 
 	gen      atomic.Pointer[generation]
 	reloadMu sync.Mutex
+	closed   atomic.Bool
 
-	// mu guards closed against racing submits (a submit holds the read
-	// side across its enqueue so Close cannot strand a waiter).
-	mu     sync.RWMutex
-	closed bool
-
-	inflightMu sync.Mutex
-	inflight   map[string]*task
-
-	served    atomic.Uint64
-	cachedN   atomic.Uint64
-	coalesced atomic.Uint64
-	shed      atomic.Uint64
-	reloads   atomic.Uint64
+	served  atomic.Uint64
+	cachedN atomic.Uint64
+	shed    atomic.Uint64
+	reloads atomic.Uint64
 }
 
 // NewService builds the service around an initial model: it precomputes
 // every universe kernel's sample runs (the online stage's two
-// iterations, deterministic per kernel identity) and starts the worker
-// pool.
+// iterations, deterministic per kernel identity).
 func NewService(m *core.Model, opts Options) (*Service, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: nil model", core.ErrNoModel)
 	}
-	if opts.Workers <= 0 {
-		opts.Workers = 4
-	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 256
+	if opts.MaxInFlight <= 0 {
+		opts.MaxInFlight = 256
 	}
 	if opts.CacheSize == 0 {
 		opts.CacheSize = 4096
@@ -315,13 +274,11 @@ func NewService(m *core.Model, opts Options) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		opts:     opts,
-		now:      opts.Now,
-		shards:   make(map[string]*shard, len(universe)),
-		cache:    newLRUCache(opts.CacheSize),
-		queue:    make(chan *task, opts.QueueDepth),
-		stop:     make(chan struct{}),
-		inflight: map[string]*task{},
+		opts:   opts,
+		now:    opts.Now,
+		shards: make(map[string]*shard, len(universe)),
+		cache:  newLRUCache(opts.CacheSize),
+		slots:  make(chan struct{}, opts.MaxInFlight),
 	}
 	if s.now == nil {
 		s.now = time.Now
@@ -339,10 +296,6 @@ func NewService(m *core.Model, opts Options) (*Service, error) {
 		s.shards[k.ID()] = &shard{kernel: k.ID(), sr: core.SampleRuns{CPU: cpu, GPU: gpu}}
 	}
 	s.gen.Store(&generation{model: m, hash: hash, seq: 1})
-	for i := 0; i < opts.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s, nil
 }
 
@@ -389,11 +342,10 @@ func (s *Service) SampleRuns(kernel string) (core.SampleRuns, bool) {
 // Stats snapshots the service counters.
 func (s *Service) Stats() Stats {
 	return Stats{
-		Served:    s.served.Load(),
-		Cached:    s.cachedN.Load(),
-		Coalesced: s.coalesced.Load(),
-		Shed:      s.shed.Load(),
-		Reloads:   s.reloads.Load(),
+		Served:  s.served.Load(),
+		Cached:  s.cachedN.Load(),
+		Shed:    s.shed.Load(),
+		Reloads: s.reloads.Load(),
 	}
 }
 
@@ -424,73 +376,26 @@ func (s *Service) Reload(m *core.Model) (hash string, seq uint64, err error) {
 	return g.hash, g.seq, nil
 }
 
-// Close stops accepting requests, drains the queue, and waits for the
-// workers. Idempotent.
-func (s *Service) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	close(s.stop)
-	s.wg.Wait()
-}
+// Close stops accepting requests; selections already admitted finish
+// on their callers' goroutines. Idempotent.
+func (s *Service) Close() { s.closed.Store(true) }
 
-// Select answers one query. It returns ErrOverloaded immediately when
-// admission control sheds the request, and ctx's error if the deadline
-// expires first — a waiter never outlives its deadline, even though the
-// underlying computation completes for any coalesced survivors.
+// Select answers one query. A cache hit returns at once. A miss takes
+// an in-flight slot or, when none is free, returns ErrOverloaded
+// immediately; it then computes on the caller's goroutine and returns
+// ctx's error if the deadline expires first.
 func (s *Service) Select(ctx context.Context, req Request) (Response, error) {
-	p, err := s.submit(req)
-	if err != nil {
-		return Response{}, err
-	}
-	return s.wait(ctx, p)
-}
-
-// SelectBatch answers a batch, amortizing admission and coalescing:
-// every request is submitted before any is waited on, so identical
-// items in one batch share a single computation. Results and errors are
-// parallel to reqs; the overall error is non-nil only when the batch
-// itself is rejected (too large).
-func (s *Service) SelectBatch(ctx context.Context, reqs []Request) ([]Response, []error, error) {
-	if len(reqs) > s.opts.MaxBatch {
-		return nil, nil, fmt.Errorf("%w: %d requests (max %d)", ErrBatchTooLarge, len(reqs), s.opts.MaxBatch)
-	}
-	resps := make([]Response, len(reqs))
-	errs := make([]error, len(reqs))
-	pendings := make([]*pending, len(reqs))
-	for i, req := range reqs {
-		pendings[i], errs[i] = s.submit(req)
-	}
-	for i, p := range pendings {
-		if p == nil {
-			continue
-		}
-		resps[i], errs[i] = s.wait(ctx, p)
-	}
-	return resps, errs, nil
-}
-
-// submit validates, resolves the cache, and either coalesces onto an
-// identical in-flight computation or enqueues a new task.
-func (s *Service) submit(req Request) (*pending, error) {
 	if err := req.Validate(); err != nil {
 		mRequests.With("error").Inc()
-		return nil, err
+		return Response{}, err
 	}
 	sh, ok := s.shards[req.Kernel]
 	if !ok {
 		mRequests.With("error").Inc()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownKernel, req.Kernel)
+		return Response{}, fmt.Errorf("%w: %q", ErrUnknownKernel, req.Kernel)
 	}
-
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
+	if s.closed.Load() {
+		return Response{}, ErrClosed
 	}
 
 	gen := s.gen.Load()
@@ -498,141 +403,95 @@ func (s *Service) submit(req Request) (*pending, error) {
 	key := cacheKey(gen.hash, req.Kernel, eff, req.Z)
 	if resp, ok := s.cache.get(key); ok {
 		mCacheHits.Inc()
+		mRequests.With("cached").Inc()
+		s.cachedN.Add(1)
 		resp.CapW = req.CapW
 		resp.Cached = true
-		return &pending{reqCapW: req.CapW, cached: true, resp: resp}, nil
+		return resp, nil
 	}
 	mCacheMisses.Inc()
 
-	ch := make(chan result, 1)
-	s.inflightMu.Lock()
-	if t, ok := s.inflight[key]; ok {
-		t.waiters = append(t.waiters, ch)
-		s.inflightMu.Unlock()
-		mCoalesced.Inc()
-		s.coalesced.Add(1)
-		return &pending{reqCapW: req.CapW, coalesced: true, ch: ch}, nil
-	}
-	t := &task{
-		key:        key,
-		gen:        gen,
-		shard:      sh,
-		capW:       eff,
-		z:          req.Z,
-		enqueuedAt: s.now(),
-		waiters:    []chan result{ch},
-	}
-	s.inflight[key] = t
 	select {
-	case s.queue <- t:
-		s.inflightMu.Unlock()
-		return &pending{reqCapW: req.CapW, ch: ch}, nil
+	case s.slots <- struct{}{}:
 	default:
-		delete(s.inflight, key)
-		s.inflightMu.Unlock()
 		mShed.Inc()
 		s.shed.Add(1)
 		mRequests.With("shed").Inc()
-		return nil, fmt.Errorf("%w: queue depth %d exhausted", ErrOverloaded, s.opts.QueueDepth)
+		return Response{}, fmt.Errorf("%w: %d selections in flight", ErrOverloaded, s.opts.MaxInFlight)
 	}
-}
-
-// wait blocks for the pending answer or the caller's deadline.
-func (s *Service) wait(ctx context.Context, p *pending) (Response, error) {
-	if p.cached {
-		mRequests.With("cached").Inc()
-		s.cachedN.Add(1)
-		return p.resp, nil
-	}
-	select {
-	case r := <-p.ch:
-		if r.err != nil {
-			mRequests.With("error").Inc()
-			return Response{}, r.err
-		}
-		resp := r.resp
-		resp.CapW = p.reqCapW
-		resp.Coalesced = p.coalesced
+	resp, err := s.compute(ctx, key, gen, sh, eff, req.Z)
+	<-s.slots
+	switch {
+	case err == nil:
+		resp.CapW = req.CapW
 		mRequests.With("served").Inc()
 		s.served.Add(1)
-		return resp, nil
-	case <-ctx.Done():
+	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
 		mRequests.With("deadline").Inc()
-		return Response{}, ctx.Err()
+	default:
+		mRequests.With("error").Inc()
 	}
+	return resp, err
 }
 
-// worker drains the task queue until Close, then finishes whatever is
-// still queued so no admitted waiter is stranded.
-func (s *Service) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case t := <-s.queue:
-			s.handle(t)
-		case <-s.stop:
-			for {
-				select {
-				case t := <-s.queue:
-					s.handle(t)
-				default:
-					return
-				}
-			}
-		}
+// SelectBatch answers a batch item by item, so a duplicate item is
+// served from the cache its first occurrence filled. Results and errors
+// are parallel to reqs; the overall error is non-nil only when the
+// batch itself is rejected (too large).
+func (s *Service) SelectBatch(ctx context.Context, reqs []Request) ([]Response, []error, error) {
+	if len(reqs) > s.opts.MaxBatch {
+		return nil, nil, fmt.Errorf("%w: %d requests (max %d)", ErrBatchTooLarge, len(reqs), s.opts.MaxBatch)
 	}
+	resps := make([]Response, len(reqs))
+	errs := make([]error, len(reqs))
+	for i, req := range reqs {
+		resps[i], errs[i] = s.Select(ctx, req)
+	}
+	return resps, errs, nil
 }
 
-// handle computes one task and fans the result out to every waiter.
-func (s *Service) handle(t *task) {
-	mQueueWait.Observe(s.now().Sub(t.enqueuedAt).Seconds())
-	mQueueFill.Set(float64(len(s.queue)) / float64(s.opts.QueueDepth))
+// compute answers one cache miss against generation gen and caches the
+// answer under key. The caller holds an in-flight slot.
+func (s *Service) compute(ctx context.Context, key string, gen *generation, sh *shard, capW, z float64) (Response, error) {
+	admitted := s.now()
 	if s.opts.computeGate != nil {
 		s.opts.computeGate()
 	}
-	stop := mSelectSeconds.Time()
-	var r result
-	sp, err := t.shard.predictions(t.gen)
+	mQueueWait.Observe(s.now().Sub(admitted).Seconds())
+	defer mSelectSeconds.Time()()
+	sp, err := sh.predictions(gen)
 	if err != nil {
-		r.err = err
-	} else {
-		s.slowShard(t.shard.kernel)
-		sel, err := core.SelectAmong(sp.preds, sp.cluster, t.capW, t.z)
-		if err != nil {
-			r.err = err
-		} else {
-			r.resp = Response{
-				Kernel:        t.shard.kernel,
-				CapW:          t.capW,
-				EffectiveCapW: t.capW,
-				Z:             t.z,
-				Selection:     sel,
-				MinPowerW:     sp.minPowerW,
-				ModelHash:     t.gen.hash,
-				ModelSeq:      t.gen.seq,
-			}
-			s.cache.put(t.key, t.gen.hash, r.resp)
-		}
+		return Response{}, err
 	}
-	stop()
-
-	s.inflightMu.Lock()
-	if cur, ok := s.inflight[t.key]; ok && cur == t {
-		delete(s.inflight, t.key)
+	if err := s.slowShard(ctx, sh.kernel); err != nil {
+		return Response{}, err
 	}
-	waiters := t.waiters
-	s.inflightMu.Unlock()
-	for _, ch := range waiters {
-		ch <- r // each waiter channel is buffered and receives exactly once
+	sel, err := core.SelectAmong(sp.preds, sp.cluster, capW, z)
+	if err != nil {
+		return Response{}, err
 	}
+	resp := Response{
+		Kernel:        sh.kernel,
+		CapW:          capW,
+		EffectiveCapW: capW,
+		Z:             z,
+		Selection:     sel,
+		MinPowerW:     sp.minPowerW,
+		ModelHash:     gen.hash,
+		ModelSeq:      gen.seq,
+	}
+	s.cache.put(key, gen.hash, resp)
+	return resp, nil
 }
 
 // slowShard applies the deterministic slow-shard fault: a NetDelay rule
 // at the SiteNet seam, keyed only by the kernel, makes that kernel's
-// computations uniformly slow for the life of the plan.
-func (s *Service) slowShard(kernel string) {
+// computations uniformly slow for the life of the plan. The delay ends
+// early with ctx's error, so a slowed request never outlives its
+// deadline.
+func (s *Service) slowShard(ctx context.Context, kernel string) error {
 	if !s.opts.Faults.Active(fault.SiteNet) {
-		return
+		return nil
 	}
 	for _, f := range s.opts.Faults.At(fault.SiteNet, "query/"+kernel, 0) {
 		if f.Kind == fault.NetDelay && f.Magnitude > 0 {
@@ -640,12 +499,19 @@ func (s *Service) slowShard(kernel string) {
 			if d > maxSlowShardDelay {
 				d = maxSlowShardDelay
 			}
-			time.Sleep(d)
+			t := time.NewTimer(d)
+			select {
+			case <-t.C:
+			case <-ctx.Done():
+				t.Stop()
+				return ctx.Err()
+			}
 		}
 	}
+	return nil
 }
 
-// cacheKey builds the content-addressed cache/coalescing key. Float
+// cacheKey builds the content-addressed cache key. Float
 // parameters enter as exact bit patterns: two caps quantize to the same
 // key only when their effective caps are bitwise equal.
 func cacheKey(genHash, kernel string, effCapW, z float64) string {

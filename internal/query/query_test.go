@@ -5,9 +5,12 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"acsel/internal/core"
+	"acsel/internal/fault"
 	"acsel/internal/kernels"
+	"acsel/internal/metrics"
 	"acsel/internal/profiler"
 	"acsel/internal/query"
 )
@@ -219,67 +222,120 @@ func TestSelectTypedErrors(t *testing.T) {
 	}
 }
 
-// TestAdmissionControlSheds pins the 429 path deterministically: one
-// worker held mid-task, a queue of depth one filled, and the next
-// submission must shed with ErrOverloaded.
+// gate holds selections after they take their in-flight slot until
+// release is closed; from then on it lets every selection straight
+// through.
+type gate struct {
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newGate() *gate {
+	return &gate{entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gate) hold() {
+	select {
+	case g.entered <- struct{}{}:
+		<-g.release
+	case <-g.release:
+	}
+}
+
+// fillInFlight parks one cache-missing selection per slot in g, each
+// from its own goroutine, and returns the channel their errors arrive
+// on once g is released.
+func fillInFlight(s *query.Service, g *gate, slots int) <-chan error {
+	errs := make(chan error, slots)
+	for i := 0; i < slots; i++ {
+		req := query.Request{Kernel: s.Kernels()[i], CapW: 10}
+		go func() {
+			_, err := s.Select(context.Background(), req)
+			errs <- err
+		}()
+		<-g.entered
+	}
+	return errs
+}
+
+// requestsWithOutcome reads acsel_query_requests_total{outcome} from
+// the process registry.
+func requestsWithOutcome(t *testing.T, outcome string) float64 {
+	t.Helper()
+	fam, ok := metrics.Default.TakeSnapshot().Family("acsel_query_requests_total")
+	if !ok {
+		t.Fatal("acsel_query_requests_total not registered")
+	}
+	for _, m := range fam.Metrics {
+		if m.Labels["outcome"] == outcome {
+			return *m.Value
+		}
+	}
+	return 0
+}
+
+// TestAdmissionControlSheds pins the overload path deterministically:
+// with every in-flight slot held mid-computation, the next cache miss
+// must shed with ErrOverloaded, and releasing the slots must let every
+// held selection finish.
 func TestAdmissionControlSheds(t *testing.T) {
 	mA, _ := testModels(t)
-	started := make(chan struct{})
-	release := make(chan struct{})
+	const maxInFlight = 2
+	g := newGate()
 	opts := query.Options{
-		Workers:    1,
-		QueueDepth: 1,
-		CacheSize:  -1, // no cache: every request must take the queue
+		MaxInFlight: maxInFlight,
+		CacheSize:   -1, // no cache: every request must take a slot
 	}
-	opts.SetComputeGate(func() {
-		started <- struct{}{}
-		<-release
-	})
+	opts.SetComputeGate(g.hold)
 	s := newTestService(t, mA, opts)
-	ks := s.Kernels()
-	ctx := context.Background()
 
-	// Occupy the single worker.
-	p1, err := s.Submit(query.Request{Kernel: ks[0], CapW: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started // worker holds p1's task
-	// Fill the queue.
-	p2, err := s.Submit(query.Request{Kernel: ks[1], CapW: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Next distinct key must shed.
-	if _, err := s.Submit(query.Request{Kernel: ks[2], CapW: 14}); !errors.Is(err, query.ErrOverloaded) {
-		t.Fatalf("full queue accepted: %v", err)
+	held := fillInFlight(s, g, maxInFlight)
+	req := query.Request{Kernel: s.Kernels()[maxInFlight], CapW: 14}
+	if _, err := s.Select(context.Background(), req); !errors.Is(err, query.ErrOverloaded) {
+		t.Fatalf("select with every slot held: %v, want ErrOverloaded", err)
 	}
 	if got := s.Stats().Shed; got != 1 {
 		t.Fatalf("shed counter = %d, want 1", got)
 	}
-	// An identical in-flight key still coalesces instead of shedding.
-	p1b, err := s.Submit(query.Request{Kernel: ks[0], CapW: 10})
-	if err != nil {
-		t.Fatalf("coalescing submit shed: %v", err)
-	}
-	if !p1b.IsCoalesced() {
-		t.Fatal("identical in-flight key did not coalesce")
-	}
 
-	close(release)
-	go func() {
-		for range started { // let the worker pass the gate for queued tasks
-		}
-	}()
-	for _, p := range []*query.Pending{p1, p1b, p2} {
-		if _, err := s.Wait(ctx, p); err != nil {
-			t.Fatal(err)
+	close(g.release)
+	for i := 0; i < maxInFlight; i++ {
+		if err := <-held; err != nil {
+			t.Fatalf("held selection: %v", err)
 		}
 	}
-	if got := s.Stats().Coalesced; got != 1 {
-		t.Fatalf("coalesced counter = %d, want 1", got)
+	if _, err := s.Select(context.Background(), req); err != nil {
+		t.Fatalf("select after release: %v", err)
 	}
-	close(started)
+}
+
+// TestSlowShardHonoursDeadline: a selection slowed past its deadline by
+// the slow-shard fault returns the context's error, counts the deadline
+// outcome and gives its slot back.
+func TestSlowShardHonoursDeadline(t *testing.T) {
+	mA, _ := testModels(t)
+	inj := fault.NewInjector(fault.Scenario{
+		Name:        "query-slow-shard",
+		Description: "every kernel answers slowly",
+		Rules: []fault.Rule{
+			{Site: fault.SiteNet, Kind: fault.NetDelay, Prob: 1, Magnitude: 1000},
+		},
+	}, 7)
+	s := newTestService(t, mA, query.Options{MaxInFlight: 1, CacheSize: -1, Faults: inj})
+	req := query.Request{Kernel: s.Kernels()[0], CapW: 20}
+
+	before := requestsWithOutcome(t, "deadline")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	if _, err := s.Select(ctx, req); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("slowed select under a 1ms deadline: %v, want DeadlineExceeded", err)
+	}
+	if got := requestsWithOutcome(t, "deadline") - before; got != 1 {
+		t.Fatalf("deadline outcomes counted: %v, want 1", got)
+	}
+	if _, err := s.Select(context.Background(), req); err != nil {
+		t.Fatalf("select after a deadline: %v (slot not released?)", err)
+	}
 }
 
 // TestReloadInvalidatesByContent: a reload to different bytes swaps the

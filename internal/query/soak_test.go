@@ -91,8 +91,8 @@ func (o *soakOracle) verify(req query.Request, resp query.Response) error {
 
 // TestSoakSelectionService is the acceptance soak: a seeded closed-loop
 // load (8 workers, >=10k queries) against a deliberately small service
-// (2 workers, queue depth 2, half the shards slowed by an injected
-// fault) with two hot reloads mid-run. Every successful response must
+// (6 selections in flight, half the shards slowed by an injected fault)
+// with two hot reloads mid-run. Every successful response must
 // match the single-threaded oracle bitwise for the generation it names;
 // admission control must shed (shed counter > 0) and no request may
 // outlive its deadline. Run under -race via make test-query.
@@ -111,10 +111,9 @@ func TestSoakSelectionService(t *testing.T) {
 		},
 	}, 7)
 	s := newTestService(t, mA, query.Options{
-		Workers:    2,
-		QueueDepth: 4,   // 8 closed-loop clients can queue up to 6: overload is reachable, not constant
-		CacheSize:  256, // smaller than the key space, so misses persist
-		Faults:     inj,
+		MaxInFlight: 6,   // 8 closed-loop clients, 6 slots: overload is reachable, not constant
+		CacheSize:   256, // smaller than the key space, so misses persist
+		Faults:      inj,
 	})
 	o := newSoakOracle(t, s, mA, mB)
 	hashA, _ := s.Generation()
@@ -166,8 +165,8 @@ func TestSoakSelectionService(t *testing.T) {
 	}
 
 	writeSoakArtifact(t, sum)
-	t.Logf("soak: %d requests, %d ok (%d cached, %d coalesced), %d shed, %d deadline, %d errors, p50 %.2gs p99 %.2gs max %.2gs, generations %d",
-		sum.Requests, sum.OK, sum.Cached, sum.Coalesced, sum.Shed, sum.Deadline, sum.Errors,
+	t.Logf("soak: %d requests, %d ok (%d cached), %d shed, %d deadline, %d errors, p50 %.2gs p99 %.2gs max %.2gs, generations %d",
+		sum.Requests, sum.OK, sum.Cached, sum.Shed, sum.Deadline, sum.Errors,
 		sum.P50Seconds, sum.P99Seconds, sum.MaxSeconds, len(sum.ByGeneration))
 
 	if sum.Requests != requests {
@@ -236,15 +235,14 @@ func writeSoakArtifact(t *testing.T, sum loadgen.Summary) {
 // watches the pointer swap itself.
 func TestStressHotReloadRace(t *testing.T) {
 	mA, mB := testModels(t)
+	const goroutines = 8
 	s := newTestService(t, mA, query.Options{
-		Workers:    4,
-		QueueDepth: 64,
-		CacheSize:  128,
+		MaxInFlight: goroutines, // a slot per caller: every request must be served
+		CacheSize:   128,
 	})
 	o := newSoakOracle(t, s, mA, mB)
 
 	queries := 400
-	goroutines := 8
 	if testing.Short() {
 		queries = 150
 	}
