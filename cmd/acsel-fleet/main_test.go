@@ -142,7 +142,7 @@ func startAgent(t *testing.T, name string, app []kernels.Kernel, coordURL string
 	mux := http.NewServeMux()
 	agent.Register(mux)
 	srv := httptest.NewServer(mux)
-	ctx, cancel := context.WithCancel(context.Background()) //lint:ignore ctxcancel cancel is stored on liveAgent and released by t.Cleanup(la.stop)
+	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		if err := agent.Run(ctx, srv.URL); err != nil {
 			t.Logf("agent %s: %v", name, err)

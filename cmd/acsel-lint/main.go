@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	acsel-lint [-checks list] [-list] [-fix] [-sarif file] [-cache] [-budget file] [packages]
+//	acsel-lint [-C dir] [-checks list] [-list] [-fix] [-sarif file] [-budget file] [-summaries] [packages]
 //
 // Package patterns follow the go tool: ./... (default), ./internal/rts,
 // ./internal/... . Findings are suppressed at the site with
@@ -21,13 +21,10 @@
 // and atomically rewrites the touched files, then re-runs the analyzers
 // so the exit status reflects what remains; a second -fix run is a
 // no-op. -sarif writes a SARIF 2.1.0 log for CI annotation ("-" for
-// stdout), including call-path traces as relatedLocations. -cache keys
-// the whole run by a SHA-256 over the observable Go files and the
-// analyzer suite versions, short-circuiting unchanged re-runs (see
-// internal/lint/cache.go); -cache-dir overrides the per-user default
-// location. -budget names a findings-ratchet file holding the maximum
-// tolerated finding count: at or under budget the exit code is 0, so
-// CI fails only on regressions while the recorded debt is paid down.
+// stdout), including call-path traces as relatedLocations. -budget
+// names a findings-ratchet file holding the maximum tolerated finding
+// count: at or under budget the exit code is 0, so CI fails only on
+// regressions while the recorded debt is paid down.
 // -summaries dumps the call graph and per-function summaries instead
 // of linting.
 package main
@@ -56,8 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("C", ".", "module root directory (must contain go.mod)")
 	fix := fs.Bool("fix", false, "apply suggested fixes, then re-run and report what remains")
 	sarifOut := fs.String("sarif", "", "write findings as SARIF 2.1.0 to this file (\"-\" for stdout)")
-	useCache := fs.Bool("cache", false, "reuse cached results when the observable module content and analyzer suite are unchanged")
-	cacheDir := fs.String("cache-dir", "", "lint result cache directory (default: user cache dir/acsel-lint)")
 	budget := fs.String("budget", "", "findings-ratchet file: exit 0 while findings stay at or under the recorded count")
 	summaries := fs.Bool("summaries", false, "dump the call graph and per-function summaries instead of linting")
 	if err := fs.Parse(args); err != nil {
@@ -94,7 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	diags, err := runLint(root, fs.Args(), suite, *useCache, *cacheDir, stderr)
+	diags, err := lint.RunSuite(root, fs.Args(), suite)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
@@ -116,9 +111,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "acsel-lint: %d conflicting fix(es) skipped; re-run -fix\n", res.Skipped)
 		}
 		if len(res.ChangedFiles) > 0 {
-			// Fixed files changed on disk: the remaining findings (and the
-			// cache key) must come from a fresh run.
-			diags, err = runLint(root, fs.Args(), suite, *useCache, *cacheDir, stderr)
+			// Fixed files changed on disk: the remaining findings must
+			// come from a fresh run.
+			diags, err = lint.RunSuite(root, fs.Args(), suite)
 			if err != nil {
 				fmt.Fprintln(stderr, err)
 				return 2
@@ -199,28 +194,6 @@ func readBudget(path string) (int, error) {
 		return n, nil
 	}
 	return 0, fmt.Errorf("acsel-lint: budget file %s is empty", path)
-}
-
-// runLint dispatches to the cached or direct runner.
-func runLint(root string, patterns []string, suite lint.Suite, useCache bool, cacheDir string, stderr io.Writer) ([]lint.Diagnostic, error) {
-	if !useCache {
-		return lint.RunSuite(root, patterns, suite)
-	}
-	if cacheDir == "" {
-		var err error
-		cacheDir, err = lint.DefaultCacheDir()
-		if err != nil {
-			return nil, err
-		}
-	}
-	diags, hit, err := lint.RunSuiteCached(root, patterns, suite, cacheDir)
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		fmt.Fprintln(stderr, "acsel-lint: cache hit")
-	}
-	return diags, nil
 }
 
 // findModuleRoot walks upward from dir to the nearest go.mod.

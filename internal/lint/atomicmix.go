@@ -15,10 +15,9 @@ import (
 // Constructor-fresh initialization (s := &T{}; s.n = 0 before the
 // value is shared) is exempt.
 var AnalyzerAtomicMix = &ModuleAnalyzer{
-	Name:    "atomicmix",
-	Doc:     "find fields accessed both via sync/atomic and as plain memory",
-	Version: 1,
-	Run:     runAtomicMix,
+	Name: "atomicmix",
+	Doc:  "find fields accessed both via sync/atomic and as plain memory",
+	Run:  runAtomicMix,
 }
 
 func runAtomicMix(p *ModulePass) {

@@ -130,11 +130,6 @@ func (n *CGNode) Pos() token.Pos {
 	return n.Lit.Pos()
 }
 
-// callGraphFormatVersion feeds the result-cache key: bump it whenever
-// edge construction changes (new edge kinds, different CHA scope), so
-// cached module-analysis results keyed on the old graph shape retire.
-const callGraphFormatVersion = 1
-
 // CallGraph is the module-wide graph plus its SCC decomposition.
 type CallGraph struct {
 	Fset  *token.FileSet

@@ -5,7 +5,7 @@ import (
 )
 
 // This file is the control-flow layer under the dataflow analyzers
-// (maporder, walltime, goroleak, ctxcancel). A CFG is built per
+// (maporder, walltime, goroleak). A CFG is built per
 // function body — FuncDecl and each FuncLit get their own graph — and
 // deliberately stays intraprocedural: the analyzers that consume it
 // treat calls as opaque and model only what they can prove locally.

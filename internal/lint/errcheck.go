@@ -14,17 +14,15 @@ import (
 // explicit; tests are exempt. Plain discards carry a suggested fix
 // inserting the explicit `_ =`.
 //
-// Version 2 additionally catches the deferred variant the original
-// analyzer missed entirely: `defer f.Close()` on a file opened for
-// writing (os.Create, os.CreateTemp, writable os.OpenFile — decided by
-// reaching definitions). A deferred Close is the moment buffered data
+// It also catches the deferred variant: `defer f.Close()` on a file
+// opened for writing (os.Create, os.CreateTemp, writable os.OpenFile —
+// decided by reaching definitions). A deferred Close is the moment buffered data
 // hits the disk; dropping its error means a short write to a model
 // file or CSV export passes silently. Read-only files keep the idiom.
 var AnalyzerErrCheck = &Analyzer{
-	Name:    "errcheck",
-	Doc:     "flag discarded error results, including defer Close() on writable files",
-	Version: 2,
-	Run:     runErrCheck,
+	Name: "errcheck",
+	Doc:  "flag discarded error results, including defer Close() on writable files",
+	Run:  runErrCheck,
 }
 
 // errCheckSafe lists callees whose returned error is either always nil

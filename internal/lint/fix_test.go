@@ -99,43 +99,6 @@ func cleanup(path string) {
 	}
 }
 
-// TestApplyFixesCtxCancel verifies the ctxcancel fix inserts a
-// defer cancel() that survives a re-run (the inserted defer makes the
-// analyzer treat the site as handled).
-func TestApplyFixesCtxCancel(t *testing.T) {
-	root := fixtureModule(t, map[string]string{"app/app.go": `package app
-
-import "context"
-
-func leak(ready bool) error {
-	ctx, cancel := context.WithCancel(context.Background())
-	if !ready {
-		return nil
-	}
-	_ = ctx
-	cancel()
-	return nil
-}
-`})
-	diags, err := Run(root, nil, []*Analyzer{AnalyzerCtxCancel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 || len(diags[0].Fixes) == 0 {
-		t.Fatalf("diags = %v, want one fixable ctxcancel finding", diags)
-	}
-	if _, err := ApplyFixes(diags); err != nil {
-		t.Fatal(err)
-	}
-	diags, err = Run(root, nil, []*Analyzer{AnalyzerCtxCancel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 0 {
-		t.Fatalf("findings remain after defer-cancel fix: %v", diags)
-	}
-}
-
 // TestApplyFixesConflict: two fixes editing the same range must not
 // both apply; the second is skipped, never half-applied.
 func TestApplyFixesConflict(t *testing.T) {

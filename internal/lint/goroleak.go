@@ -24,10 +24,9 @@ import (
 // returns without receiving" question is CFG reachability, so the
 // analyzer stays quiet on the codebase's correct worker pools.
 var AnalyzerGoroLeak = &Analyzer{
-	Name:    "goroleak",
-	Doc:     "flag goroutines that can block forever on unbuffered channels, in-goroutine WaitGroup.Add, and in-goroutine semaphore acquisition",
-	Version: 1,
-	Run:     runGoroLeak,
+	Name: "goroleak",
+	Doc:  "flag goroutines that can block forever on unbuffered channels, in-goroutine WaitGroup.Add, and in-goroutine semaphore acquisition",
+	Run:  runGoroLeak,
 }
 
 func runGoroLeak(pass *Pass) {

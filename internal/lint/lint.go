@@ -36,13 +36,13 @@ type Diagnostic struct {
 	// Fixes carries machine-applicable suggested fixes; acsel-lint -fix
 	// applies the first one (see fix.go). Analyzers only attach a fix
 	// when it is safe and semantics-preserving.
-	Fixes []SuggestedFix `json:",omitempty"`
+	Fixes []SuggestedFix
 	// Related carries the call-path trace of an interprocedural finding
 	// (module analyzers, modulepass.go): each step explains one hop from
 	// the reported position to the root cause. Rendered as SARIF
 	// relatedLocations, and a //lint:ignore directive on ANY step's line
 	// suppresses the finding (ignore.go).
-	Related []RelatedPos `json:",omitempty"`
+	Related []RelatedPos
 }
 
 // RelatedPos is one step of a diagnostic's interprocedural explanation.
@@ -78,11 +78,7 @@ func (d Diagnostic) String() string {
 type Analyzer struct {
 	Name string // short lowercase identifier used in output and ignore directives
 	Doc  string // one-line description
-	// Version participates in the lint result cache key (cache.go):
-	// bump it whenever the analyzer's findings or fixes change, so
-	// cached clean runs from older logic are invalidated.
-	Version int
-	Run     func(*Pass)
+	Run  func(*Pass)
 }
 
 // Pass presents one type-checked package unit to an analyzer. A unit is
@@ -138,7 +134,6 @@ func All() []*Analyzer {
 		AnalyzerMetricName,
 		AnalyzerMapOrder,
 		AnalyzerGoroLeak,
-		AnalyzerCtxCancel,
 		AnalyzerWallTime,
 	}
 }

@@ -20,10 +20,9 @@ import (
 // spawns start a fresh stack and contribute no nesting; function-value
 // references contribute none either (no call happens at the reference).
 var AnalyzerLockOrder = &ModuleAnalyzer{
-	Name:    "lockorder",
-	Doc:     "detect opposite pairwise mutex acquisition orders across call paths (deadlock risk)",
-	Version: 1,
-	Run:     runLockOrder,
+	Name: "lockorder",
+	Doc:  "detect opposite pairwise mutex acquisition orders across call paths (deadlock risk)",
+	Run:  runLockOrder,
 }
 
 // orderWitness records the first-seen evidence that class First was

@@ -5,35 +5,24 @@ import (
 	"go/types"
 )
 
-// AnalyzerLockSleep covers two concurrency hygiene rules for the
-// runtime/scheduler layers:
-//
-//  1. time.Sleep inside _test.go files — sleeping to "wait for the
-//     goroutine" is the root cause of flaky concurrency tests; wait on
-//     a channel, a sync.WaitGroup, or poll with a deadline instead.
-//  2. Copying a value whose type contains a sync.Mutex, sync.RWMutex,
-//     sync.WaitGroup, sync.Once or sync.Cond — a copied lock guards
-//     nothing. Flagged for by-value parameters, receivers and
-//     assignments from addressable expressions.
+// AnalyzerLockSleep flags time.Sleep inside _test.go files: sleeping
+// to "wait for the goroutine" is the root cause of flaky concurrency
+// tests; wait on a channel, a sync.WaitGroup, or poll with a deadline
+// instead. Copies of lock-bearing values are go vet's copylocks check.
 var AnalyzerLockSleep = &Analyzer{
 	Name: "locksleep",
-	Doc:  "flag time.Sleep-based synchronization in tests and copies of lock-bearing values",
+	Doc:  "flag time.Sleep-based synchronization in tests",
 	Run:  runLockSleep,
 }
 
 func runLockSleep(pass *Pass) {
 	for _, f := range pass.Files {
-		inTest := pass.IsTestFile(f.Pos())
+		if !pass.IsTestFile(f.Pos()) {
+			continue
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if inTest && isTimeSleep(pass, n) {
-					pass.Reportf(n.Pos(), "time.Sleep as test synchronization is flaky; wait on a channel/WaitGroup or poll with a deadline")
-				}
-			case *ast.FuncDecl:
-				checkLockParams(pass, n)
-			case *ast.AssignStmt:
-				checkLockAssign(pass, n)
+			if call, ok := n.(*ast.CallExpr); ok && isTimeSleep(pass, call) {
+				pass.Reportf(call.Pos(), "time.Sleep as test synchronization is flaky; wait on a channel/WaitGroup or poll with a deadline")
 			}
 			return true
 		})
@@ -51,127 +40,4 @@ func isTimeSleep(pass *Pass, call *ast.CallExpr) bool {
 	}
 	pn, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
 	return ok && pn.Imported().Path() == "time"
-}
-
-// checkLockParams flags by-value receivers and parameters of
-// lock-bearing types.
-func checkLockParams(pass *Pass, fn *ast.FuncDecl) {
-	var fields []*ast.Field
-	if fn.Recv != nil {
-		fields = append(fields, fn.Recv.List...)
-	}
-	if fn.Type.Params != nil {
-		fields = append(fields, fn.Type.Params.List...)
-	}
-	for _, field := range fields {
-		t := pass.TypeOf(field.Type)
-		if t == nil || isPointerLike(t) {
-			continue
-		}
-		if lock := lockInType(t, nil); lock != "" {
-			pass.Reportf(field.Pos(), "by-value %s passes a copy of %s; use a pointer", describeField(fn, field), lock)
-		}
-	}
-}
-
-// checkLockAssign flags x = y and x := y where y is an addressable
-// expression of a lock-bearing type (a true copy of a live lock).
-// Composite literals and function results are fresh values and fine.
-func checkLockAssign(pass *Pass, as *ast.AssignStmt) {
-	for i, rhs := range as.Rhs {
-		if i >= len(as.Lhs) {
-			break
-		}
-		// _ = x discards the value; no copy materializes.
-		if lhs, ok := as.Lhs[i].(*ast.Ident); ok && lhs.Name == "_" {
-			continue
-		}
-		if !isAddressable(rhs) {
-			continue
-		}
-		t := pass.TypeOf(rhs)
-		if t == nil || isPointerLike(t) {
-			continue
-		}
-		if lock := lockInType(t, nil); lock != "" {
-			pass.Reportf(as.Pos(), "assignment copies %s (via %s); use a pointer", lock, exprString(rhs))
-		}
-	}
-}
-
-// isAddressable conservatively detects expressions that denote
-// existing storage, whose copy would duplicate a possibly-held lock.
-func isAddressable(e ast.Expr) bool {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name != "nil"
-	case *ast.SelectorExpr, *ast.IndexExpr:
-		return true
-	case *ast.StarExpr:
-		return true
-	}
-	return false
-}
-
-func isPointerLike(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Map, *types.Slice, *types.Chan, *types.Signature, *types.Interface:
-		return true
-	}
-	return false
-}
-
-// lockBearing names the sync types whose values must not be copied
-// after first use.
-var lockBearing = map[string]bool{
-	"sync.Mutex":     true,
-	"sync.RWMutex":   true,
-	"sync.WaitGroup": true,
-	"sync.Once":      true,
-	"sync.Cond":      true,
-}
-
-// lockInType reports the first lock-bearing type found inside t
-// (directly, as a struct field, or as an array element), or "".
-func lockInType(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	if seen == nil {
-		seen = make(map[types.Type]bool)
-	}
-	seen[t] = true
-	if n, ok := t.(*types.Named); ok {
-		if pkg := n.Obj().Pkg(); pkg != nil && lockBearing[pkg.Path()+"."+n.Obj().Name()] {
-			return pkg.Path() + "." + n.Obj().Name()
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if lock := lockInType(u.Field(i).Type(), seen); lock != "" {
-				return lock
-			}
-		}
-	case *types.Array:
-		return lockInType(u.Elem(), seen)
-	}
-	return ""
-}
-
-// describeField renders "receiver of X" / "parameter p of X" for the
-// copy-lock message.
-func describeField(fn *ast.FuncDecl, field *ast.Field) string {
-	kind := "parameter"
-	if fn.Recv != nil {
-		for _, f := range fn.Recv.List {
-			if f == field {
-				kind = "receiver"
-			}
-		}
-	}
-	if len(field.Names) > 0 {
-		return kind + " " + field.Names[0].Name + " of " + fn.Name.Name
-	}
-	return kind + " of " + fn.Name.Name
 }

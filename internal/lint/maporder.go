@@ -18,10 +18,9 @@ import (
 // before use is recognized as clean, and purely commutative folds over
 // a map (sum += v, n++) are not flagged.
 var AnalyzerMapOrder = &Analyzer{
-	Name:    "maporder",
-	Doc:     "flag map-iteration-ordered values reaching output/hash/export sinks without a sort",
-	Version: 1,
-	Run:     runMapOrder,
+	Name: "maporder",
+	Doc:  "flag map-iteration-ordered values reaching output/hash/export sinks without a sort",
+	Run:  runMapOrder,
 }
 
 // mapOrderTaintSpec is the shared flow specification: the unit analyzer

@@ -36,10 +36,7 @@ type ModuleUnit struct {
 type ModuleAnalyzer struct {
 	Name string // short lowercase identifier used in output and ignore directives
 	Doc  string // one-line description
-	// Version participates in the lint result cache key exactly like
-	// Analyzer.Version: bump it whenever findings change.
-	Version int
-	Run     func(*ModulePass)
+	Run  func(*ModulePass)
 }
 
 // ModulePass presents the analyzed module to one ModuleAnalyzer.

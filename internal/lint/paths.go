@@ -4,8 +4,8 @@ import (
 	"go/ast"
 )
 
-// Path queries over the CFG shared by ctxcancel and goroleak: "can the
-// function exit without doing X after this point".
+// Path queries over the CFG used by goroleak: "can the function exit
+// without doing X after this point".
 
 // nodeLocs indexes every CFG node to its (block, index) position.
 func nodeLocs(cfg *CFG) map[ast.Node]nodeLoc {
@@ -56,24 +56,4 @@ func existsPathAvoiding(cfg *CFG, from *Block, fromIdx int, stop func(ast.Node) 
 		}
 	}
 	return false
-}
-
-// nodeMentionsAsArg reports whether obj appears as a plain argument to
-// any call within the node (shallow walk) — the conservative "someone
-// else may consume this" escape hatch.
-func nodeMentionsAsArg(pass *Pass, n ast.Node, objIs func(*ast.Ident) bool) bool {
-	found := false
-	walkShallowParts(n, func(sub ast.Node) {
-		call, ok := sub.(*ast.CallExpr)
-		if !ok || found {
-			return
-		}
-		for _, arg := range call.Args {
-			if id, isID := ast.Unparen(arg).(*ast.Ident); isID && objIs(id) {
-				found = true
-				return
-			}
-		}
-	})
-	return found
 }

@@ -25,10 +25,9 @@ import (
 // readings (the walltime unit analyzer encodes the same policy), and
 // the registry's exports are deterministic snapshots.
 var AnalyzerPureDet = &ModuleAnalyzer{
-	Name:    "puredet",
-	Doc:     "prove //lint:deterministic roots transitively free of nondeterminism sources",
-	Version: 1,
-	Run:     runPureDet,
+	Name: "puredet",
+	Doc:  "prove //lint:deterministic roots transitively free of nondeterminism sources",
+	Run:  runPureDet,
 }
 
 // puredetExemptSuffixes lists package-path suffixes whose internals are

@@ -16,10 +16,9 @@ import (
 // empty). Accesses through constructor-fresh locals, atomic-typed
 // fields, atomic calls, channels and sync primitives are exempt.
 var AnalyzerSharedState = &ModuleAnalyzer{
-	Name:    "sharedstate",
-	Doc:     "find struct fields written under their mutex on some paths but accessed bare on others",
-	Version: 1,
-	Run:     runSharedState,
+	Name: "sharedstate",
+	Doc:  "find struct fields written under their mutex on some paths but accessed bare on others",
+	Run:  runSharedState,
 }
 
 // fieldEvidence accumulates module-wide evidence about one field class.

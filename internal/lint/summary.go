@@ -1127,14 +1127,7 @@ func lockSiteLess(a, b LockSite) bool {
 
 // The line-based encoding below is the summaries' interchange format:
 // `acsel-lint -summaries` dumps it, FuzzSummaryRoundTrip holds it
-// canonical (decode ∘ encode ∘ decode is the identity on valid input),
-// and summaryFormatVersion participates in the lint result cache key so
-// cached diagnostics from an older summary shape never survive an
-// upgrade.
-
-// summaryFormatVersion identifies the encoding below AND the semantics
-// of summary computation; bump on any change to either.
-const summaryFormatVersion = 1
+// canonical (decode ∘ encode ∘ decode is the identity on valid input).
 
 // EncodeSummary renders s in the canonical line format. Positions are
 // raw token.Pos offsets: stable within one FileSet, opaque otherwise.

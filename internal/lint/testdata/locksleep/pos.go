@@ -1,47 +1,8 @@
-// Positive cases for the locksleep analyzer: lock-bearing values
-// copied by parameter, receiver, or assignment.
+// Clean case for the locksleep analyzer: time.Sleep outside _test.go
+// files is not locksleep's business (pacing a sampling loop is
+// legitimate). The positive case lives in sleep_test.go.
 package fixture
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
-type guarded struct {
-	mu  sync.Mutex
-	val int
-}
-
-func byValueParam(g guarded) int { // copies g.mu
-	return g.val
-}
-
-func (g guarded) byValueReceiver() int { // copies g.mu
-	return g.val
-}
-
-func byPointer(g *guarded) int { // fine
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.val
-}
-
-func assignCopies(g *guarded) {
-	cp := *g // copies the mutex out of live storage
-	mu := g.mu
-	_ = cp
-	_ = mu
-}
-
-func freshValues() {
-	g := guarded{val: 1} // composite literal: a fresh value, fine
-	wg := newGroup()     // function result: a move, fine
-	_ = g
-	_ = wg
-}
-
-func newGroup() sync.WaitGroup { return sync.WaitGroup{} }
-
-// time.Sleep outside _test.go files is not locksleep's business
-// (pacing a sampling loop is legitimate).
 func pace() { time.Sleep(time.Millisecond) }

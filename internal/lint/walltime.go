@@ -12,10 +12,9 @@ import (
 // exported tables; elapsed time belongs in the metrics registry, which
 // this analyzer deliberately does not treat as a sink.
 var AnalyzerWallTime = &Analyzer{
-	Name:    "walltime",
-	Doc:     "flag wall-clock values flowing into exported artifacts, hashes, or model state",
-	Version: 1,
-	Run:     runWallTime,
+	Name: "walltime",
+	Doc:  "flag wall-clock values flowing into exported artifacts, hashes, or model state",
+	Run:  runWallTime,
 }
 
 // wallClockSources are the time package functions whose results are

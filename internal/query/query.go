@@ -395,6 +395,7 @@ func (s *Service) Select(ctx context.Context, req Request) (Response, error) {
 		return Response{}, fmt.Errorf("%w: %q", ErrUnknownKernel, req.Kernel)
 	}
 	if s.closed.Load() {
+		mRequests.With("error").Inc()
 		return Response{}, ErrClosed
 	}
 

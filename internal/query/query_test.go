@@ -217,8 +217,12 @@ func TestSelectTypedErrors(t *testing.T) {
 		t.Fatalf("oversized batch: %v", err)
 	}
 	s.Close()
+	before := requestsWithOutcome(t, "error")
 	if _, err := s.Select(ctx, query.Request{Kernel: s.Kernels()[0], CapW: 20}); !errors.Is(err, query.ErrClosed) {
 		t.Fatalf("closed service: %v", err)
+	}
+	if got := requestsWithOutcome(t, "error") - before; got != 1 {
+		t.Fatalf("error outcomes counted for a closed service: %v, want 1", got)
 	}
 }
 
