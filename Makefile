@@ -63,7 +63,7 @@ test:
 # yield a deeply equal Evaluation) and the parallel matrix equivalence.
 test-race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'TestRunDeterministicAcrossWorkerCounts|TestModelCacheDirAcceleratesRun' ./internal/eval
+	$(GO) test -race -run 'TestRunDeterministicAcrossWorkerCounts' ./internal/eval
 	$(GO) test -race -run 'TestDissimilarityWorkersEquivalent' ./internal/core
 
 # Fault-injection suites under the race detector: every built-in chaos

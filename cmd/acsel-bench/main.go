@@ -13,8 +13,6 @@
 //	acsel-bench -exp chaos -chaos-scenario sensor-stuck -chaos-seed 7
 //	acsel-bench -exp table3 -metrics-dump out.json   # keep the telemetry
 //	acsel-bench -metrics-addr :9090                  # live /metrics + pprof
-//	acsel-bench -fold-workers 1                      # sequential folds (same output)
-//	acsel-bench -model-cache .acsel-cache            # reuse fold models across runs
 package main
 
 import (
@@ -56,8 +54,6 @@ func main() {
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault-plan seed for -exp chaos")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics (Prometheus text) and /debug/pprof on this address for the duration of the run")
 	metricsDump := flag.String("metrics-dump", "", "write a JSON metrics snapshot to this file at exit")
-	foldWorkers := flag.Int("fold-workers", 0, "concurrent cross-validation folds (0 = GOMAXPROCS, 1 = sequential; any value yields identical output)")
-	modelCache := flag.String("model-cache", "", "optional directory for the content-addressed trained-model cache")
 	flag.Parse()
 
 	if *list {
@@ -81,7 +77,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrics: serving http://%s/metrics (and /debug/pprof)\n", addr)
 	}
 
-	if err := run(*exp, *iters, *k, *foldWorkers, *csvDir, *chaosScenario, *chaosSeed, *modelCache); err != nil {
+	if err := run(*exp, *iters, *k, *csvDir, *chaosScenario, *chaosSeed); err != nil {
 		fmt.Fprintln(os.Stderr, "acsel-bench:", err)
 		os.Exit(1)
 	}
@@ -94,7 +90,13 @@ func main() {
 	}
 }
 
-func run(exp string, iters, k, foldWorkers int, csvDir, chaosScenario string, chaosSeed int64, modelCache string) error {
+func run(exp string, iters, k int, csvDir, chaosScenario string, chaosSeed int64) error {
+	if k < 1 {
+		return fmt.Errorf("-k must be at least 1, got %d", k)
+	}
+	if iters < 1 {
+		return fmt.Errorf("-iterations must be at least 1, got %d", iters)
+	}
 	selected := map[string]bool{}
 	if exp == "all" {
 		for _, e := range experiments {
@@ -119,8 +121,6 @@ func run(exp string, iters, k, foldWorkers int, csvDir, chaosScenario string, ch
 	h := eval.NewHarness()
 	h.Opts.Iterations = iters
 	h.Opts.K = k
-	h.Workers = foldWorkers
-	h.ModelCacheDir = modelCache
 	fmt.Fprintf(os.Stderr, "characterizing 65 kernel/input combinations at %d configurations (%d iterations)...\n",
 		h.Profiler.Space.Len(), iters)
 	ev, err := h.Run()

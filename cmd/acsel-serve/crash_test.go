@@ -30,11 +30,7 @@ func TestMain(m *testing.M) {
 	if cfgJSON := os.Getenv(childEnv); cfgJSON != "" {
 		os.Exit(childMain(cfgJSON))
 	}
-	code := m.Run()
-	if cacheDir != "" {
-		os.RemoveAll(cacheDir) //lint:ignore errcheck best-effort temp cleanup
-	}
-	os.Exit(code)
+	os.Exit(m.Run())
 }
 
 func childMain(cfgJSON string) int {
@@ -162,7 +158,6 @@ func TestCrashKillMidEpochRecoversEquivalently(t *testing.T) {
 		Epochs:          8,
 		CheckpointEvery: 3,
 		TrainIterations: 2,
-		ModelCache:      sharedCache(t),
 		MaxRestarts:     3,
 	}
 

@@ -49,7 +49,6 @@ func main() {
 	flag.DurationVar(&cfg.OrphanAfter, "orphan-after", 0, "drop to the floor cap after this long without coordinator contact (0 = 5x heartbeat)")
 	flag.StringVar(&cfg.SummaryPath, "summary", "", "write a JSON run summary to this file at clean exit")
 	flag.IntVar(&cfg.TrainIterations, "train-iterations", 0, "profiling iterations per configuration during training (0 = paper default)")
-	flag.StringVar(&cfg.ModelCache, "model-cache", "", "optional directory for the content-addressed trained-model cache")
 	flag.IntVar(&cfg.MaxRestarts, "max-restarts", 5, "consecutive worker restarts before giving up (0 = unlimited)")
 	flag.BoolVar(&cfg.Query, "query", false, "serve the selection query API (POST /v1/select, /v1/select/batch, GET+POST /v1/models) on -addr")
 	flag.IntVar(&cfg.QueryInFlight, "query-max-inflight", 0, "selection queries computed at once before admission control sheds with 429 (0 = default)")
@@ -87,7 +86,6 @@ type config struct {
 	OrphanAfter     time.Duration
 	SummaryPath     string
 	TrainIterations int
-	ModelCache      string
 	MaxRestarts     int
 	Query           bool
 	QueryInFlight   int

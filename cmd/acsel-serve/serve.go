@@ -130,12 +130,9 @@ func run(ctx context.Context, cfg config, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	model, cached, err := core.TrainCached(prof.Space, profiles, opts, cfg.ModelCache)
+	model, err := core.Train(prof.Space, profiles, opts)
 	if err != nil {
 		return err
-	}
-	if cached {
-		fmt.Fprintln(stderr, "trained model loaded from cache")
 	}
 
 	rt, err := rts.New(model, rts.Options{

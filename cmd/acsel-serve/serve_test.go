@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,34 +16,15 @@ import (
 	"acsel/internal/supervise"
 )
 
-// The trained-model cache shared by every test (and every crash-test
-// child process): training happens once, everything after loads it.
-var (
-	cacheOnce sync.Once
-	cacheDir  string
-)
-
-func sharedCache(t *testing.T) string {
-	cacheOnce.Do(func() {
-		d, err := os.MkdirTemp("", "acsel-serve-cache-*")
-		if err != nil {
-			t.Fatalf("cache dir: %v", err)
-		}
-		cacheDir = d
-	})
-	return cacheDir
-}
-
 // baseConfig is the shared test configuration: small training, a
 // deterministic fault plan, no listener.
-func baseConfig(t *testing.T, dir, name string) config {
+func baseConfig(dir, name string) config {
 	return config{
 		Bench: "LULESH", Input: "Large", CapW: 22,
 		FaultPlan:       "pstate-flaky:3",
 		Epochs:          3,
 		CheckpointEvery: 2,
 		TrainIterations: 2,
-		ModelCache:      sharedCache(t),
 		MaxRestarts:     3,
 		Journal:         filepath.Join(dir, name+".acsj"),
 		SummaryPath:     filepath.Join(dir, name+".json"),
@@ -89,7 +69,7 @@ func compareSummaries(t *testing.T, want, got runSummary) {
 
 func TestServeRunsAndWritesSummary(t *testing.T) {
 	dir := t.TempDir()
-	cfg := baseConfig(t, dir, "run")
+	cfg := baseConfig(dir, "run")
 	cfg.Addr = "127.0.0.1:0" // exercise the healthz/readyz/metrics listener
 	if err := run(context.Background(), cfg, io.Discard); err != nil {
 		t.Fatal(err)
@@ -109,7 +89,7 @@ func TestServeRunsAndWritesSummary(t *testing.T) {
 func TestServeResumeAfterCleanExitMatchesUninterrupted(t *testing.T) {
 	dir := t.TempDir()
 
-	ref := baseConfig(t, dir, "ref")
+	ref := baseConfig(dir, "ref")
 	ref.Epochs = 6
 	if err := run(context.Background(), ref, io.Discard); err != nil {
 		t.Fatal(err)
@@ -118,7 +98,7 @@ func TestServeResumeAfterCleanExitMatchesUninterrupted(t *testing.T) {
 
 	// Same run split across two processes: 3 epochs, clean exit, then
 	// resume to 6.
-	split := baseConfig(t, dir, "split")
+	split := baseConfig(dir, "split")
 	split.Epochs = 3
 	if err := run(context.Background(), split, io.Discard); err != nil {
 		t.Fatal(err)
@@ -137,14 +117,14 @@ func TestServeResumeAfterCleanExitMatchesUninterrupted(t *testing.T) {
 func TestServeTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 
-	ref := baseConfig(t, dir, "ref")
+	ref := baseConfig(dir, "ref")
 	ref.Epochs = 6
 	if err := run(context.Background(), ref, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	want := readSummary(t, ref.SummaryPath)
 
-	torn := baseConfig(t, dir, "torn")
+	torn := baseConfig(dir, "torn")
 	torn.Epochs = 3
 	if err := run(context.Background(), torn, io.Discard); err != nil {
 		t.Fatal(err)
@@ -178,7 +158,7 @@ func TestServeTornTailRecovery(t *testing.T) {
 func TestServeSigtermSnapshotsAndResumes(t *testing.T) {
 	dir := t.TempDir()
 
-	ref := baseConfig(t, dir, "ref")
+	ref := baseConfig(dir, "ref")
 	ref.Epochs = 5
 	if err := run(context.Background(), ref, io.Discard); err != nil {
 		t.Fatal(err)
@@ -187,7 +167,7 @@ func TestServeSigtermSnapshotsAndResumes(t *testing.T) {
 
 	// A cancelled context is the in-process shape of SIGTERM: the run
 	// must exit cleanly, snapshot, and resume where it left off.
-	stop := baseConfig(t, dir, "stopped")
+	stop := baseConfig(dir, "stopped")
 	stop.Epochs = 0 // until signalled
 	stop.EpochDelay = time.Millisecond
 	ctx, cancel := context.WithCancel(context.Background())
@@ -233,7 +213,7 @@ func TestServeRejectsBadConfig(t *testing.T) {
 		{"unknown bench", func(c *config) { c.Bench = "NotABenchmark" }, "unknown benchmark"},
 	}
 	for _, tc := range cases {
-		cfg := baseConfig(t, dir, "bad")
+		cfg := baseConfig(dir, "bad")
 		tc.mut(&cfg)
 		err := run(context.Background(), cfg, io.Discard)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -9,7 +9,6 @@
 //	acsel-train -out model.json
 //	acsel-train -out model.json -holdout LULESH   # leave a benchmark out
 //	acsel-train -out model.json -k 4 -iterations 5 -log-targets
-//	acsel-train -out model.json -model-cache .acsel-cache   # reuse prior trainings
 package main
 
 import (
@@ -31,17 +30,22 @@ func main() {
 	iters := flag.Int("iterations", 3, "profiling iterations per configuration")
 	logTargets := flag.Bool("log-targets", false, "variance-stabilizing log transform on power targets")
 	profileOut := flag.String("profiles", "", "optional file to dump the raw profiling history (JSON)")
-	modelCache := flag.String("model-cache", "", "optional directory for the content-addressed trained-model cache")
 	verbose := flag.Bool("v", false, "print cluster assignments and the classifier tree")
 	flag.Parse()
 
-	if err := run(*out, *holdout, *k, *iters, *logTargets, *profileOut, *modelCache, *verbose); err != nil {
+	if err := run(*out, *holdout, *k, *iters, *logTargets, *profileOut, *verbose); err != nil {
 		fmt.Fprintln(os.Stderr, "acsel-train:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out, holdout string, k, iters int, logTargets bool, profileOut, modelCache string, verbose bool) error {
+func run(out, holdout string, k, iters int, logTargets bool, profileOut string, verbose bool) error {
+	if k < 1 {
+		return fmt.Errorf("-k must be at least 1, got %d", k)
+	}
+	if iters < 1 {
+		return fmt.Errorf("-iterations must be at least 1, got %d", iters)
+	}
 	var ks []kernels.Kernel
 	var excluded int
 	for _, c := range kernels.Combos() {
@@ -69,12 +73,9 @@ func run(out, holdout string, k, iters int, logTargets bool, profileOut, modelCa
 	if err != nil {
 		return err
 	}
-	model, hit, err := core.TrainCached(p.Space, profiles, opts, modelCache)
+	model, err := core.Train(p.Space, profiles, opts)
 	if err != nil {
 		return err
-	}
-	if hit {
-		fmt.Fprintf(os.Stderr, "model loaded from cache %s\n", modelCache)
 	}
 
 	if err := trace.WriteFile(out, model.Save); err != nil {

@@ -1,10 +1,10 @@
 // Package checkpoint is the crash-safety substrate of the long-running
 // runtime service: an append-only record journal with length-prefixed,
 // CRC32C-checksummed framing, a versioned header, atomic
-// snapshot+compaction (temp+rename, the same discipline as
-// core.TrainCached's model cache), and a tolerant reader that treats a
-// torn or corrupt tail record as the end of the journal rather than an
-// error — exactly what a kill -9 mid-append leaves behind.
+// snapshot+compaction (temp file, fsync, rename), and a tolerant
+// reader that treats a torn or corrupt tail record as the end of the
+// journal rather than an error — exactly what a kill -9 mid-append
+// leaves behind.
 //
 // The package frames opaque records; what goes inside them (runtime
 // snapshots, step records) is the caller's schema. Record payloads

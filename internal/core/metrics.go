@@ -9,16 +9,3 @@ import "acsel/internal/metrics"
 var mPhaseSeconds = metrics.NewHistogramVec("acsel_core_phase_seconds",
 	"Wall time of offline-stage pipeline phases (characterize, cluster, regressions, classifier).",
 	metrics.TimeBuckets, "phase")
-
-// Model-cache outcomes (TrainCached): hits load a previously trained
-// model by content address, misses train and persist, invalid counts
-// corrupt or truncated entries that fell back to retraining instead of
-// erroring.
-var (
-	mModelCacheHits = metrics.NewCounter("acsel_core_model_cache_hits_total",
-		"TrainCached lookups served from the content-addressed model cache.")
-	mModelCacheMisses = metrics.NewCounter("acsel_core_model_cache_misses_total",
-		"TrainCached lookups that trained from scratch (no usable cache entry).")
-	mModelCacheInvalid = metrics.NewCounter("acsel_core_model_cache_invalid_total",
-		"Corrupt or truncated model-cache entries that triggered a silent retrain.")
-)

@@ -2,19 +2,12 @@ package core
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
-	"math"
-	"os"
-	"path/filepath"
 
 	"acsel/internal/apu"
-	"acsel/internal/cluster"
-	"acsel/internal/profiler"
 	"acsel/internal/stats"
 	"acsel/internal/tree"
 )
@@ -140,151 +133,4 @@ func (m *Model) Hash() (string, error) {
 		return "", err
 	}
 	return fmt.Sprintf("%x", h.Sum(nil)), nil
-}
-
-// cacheKeyVersion guards the hash layout of ModelCacheKey: bump it
-// whenever the hashed fields or their encoding change, so stale cache
-// entries miss instead of colliding.
-const cacheKeyVersion = 1
-
-// ModelCacheKey derives the content address of a training run: a
-// SHA-256 over everything that determines the trained model — the
-// configuration space, every training option, and each profile's
-// identity, measurements, and sample runs. Two calls with identical
-// inputs produce the same key; any change to a measurement, option, or
-// the profile set (including order) changes it.
-func ModelCacheKey(space *apu.Space, profiles []*KernelProfile, opts TrainOptions) string {
-	h := sha256.New()
-	hashInt(h, cacheKeyVersion)
-	hashInt(h, int64(modelVersion))
-	hashInt(h, int64(space.Len()))
-	hashInt(h, int64(opts.K))
-	hashInt(h, int64(opts.Iterations))
-	hashBool(h, opts.LogTargets)
-	hashInt(h, int64(opts.TreeMaxDepth))
-	hashInt(h, int64(opts.TreeMinLeaf))
-	hashInt(h, opts.Seed)
-	hashInt(h, int64(len(profiles)))
-	for _, kp := range profiles {
-		hashString(h, kp.KernelID)
-		hashString(h, kp.Benchmark)
-		hashString(h, kp.Input)
-		hashString(h, kp.Name)
-		hashFloat(h, kp.TimeShare)
-		hashInt(h, int64(len(kp.Stats)))
-		for _, s := range kp.Stats {
-			hashInt(h, int64(s.ConfigID))
-			for _, v := range []float64{s.MeanTime, s.MeanPerf, s.MeanPower, s.MeanCPUW, s.MeanNBW} {
-				hashFloat(h, v)
-			}
-		}
-		hashSample(h, kp.CPUSample)
-		hashSample(h, kp.GPUSample)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-func hashInt(h hash.Hash, v int64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	h.Write(buf[:]) //lint:ignore errcheck hash.Hash.Write never fails
-}
-
-func hashFloat(h hash.Hash, v float64) { hashInt(h, int64(math.Float64bits(v))) }
-
-func hashString(h hash.Hash, s string) {
-	hashInt(h, int64(len(s)))
-	io.WriteString(h, s) //lint:ignore errcheck hash.Hash.Write never fails
-}
-
-func hashBool(h hash.Hash, v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	h.Write([]byte{b}) //lint:ignore errcheck hash.Hash.Write never fails
-}
-
-// hashSample folds the sample-run fields the model consumes — timing,
-// per-domain power, and the full counter readout — into the cache key.
-func hashSample(h hash.Hash, s profiler.Sample) {
-	c := s.Counters
-	for _, v := range []float64{
-		s.TimeSec, s.CPUPowerW, s.NBGPUW,
-		c.Instructions, c.L1DMisses, c.L2DMisses, c.TLBMisses,
-		c.CondBranches, c.VectorInstr, c.StalledCycles, c.CoreCycles,
-		c.RefCycles, c.IdleFPUCycles, c.Interrupts, c.DRAMAccesses,
-	} {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:]) //lint:ignore errcheck hash.Hash.Write never fails
-	}
-}
-
-// TrainCached is Train backed by a content-addressed model cache in
-// dir: the cache key hashes the profiles and options, a hit loads the
-// stored model instead of retraining, and a miss trains then persists.
-// An empty dir disables caching. The returned bool reports a cache hit.
-//
-// A corrupt, truncated, or otherwise unloadable cache entry is never an
-// error: it counts into acsel_core_model_cache_invalid_total and falls
-// back to retraining (overwriting the bad entry). JSON round-trips
-// float64 values exactly, so a cached model predicts identically to the
-// freshly trained one.
-func TrainCached(space *apu.Space, profiles []*KernelProfile, opts TrainOptions, dir string) (*Model, bool, error) {
-	return TrainCachedWithDissimilarity(space, profiles, nil, opts, dir)
-}
-
-// TrainCachedWithDissimilarity combines the model cache with a
-// precomputed dissimilarity matrix (see TrainWithDissimilarity): on a
-// cache miss the matrix still spares the pairwise Kendall-tau stage.
-func TrainCachedWithDissimilarity(space *apu.Space, profiles []*KernelProfile, dis *cluster.DissimilarityMatrix, opts TrainOptions, dir string) (*Model, bool, error) {
-	if dir == "" {
-		m, err := TrainWithDissimilarity(space, profiles, dis, opts)
-		return m, false, err
-	}
-	path := filepath.Join(dir, "model-"+ModelCacheKey(space, profiles, opts)+".json")
-	if f, err := os.Open(path); err == nil {
-		m, lerr := Load(f)
-		f.Close() //lint:ignore errcheck read-only file
-		if lerr == nil {
-			mModelCacheHits.Inc()
-			return m, true, nil
-		}
-		// Unreadable entry: fall through to retraining, which rewrites it.
-		mModelCacheInvalid.Inc()
-	}
-	mModelCacheMisses.Inc()
-	m, err := TrainWithDissimilarity(space, profiles, dis, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := writeModelFile(path, m); err != nil {
-		return nil, false, fmt.Errorf("core: caching model: %w", err)
-	}
-	return m, false, nil
-}
-
-// writeModelFile persists a model atomically: write to a temp file in
-// the same directory, then rename over the final path, so a concurrent
-// or interrupted writer can never leave a truncated entry under the
-// content-addressed name.
-func writeModelFile(path string, m *Model) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if err := m.Save(tmp); err != nil {
-		tmp.Close()           //lint:ignore errcheck already failing
-		os.Remove(tmp.Name()) //lint:ignore errcheck best-effort cleanup
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name()) //lint:ignore errcheck best-effort cleanup
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

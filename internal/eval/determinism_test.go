@@ -43,34 +43,3 @@ func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
-
-// TestModelCacheDirAcceleratesRun checks the harness-level cache wiring:
-// a second run against the same cache directory produces a deeply equal
-// Evaluation (JSON round-trips float64 exactly, so even cache-hit models
-// predict identically).
-func TestModelCacheDirAcceleratesRun(t *testing.T) {
-	dir := t.TempDir()
-	run := func() *Evaluation {
-		h := NewHarness()
-		h.Opts.Iterations = 1
-		h.ModelCacheDir = dir
-		ev, err := h.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ev
-	}
-	first := run()
-	second := run()
-	if !reflect.DeepEqual(first.Overall, second.Overall) {
-		t.Fatal("cached rerun changed Overall aggregates")
-	}
-	if !reflect.DeepEqual(first.Cases, second.Cases) {
-		t.Fatal("cached rerun changed Cases")
-	}
-	// And the cached run matches an uncached one at the same options.
-	plain := evalWithWorkers(t, 0)
-	if !reflect.DeepEqual(plain.Overall, second.Overall) {
-		t.Fatal("cache-backed Overall differs from uncached run")
-	}
-}

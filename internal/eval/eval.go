@@ -128,10 +128,6 @@ type Harness struct {
 	// Evaluation: folds are independent, each is seeded by its own
 	// copy of Opts, and results assemble in fold order.
 	Workers int
-	// ModelCacheDir, when non-empty, routes fold training through the
-	// content-addressed model cache (core.TrainCached): re-running the
-	// same evaluation reloads each fold's model instead of retraining.
-	ModelCacheDir string
 	// varAwareZ is the §VI variance-aware selection margin the
 	// extension study threads into every fold's runner (0 disables).
 	varAwareZ float64
@@ -261,8 +257,7 @@ func (h *Harness) runFold(profiles []*core.KernelProfile, bench string, fullDis 
 	stopSub := mMatrixSeconds.With("subset").Time()
 	dis := fullDis.Subset(trainIdx)
 	stopSub()
-	opts := h.Opts
-	model, _, err := core.TrainCachedWithDissimilarity(h.Profiler.Space, train, dis, opts, h.ModelCacheDir)
+	model, err := core.TrainWithDissimilarity(h.Profiler.Space, train, dis, h.Opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("training: %w", err)
 	}

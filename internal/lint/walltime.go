@@ -7,10 +7,10 @@ import (
 // AnalyzerWallTime flags wall-clock readings (time.Now, time.Since,
 // time.Until) whose value flows into an encoded artifact, output
 // stream, hash, struct state, or write sink. Wall time embedded in a
-// model file or CSV/JSON export breaks the content-addressed model
-// cache (core.TrainCached hashes its inputs) and the byte-identity of
-// exported tables; elapsed time belongs in the metrics registry, which
-// this analyzer deliberately does not treat as a sink.
+// model file or CSV/JSON export breaks the model's content hash
+// (core.Model.Hash) and the byte-identity of exported tables; elapsed
+// time belongs in the metrics registry, which this analyzer
+// deliberately does not treat as a sink.
 var AnalyzerWallTime = &Analyzer{
 	Name: "walltime",
 	Doc:  "flag wall-clock values flowing into exported artifacts, hashes, or model state",

@@ -20,10 +20,9 @@
 //     429) instead of waiting without bound, and shed is a first-class
 //     metric.
 //   - Completed selections land in an LRU keyed by the model's SHA-256
-//     content hash (the same content-addressing scheme as
-//     core.TrainCached), so a hot model reload — an atomic generation
-//     pointer swap — implicitly invalidates every stale entry; the
-//     purge merely reclaims memory early.
+//     content hash (core.Model.Hash), so a hot model reload — an
+//     atomic generation pointer swap — implicitly invalidates every
+//     stale entry; the purge merely reclaims memory early.
 //
 // Deliberate consequence of the design: a response is computed entirely
 // against the generation captured at admission, and carries that
