@@ -77,7 +77,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrics: serving http://%s/metrics (and /debug/pprof)\n", addr)
 	}
 
-	if err := run(*exp, *iters, *k, *csvDir, *chaosScenario, *chaosSeed); err != nil {
+	if err := run(os.Stdout, *exp, *iters, *k, *csvDir, *chaosScenario, *chaosSeed); err != nil {
 		fmt.Fprintln(os.Stderr, "acsel-bench:", err)
 		os.Exit(1)
 	}
@@ -90,7 +90,7 @@ func main() {
 	}
 }
 
-func run(exp string, iters, k int, csvDir, chaosScenario string, chaosSeed int64) error {
+func run(w io.Writer, exp string, iters, k int, csvDir, chaosScenario string, chaosSeed int64) error {
 	if k < 1 {
 		return fmt.Errorf("-k must be at least 1, got %d", k)
 	}
@@ -134,13 +134,13 @@ func run(exp string, iters, k int, csvDir, chaosScenario string, chaosSeed int64
 			return fmt.Errorf("%s: %w", name, err)
 		}
 		if selected[name] {
-			fmt.Println(body)
+			fmt.Fprintln(w, body)
 		}
 		return nil
 	}
 
 	if selected["fig1"] {
-		fmt.Println(eval.ReportFig1())
+		fmt.Fprintln(w, eval.ReportFig1())
 	}
 	t1, err := ev.ReportTable1(space)
 	if err := emit("table1", t1, err); err != nil {
@@ -155,10 +155,10 @@ func run(exp string, iters, k int, csvDir, chaosScenario string, chaosSeed int64
 		if err != nil {
 			return err
 		}
-		fmt.Println(plot)
+		fmt.Fprintln(w, plot)
 	}
 	if selected["table2"] {
-		fmt.Println(eval.ReportTable2())
+		fmt.Fprintln(w, eval.ReportTable2())
 	}
 	if selected["fig3"] {
 		// Show the LULESH fold's tree, as an arbitrary representative.
@@ -166,19 +166,19 @@ func run(exp string, iters, k int, csvDir, chaosScenario string, chaosSeed int64
 		if err != nil {
 			return err
 		}
-		fmt.Println(f3)
+		fmt.Fprintln(w, f3)
 	}
 	if selected["table3"] {
-		fmt.Println(ev.ReportTable3())
+		fmt.Fprintln(w, ev.ReportTable3())
 	}
 	if selected["fig4"] {
-		fmt.Println(ev.ReportFig4())
+		fmt.Fprintln(w, ev.ReportFig4())
 	}
 	if selected["fig5"] {
-		fmt.Println(ev.ReportFig5())
+		fmt.Fprintln(w, ev.ReportFig5())
 	}
 	if selected["fig6"] {
-		fmt.Println(ev.ReportFig6())
+		fmt.Fprintln(w, ev.ReportFig6())
 	}
 	f7, err := ev.ReportFig7(space)
 	if err := emit("fig7", f7, err); err != nil {
@@ -189,30 +189,30 @@ func run(exp string, iters, k int, csvDir, chaosScenario string, chaosSeed int64
 		if err != nil {
 			return err
 		}
-		fmt.Println(plot)
+		fmt.Fprintln(w, plot)
 	}
 	if selected["fig8"] {
-		fmt.Println(ev.ReportFig8())
+		fmt.Fprintln(w, ev.ReportFig8())
 	}
 	if selected["fig9"] {
-		fmt.Println(ev.ReportFig9())
+		fmt.Fprintln(w, ev.ReportFig9())
 	}
 	if selected["accuracy"] {
 		acc, err := ev.ReportAccuracy()
 		if err != nil {
 			return err
 		}
-		fmt.Println(acc)
+		fmt.Fprintln(w, acc)
 	}
 	if selected["suite"] {
-		fmt.Println(kernels.ReportSuite())
+		fmt.Fprintln(w, kernels.ReportSuite())
 	}
 	if selected["worst"] {
-		w, err := ev.ReportWorstPredicted(10)
+		worst, err := ev.ReportWorstPredicted(10)
 		if err != nil {
 			return err
 		}
-		fmt.Println(w)
+		fmt.Fprintln(w, worst)
 	}
 	if selected["chaos"] {
 		scenarios := fault.Scenarios()
@@ -229,7 +229,7 @@ func run(exp string, iters, k int, csvDir, chaosScenario string, chaosSeed int64
 		if err != nil {
 			return err
 		}
-		fmt.Println(rep.Report())
+		fmt.Fprintln(w, rep.Report())
 	}
 	if selected["extensions"] {
 		fmt.Fprintln(os.Stderr, "running extension study (4 full evaluations)...")
@@ -237,7 +237,7 @@ func run(exp string, iters, k int, csvDir, chaosScenario string, chaosSeed int64
 		if err != nil {
 			return err
 		}
-		fmt.Println(eval.ReportExtensionStudy(results))
+		fmt.Fprintln(w, eval.ReportExtensionStudy(results))
 	}
 	if csvDir != "" {
 		if err := exportCSV(csvDir, ev); err != nil {
@@ -251,7 +251,7 @@ func run(exp string, iters, k int, csvDir, chaosScenario string, chaosSeed int64
 		}
 		sort.Strings(folds)
 		for _, f := range folds {
-			fmt.Printf("cluster assignments (fold holding out %s):\n%s\n", f, eval.ReportClusterAssignments(ev.FoldModels[f]))
+			fmt.Fprintf(w, "cluster assignments (fold holding out %s):\n%s\n", f, eval.ReportClusterAssignments(ev.FoldModels[f]))
 		}
 	}
 	return nil

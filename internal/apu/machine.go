@@ -299,7 +299,10 @@ func (m *Machine) runGPU(w Workload, cfg Config) (Execution, error) {
 // RunNoisy executes the workload and applies multiplicative lognormal
 // measurement jitter drawn from rng, modeling run-to-run variation and
 // the error of the on-chip power estimator. Determinism is preserved by
-// seeding rng explicitly (see kernels.IterationRNG).
+// passing a generator seeded from the run's identity:
+// kernels.IterationRNG returns a fresh one per kernel, configuration
+// and iteration. RunNoisy draws at most three NormFloat64s from it, in
+// a fixed order.
 func (m *Machine) RunNoisy(w Workload, cfg Config, rng *rand.Rand) (Execution, error) {
 	e, err := m.Run(w, cfg)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"acsel/internal/seeded"
 	"acsel/internal/stats"
 )
 
@@ -155,7 +156,7 @@ var ErrBadK = errors.New("cluster: k out of range")
 // makes runs reproducible; different seeds may find different local
 // optima for hard instances.
 func PAM(m *DissimilarityMatrix, k int, seed int64) (*Result, error) {
-	return PAMRand(m, k, rand.New(rand.NewSource(seed)))
+	return PAMRand(m, k, seeded.New(seed))
 }
 
 // PAMRand is PAM with an injected random source, the form the globalrand

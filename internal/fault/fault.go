@@ -24,6 +24,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"acsel/internal/seeded"
 )
 
 // Kind enumerates the injectable fault classes.
@@ -241,14 +243,25 @@ func (in *Injector) Active(site Site) bool {
 }
 
 // eventRNG derives the deterministic decision stream for one
-// (plan, event, rule) tuple.
+// (plan, event, rule) tuple: a seeded.New generator keyed by the
+// FNV-64a hash of "scenario|seed|site|key|iter|rule". Injector.At
+// draws one float from it, so seeding is nearly all of its cost.
 func eventRNG(scenario string, seed int64, site Site, key string, iter, rule int) *rand.Rand {
+	b := make([]byte, 0, 96)
+	b = append(b, scenario...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, seed, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(site), 10)
+	b = append(b, '|')
+	b = append(b, key...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(iter), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(rule), 10)
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(scenario)) // hash.Hash.Write never returns an error
-	fmt.Fprintf(h, "|%d|%d|", seed, int(site))
-	_, _ = h.Write([]byte(key)) // hash.Hash.Write never returns an error
-	fmt.Fprintf(h, "|%d|%d", iter, rule)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	_, _ = h.Write(b) // hash.Hash.Write never returns an error
+	return seeded.New(int64(h.Sum64()))
 }
 
 // EventKey builds the canonical event key used across seams:

@@ -20,8 +20,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"strconv"
 
 	"acsel/internal/apu"
+	"acsel/internal/seeded"
 )
 
 // Archetype names a qualitative kernel behaviour class.
@@ -390,16 +392,23 @@ func identityRNG(parts ...string) *rand.Rand {
 		_, _ = h.Write([]byte(p)) // hash.Hash.Write never returns an error
 		_, _ = h.Write([]byte{0})
 	}
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return seeded.New(int64(h.Sum64()))
 }
 
 // IterationRNG derives the deterministic noise stream for one kernel
-// iteration at one configuration, keyed by kernel identity, config ID,
-// and iteration number. Profiling and evaluation use it so the entire
-// experiment is reproducible bit-for-bit.
+// iteration at one configuration: a fresh seeded.New generator keyed
+// by the FNV-64a hash of "kernelID|configID|iteration". Profiling and
+// evaluation use it so the entire experiment is reproducible
+// bit-for-bit. The offline stage seeds one per profiler run, so the
+// cost of seeding matters (see package seeded).
 func IterationRNG(kernelID string, configID, iteration int) *rand.Rand {
+	b := make([]byte, 0, 64)
+	b = append(b, kernelID...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(configID), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(iteration), 10)
 	h := fnv.New64a()
-	_, _ = h.Write([]byte(kernelID)) // hash.Hash.Write never returns an error
-	fmt.Fprintf(h, "|%d|%d", configID, iteration)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	_, _ = h.Write(b) // hash.Hash.Write never returns an error
+	return seeded.New(int64(h.Sum64()))
 }

@@ -220,3 +220,26 @@ func BenchmarkProfileAllConfigs(b *testing.B) {
 		}
 	}
 }
+
+var sinkSample Sample
+
+// BenchmarkRun measures one profiler run: seeding its noise stream,
+// the machine model, the SMU measurement and the counter readout.
+// Config and iteration vary as in a characterization; the history is
+// cleared every 4,096 runs so it stays bounded.
+func BenchmarkRun(b *testing.B) {
+	p := New()
+	k := testKernel()
+	n := p.Space.Len()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%4096 == 0 {
+			p.Reset()
+		}
+		s, err := p.Run(k, i%n, i/n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkSample = s
+	}
+}
