@@ -34,6 +34,8 @@ func TestBenchChaosExperiment(t *testing.T) {
 //	go run ./cmd/acsel-bench -exp table3 > cmd/acsel-bench/testdata/table3.golden
 //	go run ./cmd/acsel-bench -exp chaos -chaos-scenario sensor-stuck -chaos-seed 7 \
 //		> cmd/acsel-bench/testdata/chaos-sensor-stuck.golden
+//	go run ./cmd/acsel-bench -exp chaos -chaos-scenario all -chaos-seed 7 \
+//		> cmd/acsel-bench/testdata/chaos-all.golden
 //
 // Any change to a noise stream, the training pipeline or the report
 // format shows up here. Regenerate a golden only for a change that
@@ -42,13 +44,14 @@ func TestBenchChaosExperiment(t *testing.T) {
 // in the last printed digit.
 func TestBenchGoldenStdout(t *testing.T) {
 	for _, tc := range []struct {
-		golden, exp, scenario string
-		seed                  int64
+		name, golden, exp, scenario string
+		seed                        int64
 	}{
-		{"table3.golden", "table3", "all", 1},
-		{"chaos-sensor-stuck.golden", "chaos", "sensor-stuck", 7},
+		{"table3", "table3.golden", "table3", "all", 1},
+		{"chaos", "chaos-sensor-stuck.golden", "chaos", "sensor-stuck", 7},
+		{"chaos-all", "chaos-all.golden", "chaos", "all", 7},
 	} {
-		t.Run(tc.exp, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
 			if err != nil {
 				t.Fatal(err)

@@ -57,7 +57,13 @@ func main() {
 	}
 	kp := kprofiles[0]
 	truth := sched.ProfileTruth{Profile: kp}
-	sr := core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample}
+	// Predict the kernel's 42 configurations once from its two sample
+	// runs; the model-based policies select among them at every cap.
+	preds, cluster, err := model.PredictAll(core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
+	if err != nil {
+		log.Fatal(err)
+	}
+	kpreds := core.Predictions{Preds: preds, Cluster: cluster}
 	runner := &sched.Runner{Space: prof.Space, Model: model}
 
 	fmt.Printf("power-cap sweep for %s (oracle-normalized performance; * = cap violated)\n\n", target)
@@ -71,7 +77,7 @@ func main() {
 		oracle := runner.Oracle(truth, capW)
 		fmt.Printf("%-8.0f", capW)
 		for _, m := range methods {
-			d, err := runner.Decide(m, truth, sr, capW)
+			d, err := runner.Decide(m, truth, kpreds, capW)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -70,6 +70,16 @@ type Prediction struct {
 	PowerStd float64
 }
 
+// Predictions is one kernel's PredictAll output: a prediction for every
+// configuration, indexed by configuration ID, and the cluster the
+// classifier assigned. A scheduler predicts once per kernel from its
+// two sample runs and then selects among these under each cap
+// (§III-C), without re-classifying.
+type Predictions struct {
+	Preds   []Prediction
+	Cluster int
+}
+
 // ErrNoModel is returned when the model lacks a required component.
 var ErrNoModel = errors.New("core: model component missing")
 
@@ -209,9 +219,9 @@ func (m *Model) selectUnderCap(sr SampleRuns, capW, z float64) (Selection, error
 // SelectAmong runs the cap-selection sweep over already-computed
 // predictions (as produced by PredictAll: indexed by configuration ID)
 // without copying them. It is the single selection loop behind
-// SelectUnderCap, the batch paths, and the query service's per-kernel
-// prediction cache, so every path yields bitwise-identical Selections
-// by construction.
+// SelectUnderCap, the scheduler's model-based policies, and the query
+// service's batch path and per-kernel prediction cache, so every path yields
+// bitwise-identical Selections by construction.
 //
 //lint:deterministic
 func SelectAmong(preds []Prediction, cluster int, capW, z float64) (Selection, error) {

@@ -84,7 +84,10 @@ func (ev *Evaluation) RunChaos(scenarios []fault.Scenario, seed int64, methods [
 // fault streams.
 func evaluateKernelChaos(r *sched.Runner, kp *core.KernelProfile, methods []sched.Method, inj *fault.Injector) (naive, hardened []Case, err error) {
 	truth := sched.ProfileTruth{Profile: kp}
-	sr := core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample}
+	preds, err := predictKernel(r, kp)
+	if err != nil {
+		return nil, nil, err
+	}
 	combo := comboLabel(kp)
 	for capIdx, pt := range kp.Frontier.Points() {
 		capW := pt.Power
@@ -97,11 +100,11 @@ func evaluateKernelChaos(r *sched.Runner, kp *core.KernelProfile, methods []sche
 					Key:    fmt.Sprintf("%s|c%d|%s|%s", kp.KernelID, capIdx, m, posture),
 				}
 			}
-			nd, derr := r.DecideNaive(m, truth, mk("naive"), sr, capW)
+			nd, derr := r.DecideNaive(m, truth, mk("naive"), preds, capW)
 			if derr != nil {
 				return nil, nil, derr
 			}
-			hd, derr := r.DecideHardened(m, truth, mk("hard"), sr, capW)
+			hd, derr := r.DecideHardened(m, truth, mk("hard"), preds, capW)
 			if derr != nil {
 				return nil, nil, derr
 			}

@@ -277,7 +277,10 @@ func (h *Harness) runFold(profiles []*core.KernelProfile, bench string, fullDis 
 // of one kernel.
 func evaluateKernel(r *sched.Runner, kp *core.KernelProfile, methods []sched.Method) ([]Case, error) {
 	truth := sched.ProfileTruth{Profile: kp}
-	sr := core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample}
+	preds, err := predictKernel(r, kp)
+	if err != nil {
+		return nil, err
+	}
 	combo := comboLabel(kp)
 	var out []Case
 	for _, pt := range kp.Frontier.Points() {
@@ -291,7 +294,7 @@ func evaluateKernel(r *sched.Runner, kp *core.KernelProfile, methods []sched.Met
 			mInfeasibleCases.Inc()
 		}
 		for _, m := range methods {
-			d, err := r.Decide(m, truth, sr, capW)
+			d, err := r.Decide(m, truth, preds, capW)
 			if err != nil {
 				return nil, err
 			}
@@ -311,6 +314,21 @@ func evaluateKernel(r *sched.Runner, kp *core.KernelProfile, methods []sched.Met
 		}
 	}
 	return out, nil
+}
+
+// predictKernel predicts every configuration of kp once, from its two
+// sample runs, for the runner's model-based policies to select among at
+// each cap. A runner without a model gets the zero value; its
+// model-based policies then fail with sched.ErrNeedModel.
+func predictKernel(r *sched.Runner, kp *core.KernelProfile) (core.Predictions, error) {
+	if r.Model == nil {
+		return core.Predictions{}, nil
+	}
+	preds, cluster, err := r.Model.PredictAll(core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
+	if err != nil {
+		return core.Predictions{}, err
+	}
+	return core.Predictions{Preds: preds, Cluster: cluster}, nil
 }
 
 func comboLabel(kp *core.KernelProfile) string {

@@ -395,13 +395,11 @@ func identityRNG(parts ...string) *rand.Rand {
 	return seeded.New(int64(h.Sum64()))
 }
 
-// IterationRNG derives the deterministic noise stream for one kernel
-// iteration at one configuration: a fresh seeded.New generator keyed
-// by the FNV-64a hash of "kernelID|configID|iteration". Profiling and
-// evaluation use it so the entire experiment is reproducible
-// bit-for-bit. The offline stage seeds one per profiler run, so the
-// cost of seeding matters (see package seeded).
-func IterationRNG(kernelID string, configID, iteration int) *rand.Rand {
+// IterationSeed is the seed of one kernel iteration's noise stream at
+// one configuration: the FNV-64a hash of "kernelID|configID|iteration".
+// The profiler reseeds a pooled generator with it, which draws exactly
+// what a fresh IterationRNG would.
+func IterationSeed(kernelID string, configID, iteration int) int64 {
 	b := make([]byte, 0, 64)
 	b = append(b, kernelID...)
 	b = append(b, '|')
@@ -410,5 +408,13 @@ func IterationRNG(kernelID string, configID, iteration int) *rand.Rand {
 	b = strconv.AppendInt(b, int64(iteration), 10)
 	h := fnv.New64a()
 	_, _ = h.Write(b) // hash.Hash.Write never returns an error
-	return seeded.New(int64(h.Sum64()))
+	return int64(h.Sum64())
+}
+
+// IterationRNG derives the deterministic noise stream for one kernel
+// iteration at one configuration: a fresh seeded.New generator seeded
+// with IterationSeed. Profiling and evaluation use these streams so the
+// entire experiment is reproducible bit-for-bit.
+func IterationRNG(kernelID string, configID, iteration int) *rand.Rand {
+	return seeded.New(IterationSeed(kernelID, configID, iteration))
 }

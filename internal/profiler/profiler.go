@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -25,6 +26,7 @@ import (
 	"acsel/internal/fault"
 	"acsel/internal/kernels"
 	"acsel/internal/power"
+	"acsel/internal/seeded"
 )
 
 // Sample is one instrumented kernel invocation: identification, the
@@ -80,6 +82,12 @@ func New() *Profiler {
 	}
 }
 
+// rngPool recycles the per-run noise generators. RunAttempt reseeds
+// one with kernels.IterationSeed, which draws exactly the stream of a
+// fresh kernels.IterationRNG but skips allocating its 5 KB state; the
+// offline stage makes one run per (kernel, config, iteration).
+var rngPool = sync.Pool{New: func() any { return seeded.New(0) }}
+
 // ErrUnknownConfig is returned when a config ID is outside the space.
 var ErrUnknownConfig = errors.New("profiler: unknown configuration")
 
@@ -106,7 +114,10 @@ func (p *Profiler) RunAttempt(k kernels.Kernel, cfgID, iteration, attempt int) (
 	if err != nil {
 		return Sample{}, fmt.Errorf("%w: %v", ErrUnknownConfig, err)
 	}
-	rng := kernels.IterationRNG(k.ID(), cfgID, iteration)
+	id := k.ID()
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(kernels.IterationSeed(id, cfgID, iteration))
 	exec, err := p.Machine.RunNoisy(k.Workload, cfg, rng)
 	if err != nil {
 		return Sample{}, err
@@ -114,20 +125,25 @@ func (p *Profiler) RunAttempt(k kernels.Kernel, cfgID, iteration, attempt int) (
 	device := cfg.Device.String()
 	mRuns.With(device).Inc()
 	mRunSeconds.With(device).Observe(exec.TimeSec)
-	evKey := fault.EventKey(k.ID(), cfgID)
+	// A nil injector never fires, so the fault keys are built only
+	// when a plan is wired.
+	var evKey, smuKey string
+	if p.Faults != nil {
+		evKey = fault.EventKey(id, cfgID)
+		smuKey = evKey
+		if attempt > 0 {
+			smuKey = fmt.Sprintf("%s#r%d", evKey, attempt)
+		}
+	}
 	for _, f := range p.Faults.At(fault.SiteKernel, evKey, iteration) {
 		if f.Kind == fault.KernelHang && f.Magnitude > 1 {
 			exec.TimeSec *= f.Magnitude
 		}
 	}
-	smuKey := evKey
-	if attempt > 0 {
-		smuKey = fmt.Sprintf("%s#r%d", evKey, attempt)
-	}
 	smuFaults := p.Faults.At(fault.SiteSMU, smuKey, iteration)
 	meas, measErr := p.SMU.MeasureFaulty(power.ConstantTrace(exec.CPUPowerW, exec.NBGPUPowerW), exec.TimeSec, rng, smuFaults)
 	s := Sample{
-		KernelID:  k.ID(),
+		KernelID:  id,
 		Benchmark: k.Benchmark,
 		Input:     k.Input,
 		Kernel:    k.Name,

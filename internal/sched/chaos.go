@@ -76,7 +76,7 @@ const (
 // (the sensor returned nothing, the register reads zero), spikes and
 // stuck values are taken at face value. Methods that never consult the
 // sensor (Oracle, Model) are unaffected by construction.
-func (r *Runner) DecideNaive(m Method, truth Truth, readings Readings, sr core.SampleRuns, capW float64) (Decision, error) {
+func (r *Runner) DecideNaive(m Method, truth Truth, readings Readings, preds core.Predictions, capW float64) (Decision, error) {
 	read := func(id, step int) float64 {
 		w, err := readings.ReadPowerW(id, step, 0)
 		if err != nil {
@@ -88,13 +88,13 @@ func (r *Runner) DecideNaive(m Method, truth Truth, readings Readings, sr core.S
 	case MethodOracle:
 		return r.Oracle(truth, capW), nil
 	case MethodModel:
-		return r.ModelOnly(truth, sr, capW)
+		return r.ModelOnly(truth, preds, capW)
 	case MethodCPUFL:
 		return r.limitNaive(MethodCPUFL, truth, read, capW), nil
 	case MethodGPUFL:
 		return r.limitNaiveGPU(truth, read, capW), nil
 	case MethodModelFL:
-		sel, err := r.selectModel(sr, capW)
+		sel, err := r.selectModel(preds, capW)
 		if err != nil {
 			return Decision{}, err
 		}
@@ -197,12 +197,12 @@ func (r *Runner) limitNaiveFrom(m Method, truth Truth, read func(id, step int) f
 // feedback and falls to the method's conservative floor — the bottom
 // of its frequency line, or the model's minimum predicted-power
 // configuration.
-func (r *Runner) DecideHardened(m Method, truth Truth, readings Readings, sr core.SampleRuns, capW float64) (Decision, error) {
+func (r *Runner) DecideHardened(m Method, truth Truth, readings Readings, preds core.Predictions, capW float64) (Decision, error) {
 	switch m {
 	case MethodOracle:
 		return r.Oracle(truth, capW), nil
 	case MethodModel:
-		return r.ModelOnly(truth, sr, capW)
+		return r.ModelOnly(truth, preds, capW)
 	case MethodCPUFL:
 		start := apu.Config{
 			Device:     apu.CPUDevice,
@@ -222,30 +222,22 @@ func (r *Runner) DecideHardened(m Method, truth Truth, readings Readings, sr cor
 		// phase when distrust accrues, so only the step-down line runs.
 		return r.limitHardened(MethodGPUFL, truth, readings, start, capW, -1), nil
 	case MethodModelFL:
-		sel, err := r.selectModel(sr, capW)
+		sel, err := r.selectModel(preds, capW)
 		if err != nil {
 			return Decision{}, err
 		}
-		floorID := r.modelFloorID(sr)
-		return r.limitHardened(MethodModelFL, truth, readings, sel.Config, capW, floorID), nil
+		return r.limitHardened(MethodModelFL, truth, readings, sel.Config, capW, modelFloorID(preds)), nil
 	}
 	return Decision{}, fmt.Errorf("sched: unknown method %d", int(m))
 }
 
 // modelFloorID is the model's minimum predicted-power configuration —
-// the hardened ladder's bottom rung. Returns -1 when predictions are
-// unavailable (the caller then floors at the frequency line's bottom).
-func (r *Runner) modelFloorID(sr core.SampleRuns) int {
-	if r.Model == nil {
-		return -1
-	}
-	preds, _, err := r.Model.PredictAll(sr)
-	if err != nil {
-		return -1
-	}
+// the hardened ladder's bottom rung. Returns -1 when there are no
+// predictions (the caller then floors at the frequency line's bottom).
+func modelFloorID(preds core.Predictions) int {
 	bestID := -1
 	minW := -1.0
-	for _, p := range preds {
+	for _, p := range preds.Preds {
 		if bestID < 0 || p.PowerW < minW {
 			minW, bestID = p.PowerW, p.ConfigID
 		}

@@ -134,15 +134,15 @@ func TestNaiveMatchesCleanDecisionsWithPerfectSensor(t *testing.T) {
 	r := &Runner{Space: space, Model: model}
 	for _, kp := range profs[:10] {
 		truth := ProfileTruth{Profile: kp}
-		sr := sampleRunsOf(kp)
+		preds := predsOf(t, model, kp)
 		tr := TrueReadings{Truth: truth}
 		for _, capW := range []float64{15, 22, 30, 45} {
 			for _, m := range Methods() {
-				want, err := r.Decide(m, truth, sr, capW)
+				want, err := r.Decide(m, truth, preds, capW)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := r.DecideNaive(m, truth, tr, sr, capW)
+				got, err := r.DecideNaive(m, truth, tr, preds, capW)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,15 +162,15 @@ func TestHardenedMatchesCleanConfigWithPerfectSensor(t *testing.T) {
 	r := &Runner{Space: space, Model: model}
 	for _, kp := range profs[:10] {
 		truth := ProfileTruth{Profile: kp}
-		sr := sampleRunsOf(kp)
+		preds := predsOf(t, model, kp)
 		tr := TrueReadings{Truth: truth}
 		for _, capW := range []float64{15, 22, 30, 45} {
 			for _, m := range Methods() {
-				want, err := r.Decide(m, truth, sr, capW)
+				want, err := r.Decide(m, truth, preds, capW)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := r.DecideHardened(m, truth, tr, sr, capW)
+				got, err := r.DecideHardened(m, truth, tr, preds, capW)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -20,7 +20,7 @@ func TestDecideEmptySpace(t *testing.T) {
 		{Space: nil},
 	} {
 		for _, m := range append(Methods(), MethodOracle) {
-			d, err := r.Decide(m, truth, core.SampleRuns{}, 24)
+			d, err := r.Decide(m, truth, core.Predictions{}, 24)
 			if err == nil {
 				t.Fatalf("%s over an empty space: got decision %+v, want error", m, d)
 			}

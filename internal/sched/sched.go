@@ -102,8 +102,9 @@ func (d Decision) MeetsCap(capW float64) bool { return d.TruePower <= capW+capSl
 type Runner struct {
 	Space *apu.Space
 	Model *core.Model
-	// VarAwareZ, when positive, makes the model-based policies select
-	// with the §VI variance-aware margin (predicted power + z·σ ≤ cap).
+	// VarAwareZ is the §VI variance-aware margin the model-based
+	// policies select with (predicted power + z·σ ≤ cap); 0 selects on
+	// predicted power alone. It must not be negative.
 	VarAwareZ float64
 }
 
@@ -118,9 +119,12 @@ var ErrNeedModel = errors.New("sched: method requires a trained model")
 // erroring.
 var ErrEmptySpace = errors.New("sched: empty configuration space")
 
-// Decide runs one policy for a kernel (true behaviour via truth; sample
-// runs for the model-based policies) under a power cap.
-func (r *Runner) Decide(m Method, truth Truth, sr core.SampleRuns, capW float64) (Decision, error) {
+// Decide runs one policy for a kernel under a power cap: true
+// behaviour comes from truth, and the model-based policies select among
+// preds, the kernel's predictions from Model.PredictAll. A caller
+// predicts once per kernel and reuses preds at every cap; the other
+// policies ignore it, so they may pass the zero value.
+func (r *Runner) Decide(m Method, truth Truth, preds core.Predictions, capW float64) (Decision, error) {
 	if r.Space == nil || r.Space.Len() == 0 {
 		return Decision{}, fmt.Errorf("%w: cannot run %s", ErrEmptySpace, m)
 	}
@@ -132,9 +136,9 @@ func (r *Runner) Decide(m Method, truth Truth, sr core.SampleRuns, capW float64)
 	case MethodGPUFL:
 		return r.GPUFL(truth, capW), nil
 	case MethodModel:
-		return r.ModelOnly(truth, sr, capW)
+		return r.ModelOnly(truth, preds, capW)
 	case MethodModelFL:
-		return r.ModelFL(truth, sr, capW)
+		return r.ModelFL(truth, preds, capW)
 	}
 	return Decision{}, fmt.Errorf("sched: unknown method %d", int(m))
 }
@@ -245,11 +249,8 @@ func (r *Runner) GPUFL(truth Truth, capW float64) Decision {
 
 // ModelOnly applies the model's prediction directly: the configuration
 // predicted to maximize performance under the cap, with no feedback.
-func (r *Runner) ModelOnly(truth Truth, sr core.SampleRuns, capW float64) (Decision, error) {
-	if r.Model == nil {
-		return Decision{}, ErrNeedModel
-	}
-	sel, err := r.selectModel(sr, capW)
+func (r *Runner) ModelOnly(truth Truth, preds core.Predictions, capW float64) (Decision, error) {
+	sel, err := r.selectModel(preds, capW)
 	if err != nil {
 		return Decision{}, err
 	}
@@ -259,12 +260,13 @@ func (r *Runner) ModelOnly(truth Truth, sr core.SampleRuns, capW float64) (Decis
 	return r.finish(MethodModel, truth, sel.ConfigID, 0), nil
 }
 
-// selectModel applies the configured selection variant.
-func (r *Runner) selectModel(sr core.SampleRuns, capW float64) (core.Selection, error) {
-	if r.VarAwareZ > 0 {
-		return r.Model.SelectUnderCapVarAware(sr, capW, r.VarAwareZ)
+// selectModel picks among the kernel's predictions under the cap with
+// the runner's variance-aware margin.
+func (r *Runner) selectModel(preds core.Predictions, capW float64) (core.Selection, error) {
+	if r.Model == nil {
+		return core.Selection{}, ErrNeedModel
 	}
-	return r.Model.SelectUnderCap(sr, capW)
+	return core.SelectAmong(preds.Preds, preds.Cluster, capW, r.VarAwareZ)
 }
 
 // ModelFL combines the model with frequency limiting: the model picks
@@ -272,11 +274,8 @@ func (r *Runner) selectModel(sr core.SampleRuns, capW float64) (core.Selection, 
 // cannot make), then the limiter steps the chosen device's frequency —
 // GPU first on GPU configurations, then the host CPU — while measured
 // power exceeds the cap.
-func (r *Runner) ModelFL(truth Truth, sr core.SampleRuns, capW float64) (Decision, error) {
-	if r.Model == nil {
-		return Decision{}, ErrNeedModel
-	}
-	sel, err := r.selectModel(sr, capW)
+func (r *Runner) ModelFL(truth Truth, preds core.Predictions, capW float64) (Decision, error) {
+	sel, err := r.selectModel(preds, capW)
 	if err != nil {
 		return Decision{}, err
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -47,8 +48,15 @@ func setup(t *testing.T) (*apu.Space, *core.Model, []*core.KernelProfile) {
 	return gSpace, gModel, gProfiles
 }
 
-func sampleRunsOf(kp *core.KernelProfile) core.SampleRuns {
-	return core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample}
+// predsOf predicts every configuration of kp from its sample runs, the
+// per-kernel input of the model-based policies.
+func predsOf(t *testing.T, m *core.Model, kp *core.KernelProfile) core.Predictions {
+	t.Helper()
+	preds, cluster, err := m.PredictAll(core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.Predictions{Preds: preds, Cluster: cluster}
 }
 
 func TestMethodStrings(t *testing.T) {
@@ -202,14 +210,35 @@ func TestGPUFLCannotLeaveGPU(t *testing.T) {
 }
 
 func TestModelMethodsNeedModel(t *testing.T) {
-	space, _, profs := setup(t)
-	r := &Runner{Space: space} // no model
+	space, model, profs := setup(t)
+	r := &Runner{Space: space} // no model, even when handed predictions
 	truth := ProfileTruth{profs[0]}
-	if _, err := r.ModelOnly(truth, sampleRunsOf(profs[0]), 25); err == nil {
-		t.Error("expected ErrNeedModel")
+	preds := predsOf(t, model, profs[0])
+	tr := TrueReadings{Truth: truth}
+	for _, m := range []Method{MethodModel, MethodModelFL} {
+		if _, err := r.Decide(m, truth, preds, 25); !errors.Is(err, ErrNeedModel) {
+			t.Errorf("Decide %v: err = %v, want ErrNeedModel", m, err)
+		}
+		if _, err := r.DecideNaive(m, truth, tr, preds, 25); !errors.Is(err, ErrNeedModel) {
+			t.Errorf("DecideNaive %v: err = %v, want ErrNeedModel", m, err)
+		}
+		if _, err := r.DecideHardened(m, truth, tr, preds, 25); !errors.Is(err, ErrNeedModel) {
+			t.Errorf("DecideHardened %v: err = %v, want ErrNeedModel", m, err)
+		}
 	}
-	if _, err := r.ModelFL(truth, sampleRunsOf(profs[0]), 25); err == nil {
-		t.Error("expected ErrNeedModel")
+}
+
+// TestModelMethodsNeedPredictions: a runner with a model but no
+// predictions (the zero value non-model callers pass) errors instead
+// of choosing a configuration.
+func TestModelMethodsNeedPredictions(t *testing.T) {
+	space, model, profs := setup(t)
+	r := &Runner{Space: space, Model: model}
+	truth := ProfileTruth{profs[0]}
+	for _, m := range []Method{MethodModel, MethodModelFL} {
+		if d, err := r.Decide(m, truth, core.Predictions{}, 25); !errors.Is(err, core.ErrNoModel) {
+			t.Errorf("%v without predictions: got %+v, %v; want core.ErrNoModel", m, d, err)
+		}
 	}
 }
 
@@ -218,13 +247,13 @@ func TestModelFLNeverWorseThanModelOnPower(t *testing.T) {
 	r := &Runner{Space: space, Model: model}
 	for _, kp := range profs[:12] {
 		truth := ProfileTruth{kp}
-		sr := sampleRunsOf(kp)
+		preds := predsOf(t, model, kp)
 		for _, cap := range []float64{16, 22, 30} {
-			dm, err := r.ModelOnly(truth, sr, cap)
+			dm, err := r.ModelOnly(truth, preds, cap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			df, err := r.ModelFL(truth, sr, cap)
+			df, err := r.ModelFL(truth, preds, cap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,14 +276,14 @@ func TestModelFLMeetsCapsMoreOftenThanModel(t *testing.T) {
 	var modelMeets, flMeets, total int
 	for _, kp := range profs {
 		truth := ProfileTruth{kp}
-		sr := sampleRunsOf(kp)
+		preds := predsOf(t, model, kp)
 		for _, pt := range kp.Frontier.Points() {
 			cap := pt.Power
-			dm, err := r.ModelOnly(truth, sr, cap)
+			dm, err := r.ModelOnly(truth, preds, cap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			df, err := r.ModelFL(truth, sr, cap)
+			df, err := r.ModelFL(truth, preds, cap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,9 +306,9 @@ func TestDecideDispatch(t *testing.T) {
 	space, model, profs := setup(t)
 	r := &Runner{Space: space, Model: model}
 	truth := ProfileTruth{profs[0]}
-	sr := sampleRunsOf(profs[0])
+	preds := predsOf(t, model, profs[0])
 	for _, m := range []Method{MethodOracle, MethodModel, MethodModelFL, MethodCPUFL, MethodGPUFL} {
-		d, err := r.Decide(m, truth, sr, 25)
+		d, err := r.Decide(m, truth, preds, 25)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -290,7 +319,7 @@ func TestDecideDispatch(t *testing.T) {
 			t.Errorf("%v: decision %+v", m, d)
 		}
 	}
-	if _, err := r.Decide(Method(9), truth, sr, 25); err == nil {
+	if _, err := r.Decide(Method(9), truth, preds, 25); err == nil {
 		t.Error("unknown method accepted")
 	}
 }

@@ -62,6 +62,24 @@ var ErrNoData = errors.New("stats: no observations")
 // non-positive.
 var ErrBadTarget = errors.New("stats: non-positive target with LogTarget")
 
+// ErrNonFinite is returned when a feature or target is NaN or ±Inf, or
+// when finite inputs so large that the solve overflows leave a fitted
+// coefficient non-finite. Without it one bad sample silently yields
+// NaN coefficients and NaN predictions.
+var ErrNonFinite = errors.New("stats: non-finite value")
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// checkCoef rejects a fit whose coefficients overflowed.
+func checkCoef(coef []float64) error {
+	for j, c := range coef {
+		if !finite(c) {
+			return fmt.Errorf("%w: fitted coefficient %d = %v", ErrNonFinite, j, c)
+		}
+	}
+	return nil
+}
+
 // designWidth returns the number of columns the design matrix will have
 // for nvars raw variables under opts.
 func designWidth(nvars int, opts RegressionOptions) int {
@@ -94,7 +112,8 @@ func designRow(x []float64, opts RegressionOptions) []float64 {
 }
 
 // FitRegression fits an OLS model to observations X (rows of raw
-// features) and targets y. All rows must share a length.
+// features) and targets y. All rows must share a length, and every
+// value must be finite (ErrNonFinite otherwise).
 func FitRegression(X [][]float64, y []float64, opts RegressionOptions) (*Regression, error) {
 	if len(X) == 0 || len(y) == 0 {
 		return nil, ErrNoData
@@ -106,6 +125,14 @@ func FitRegression(X [][]float64, y []float64, opts RegressionOptions) (*Regress
 	for i, row := range X {
 		if len(row) != nvars {
 			return nil, fmt.Errorf("stats: row %d has %d features, want %d", i, len(row), nvars)
+		}
+		for j, v := range row {
+			if !finite(v) {
+				return nil, fmt.Errorf("%w: X[%d][%d]=%v", ErrNonFinite, i, j, v)
+			}
+		}
+		if !finite(y[i]) {
+			return nil, fmt.Errorf("%w: y[%d]=%v", ErrNonFinite, i, y[i])
 		}
 	}
 	width := designWidth(nvars, opts)
@@ -135,6 +162,9 @@ func FitRegression(X [][]float64, y []float64, opts RegressionOptions) (*Regress
 	}
 	coef, err := mat.LeastSquares(design, target)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkCoef(coef); err != nil {
 		return nil, err
 	}
 	r := &Regression{
@@ -177,6 +207,9 @@ func fitRidgeAugmented(X [][]float64, y []float64, opts RegressionOptions, nvars
 	}
 	coef, err := mat.LeastSquares(design, target)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkCoef(coef); err != nil {
 		return nil, err
 	}
 	r := &Regression{
