@@ -142,8 +142,8 @@ fuzz:
 
 # CI-sized fuzz pass: 10 seconds per target across every fuzzed package
 # (rank correlation, regression fitting, frontier shared order, pragma
-# preprocessing, checkpoint decoding, select-request wire decoding, lint
-# summary encoding).
+# preprocessing, checkpoint decoding, select-request wire decoding, the
+# selection cache against a naive model, lint summary encoding).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKendallTauRanks -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzFitRegression -fuzztime 10s ./internal/stats
@@ -151,6 +151,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPreprocess -fuzztime 10s ./internal/pragma
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzSelectRequestDecode -fuzztime 10s ./internal/query
+	$(GO) test -run '^$$' -fuzz FuzzCacheAgainstModel -fuzztime 10s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzSummaryRoundTrip -fuzztime 10s ./internal/lint
 
 clean:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -64,6 +65,7 @@ func FuzzSelectRequestDecode(f *testing.F) {
 		"null",
 		"{}",
 		oversizedBody,
+		`{"kernel":"LULESH/Small/CalcQForElems","cap_w":1e308}`, // finite, but overflows cap/quantum
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -94,6 +96,9 @@ func FuzzSelectRequestDecode(f *testing.F) {
 		}
 		if resp.Kernel != req.Kernel {
 			t.Fatalf("response names %q for request %q", resp.Kernel, req.Kernel)
+		}
+		if eff := resp.EffectiveCapW; math.IsNaN(eff) || math.IsInf(eff, 0) || eff > req.CapW {
+			t.Fatalf("effective cap %v for cap %v", eff, req.CapW)
 		}
 	})
 }

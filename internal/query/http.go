@@ -192,10 +192,19 @@ func Register(mux *http.ServeMux, s *Service) {
 	mux.HandleFunc(PathModels, h.handleModels)
 }
 
+// writeJSON encodes v before it writes the header, so a value that
+// cannot be encoded answers 500 with a typed error body instead of a
+// 200 with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = json.NewEncoder(&buf).Encode(errorBody{Error: "query: encode response: " + err.Error(), Code: codeInternal})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 func writeError(w http.ResponseWriter, err error) {

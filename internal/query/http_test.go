@@ -1,7 +1,9 @@
 package query_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -37,8 +39,8 @@ func TestHTTPSelectRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The remote call computed first, so the local one is served
-			// from cache; the selection payload must be identical.
+			// The remote call was the key's first miss and the local one
+			// its second; the selection payload must be identical.
 			if remote.Selection != local.Selection {
 				t.Fatalf("%s z=%v: remote %+v != local %+v", kernel, z, remote.Selection, local.Selection)
 			}
@@ -132,7 +134,8 @@ func TestHTTPBatch(t *testing.T) {
 
 	reqs := []query.Request{
 		{Kernel: k, CapW: 15},
-		{Kernel: k, CapW: 15}, // duplicate: hits the cache the first item filled
+		{Kernel: k, CapW: 15}, // duplicate: its second miss admits it to the cache
+		{Kernel: k, CapW: 15}, // and again: served from the cache
 		{Kernel: "No/Such/Kernel", CapW: 15},
 		{Kernel: k, CapW: 30, Z: 1.5},
 	}
@@ -143,21 +146,23 @@ func TestHTTPBatch(t *testing.T) {
 	if len(resps) != len(reqs) || len(errs) != len(reqs) {
 		t.Fatalf("batch shape: %d resps, %d errs", len(resps), len(errs))
 	}
-	if errs[0] != nil || errs[1] != nil || errs[3] != nil {
+	if errs[0] != nil || errs[1] != nil || errs[2] != nil || errs[4] != nil {
 		t.Fatalf("valid items errored: %v", errs)
 	}
-	if !errors.Is(errs[2], query.ErrUnknownKernel) {
-		t.Fatalf("invalid item: %v, want ErrUnknownKernel", errs[2])
+	if !errors.Is(errs[3], query.ErrUnknownKernel) {
+		t.Fatalf("invalid item: %v, want ErrUnknownKernel", errs[3])
 	}
-	if resps[0].Selection != resps[1].Selection {
-		t.Fatal("duplicate batch items disagree")
+	if resps[0].Cached || resps[1].Cached || !resps[2].Cached {
+		t.Fatalf("cached flags %v, %v, %v: want the third duplicate, and only it, served from cache",
+			resps[0].Cached, resps[1].Cached, resps[2].Cached)
 	}
-	if resps[0].Cached || !resps[1].Cached {
-		t.Fatalf("cached flags %v, %v: want the duplicate, and only it, served from cache",
-			resps[0].Cached, resps[1].Cached)
+	for i := range resps[:3] {
+		if resps[i].Selection != oracle(t, s, mA, k, resps[i].EffectiveCapW, 0) {
+			t.Fatalf("batch item %d does not match oracle", i)
+		}
 	}
-	if resps[0].Selection != oracle(t, s, mA, k, resps[0].EffectiveCapW, 0) {
-		t.Fatal("batch selection does not match oracle")
+	if resps[4].Selection != oracle(t, s, mA, k, resps[4].EffectiveCapW, 1.5) {
+		t.Fatal("batch item 4 does not match oracle")
 	}
 	// A batch beyond the server's limit is rejected as a whole.
 	if _, _, err := c.SelectBatch(ctx, make([]query.Request, 2048)); !errors.Is(err, query.ErrBatchTooLarge) {
@@ -228,5 +233,57 @@ func TestHTTPModelsInfoAndReload(t *testing.T) {
 	}
 	if _, err := c.Reload(ctx, filepath.Join(t.TempDir(), "missing.json")); !errors.Is(err, query.ErrBadRequest) {
 		t.Fatalf("missing reload file: %v", err)
+	}
+}
+
+// TestHugeFiniteCaps: ±1e308 is a valid cap. It must come back as a
+// finite effective cap with the oracle's selection in process, over raw
+// HTTP and through Client, instead of an infinite cap that JSON cannot
+// carry.
+func TestHugeFiniteCaps(t *testing.T) {
+	mA, _ := testModels(t)
+	s := newTestService(t, mA, query.Options{})
+	srv, c := newTestServer(t, s)
+	ctx := context.Background()
+	k := s.Kernels()[0]
+	for _, capW := range []float64{1e308, -1e308} {
+		req := query.Request{Kernel: k, CapW: capW}
+		check := func(path string, resp query.Response) {
+			t.Helper()
+			if resp.EffectiveCapW != capW || resp.CapW != capW {
+				t.Fatalf("%s cap %v: cap %v, effective cap %v", path, capW, resp.CapW, resp.EffectiveCapW)
+			}
+			if resp.Selection != oracle(t, s, mA, k, capW, 0) {
+				t.Fatalf("%s cap %v: selection does not match oracle", path, capW)
+			}
+		}
+
+		local, err := s.Select(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("in process", local)
+
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := http.Post(srv.URL+query.PathSelect, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire query.Response
+		derr := json.NewDecoder(raw.Body).Decode(&wire)
+		raw.Body.Close()
+		if raw.StatusCode != http.StatusOK || derr != nil {
+			t.Fatalf("raw HTTP cap %v: status %d, decode %v", capW, raw.StatusCode, derr)
+		}
+		check("raw HTTP", wire)
+
+		remote, err := c.Select(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("client", remote)
 	}
 }

@@ -19,10 +19,14 @@
 //     taken it is shed with a typed ErrOverloaded (the HTTP layer's
 //     429) instead of waiting without bound, and shed is a first-class
 //     metric.
-//   - Completed selections land in an LRU keyed by the model's SHA-256
-//     content hash (core.Model.Hash), so a hot model reload — an
-//     atomic generation pointer swap — implicitly invalidates every
-//     stale entry; the purge merely reclaims memory early.
+//   - A selection is cached from its second miss: an LRU behind a
+//     doorkeeper of key fingerprints inserts a key only once it has
+//     been computed before, so churning traffic never pays an insert
+//     and an eviction per request. Each entry carries the model's
+//     SHA-256 content hash (core.Model.Hash) and is served only under
+//     that hash, so a hot model reload — an atomic generation pointer
+//     swap — implicitly invalidates every stale entry; the purge
+//     merely reclaims memory early.
 //
 // Deliberate consequence of the design: a response is computed entirely
 // against the generation captured at admission, and carries that
@@ -37,7 +41,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,7 +92,8 @@ type Options struct {
 	// 256).
 	MaxInFlight int
 	// CacheSize is the LRU capacity in selections (default: 4096;
-	// negative disables caching).
+	// negative disables caching). A selection is cached from its
+	// second miss.
 	CacheSize int
 	// CapQuantumW is the cap quantization step in watts (default:
 	// DefaultCapQuantumW; negative disables quantization).
@@ -182,6 +186,7 @@ type shardPreds struct {
 // shard is one kernel's slot: its precomputed sample runs plus the
 // latest generation's prediction vector.
 type shard struct {
+	idx    int // the shard's position in the universe; part of cache keys
 	kernel string
 	sr     core.SampleRuns
 
@@ -283,7 +288,7 @@ func NewService(m *core.Model, opts Options) (*Service, error) {
 		s.now = time.Now
 	}
 	p := profiler.New()
-	for _, k := range universe {
+	for i, k := range universe {
 		cpu, err := p.RunConfig(k, apu.SampleConfigCPU(), 0)
 		if err != nil {
 			return nil, fmt.Errorf("query: sampling %s on CPU: %w", k.ID(), err)
@@ -292,7 +297,7 @@ func NewService(m *core.Model, opts Options) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("query: sampling %s on GPU: %w", k.ID(), err)
 		}
-		s.shards[k.ID()] = &shard{kernel: k.ID(), sr: core.SampleRuns{CPU: cpu, GPU: gpu}}
+		s.shards[k.ID()] = &shard{idx: i, kernel: k.ID(), sr: core.SampleRuns{CPU: cpu, GPU: gpu}}
 	}
 	s.gen.Store(&generation{model: m, hash: hash, seq: 1})
 	return s, nil
@@ -300,12 +305,19 @@ func NewService(m *core.Model, opts Options) (*Service, error) {
 
 // QuantizeCapW floors capW to a multiple of quantum (no-op for
 // quantum <= 0). The service's selection semantics are defined over the
-// quantized cap; responses echo it as EffectiveCapW.
+// quantized cap; responses echo it as EffectiveCapW. A finite capW
+// always yields a finite result.
 func QuantizeCapW(capW, quantum float64) float64 {
 	if quantum <= 0 {
 		return capW
 	}
-	return math.Floor(capW/quantum) * quantum
+	if q := math.Floor(capW/quantum) * quantum; !math.IsInf(q, 0) {
+		return q
+	}
+	// capW/quantum overflowed, or the product rounded past
+	// MaxFloat64: at that magnitude the spacing between floats
+	// exceeds any practical quantum, so the cap is returned as is.
+	return capW
 }
 
 // CapQuantumW reports the service's configured quantization step.
@@ -385,25 +397,25 @@ func (s *Service) Close() { s.closed.Store(true) }
 // ctx's error if the deadline expires first.
 func (s *Service) Select(ctx context.Context, req Request) (Response, error) {
 	if err := req.Validate(); err != nil {
-		mRequests.With("error").Inc()
+		outcomeError.Inc()
 		return Response{}, err
 	}
 	sh, ok := s.shards[req.Kernel]
 	if !ok {
-		mRequests.With("error").Inc()
+		outcomeError.Inc()
 		return Response{}, fmt.Errorf("%w: %q", ErrUnknownKernel, req.Kernel)
 	}
 	if s.closed.Load() {
-		mRequests.With("error").Inc()
+		outcomeError.Inc()
 		return Response{}, ErrClosed
 	}
 
 	gen := s.gen.Load()
 	eff := QuantizeCapW(req.CapW, s.opts.CapQuantumW)
-	key := cacheKey(gen.hash, req.Kernel, eff, req.Z)
-	if resp, ok := s.cache.get(key); ok {
+	key := cacheKey{shard: sh.idx, capBits: math.Float64bits(eff), zBits: math.Float64bits(req.Z)}
+	if resp, ok := s.cache.get(key, gen.hash); ok {
 		mCacheHits.Inc()
-		mRequests.With("cached").Inc()
+		outcomeCached.Inc()
 		s.cachedN.Add(1)
 		resp.CapW = req.CapW
 		resp.Cached = true
@@ -416,7 +428,7 @@ func (s *Service) Select(ctx context.Context, req Request) (Response, error) {
 	default:
 		mShed.Inc()
 		s.shed.Add(1)
-		mRequests.With("shed").Inc()
+		outcomeShed.Inc()
 		return Response{}, fmt.Errorf("%w: %d selections in flight", ErrOverloaded, s.opts.MaxInFlight)
 	}
 	resp, err := s.compute(ctx, key, gen, sh, eff, req.Z)
@@ -424,20 +436,21 @@ func (s *Service) Select(ctx context.Context, req Request) (Response, error) {
 	switch {
 	case err == nil:
 		resp.CapW = req.CapW
-		mRequests.With("served").Inc()
+		outcomeServed.Inc()
 		s.served.Add(1)
 	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
-		mRequests.With("deadline").Inc()
+		outcomeDeadline.Inc()
 	default:
-		mRequests.With("error").Inc()
+		outcomeError.Inc()
 	}
 	return resp, err
 }
 
-// SelectBatch answers a batch item by item, so a duplicate item is
-// served from the cache its first occurrence filled. Results and errors
-// are parallel to reqs; the overall error is non-nil only when the
-// batch itself is rejected (too large).
+// SelectBatch answers a batch item by item, in order. A selection is
+// cached from its second miss, so the third occurrence of an item is
+// the first served from the cache. Results and errors are parallel to
+// reqs; the overall error is non-nil only when the batch itself is
+// rejected (too large).
 func (s *Service) SelectBatch(ctx context.Context, reqs []Request) ([]Response, []error, error) {
 	if len(reqs) > s.opts.MaxBatch {
 		return nil, nil, fmt.Errorf("%w: %d requests (max %d)", ErrBatchTooLarge, len(reqs), s.opts.MaxBatch)
@@ -450,9 +463,9 @@ func (s *Service) SelectBatch(ctx context.Context, reqs []Request) ([]Response, 
 	return resps, errs, nil
 }
 
-// compute answers one cache miss against generation gen and caches the
-// answer under key. The caller holds an in-flight slot.
-func (s *Service) compute(ctx context.Context, key string, gen *generation, sh *shard, capW, z float64) (Response, error) {
+// compute answers one cache miss against generation gen and offers the
+// answer to the cache under key. The caller holds an in-flight slot.
+func (s *Service) compute(ctx context.Context, key cacheKey, gen *generation, sh *shard, capW, z float64) (Response, error) {
 	admitted := s.now()
 	if s.opts.computeGate != nil {
 		s.opts.computeGate()
@@ -480,7 +493,9 @@ func (s *Service) compute(ctx context.Context, key string, gen *generation, sh *
 		ModelHash:     gen.hash,
 		ModelSeq:      gen.seq,
 	}
-	s.cache.put(key, gen.hash, resp)
+	if s.cache.put(key, gen.hash, resp) {
+		mCacheDeclined.Inc()
+	}
 	return resp, nil
 }
 
@@ -509,13 +524,4 @@ func (s *Service) slowShard(ctx context.Context, kernel string) error {
 		}
 	}
 	return nil
-}
-
-// cacheKey builds the content-addressed cache key. Float
-// parameters enter as exact bit patterns: two caps quantize to the same
-// key only when their effective caps are bitwise equal.
-func cacheKey(genHash, kernel string, effCapW, z float64) string {
-	return genHash + "|" + kernel + "|" +
-		strconv.FormatUint(math.Float64bits(effCapW), 16) + "|" +
-		strconv.FormatUint(math.Float64bits(z), 16)
 }

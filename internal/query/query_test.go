@@ -3,6 +3,7 @@ package query_test
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -129,10 +130,11 @@ func TestSelectMatchesOracle(t *testing.T) {
 }
 
 // TestSelectPathsBitwiseIdentical is the regression test for the
-// refactor: direct core.SelectUnderCap, the service's compute path, the
-// cache path, and the batch path must agree bitwise — with caps chosen
-// to straddle every predicted-frontier breakpoint of every universe
-// kernel, where any epsilon drift between paths would flip the winner.
+// refactor: direct core.SelectUnderCap, the service's compute path (a
+// first miss and the miss that admits the key), the cache path, and the
+// batch path must agree bitwise — with caps chosen to straddle every
+// predicted-frontier breakpoint of every universe kernel, where any
+// epsilon drift between paths would flip the winner.
 func TestSelectPathsBitwiseIdentical(t *testing.T) {
 	mA, _ := testModels(t)
 	s := newTestService(t, mA, query.Options{MaxBatch: 1024})
@@ -158,27 +160,29 @@ func TestSelectPathsBitwiseIdentical(t *testing.T) {
 			for _, capW := range caps {
 				reqs = append(reqs, query.Request{Kernel: kernel, CapW: capW, Z: z})
 			}
-			// Path 1: compute (cold). Path 2: cache (immediately after).
+			// Path 1: compute (cold, then the admitting second miss).
+			// Path 2: cache (the third select).
 			for _, req := range reqs {
-				cold, err := s.Select(ctx, req)
-				if err != nil {
-					t.Fatal(err)
+				var sels [3]query.Response
+				for i := range sels {
+					if sels[i], err = s.Select(ctx, req); err != nil {
+						t.Fatal(err)
+					}
 				}
-				warm, err := s.Select(ctx, req)
-				if err != nil {
-					t.Fatal(err)
-				}
+				cold, second, warm := sels[0], sels[1], sels[2]
 				direct := oracle(t, s, mA, kernel, cold.EffectiveCapW, z)
-				if cold.Selection != direct {
-					t.Fatalf("%s cap=%v z=%v: compute path %+v != direct %+v",
-						kernel, req.CapW, z, cold.Selection, direct)
+				for i, resp := range sels {
+					if resp.Selection != direct {
+						t.Fatalf("%s cap=%v z=%v: select %d %+v != direct %+v",
+							kernel, req.CapW, z, i+1, resp.Selection, direct)
+					}
 				}
-				if warm.Selection != direct {
-					t.Fatalf("%s cap=%v z=%v: cache path %+v != direct %+v",
-						kernel, req.CapW, z, warm.Selection, direct)
+				if cold.Cached || second.Cached {
+					t.Fatalf("%s cap=%v z=%v: a miss claims cached (cold %v, second %v)",
+						kernel, req.CapW, z, cold.Cached, second.Cached)
 				}
 				if !warm.Cached {
-					t.Fatalf("%s cap=%v z=%v: second select not cached", kernel, req.CapW, z)
+					t.Fatalf("%s cap=%v z=%v: third select not cached", kernel, req.CapW, z)
 				}
 			}
 			// Path 3: batch.
@@ -358,6 +362,16 @@ func TestReloadInvalidatesByContent(t *testing.T) {
 	if first.Cached {
 		t.Fatal("first select claims cached")
 	}
+	if s.CacheLen() != 0 {
+		t.Fatalf("cache holds %d entries after one miss, want 0", s.CacheLen())
+	}
+	again, err := s.Select(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Cached || again.Selection != first.Selection {
+		t.Fatalf("second select %+v, want an uncached repeat of %+v", again, first)
+	}
 	if s.CacheLen() != 1 {
 		t.Fatalf("cache holds %d entries, want 1", s.CacheLen())
 	}
@@ -414,6 +428,11 @@ func TestQuantizeCapW(t *testing.T) {
 		{-3.1, 0.03125, -3.125},
 		{7.7, 0, 7.7},
 		{7.7, -1, 7.7},
+		// capW/quantum overflows: the cap is already a multiple.
+		{1e308, 0.03125, 1e308},
+		{-1e308, 0.03125, -1e308},
+		{math.MaxFloat64, 0.03125, math.MaxFloat64},
+		{-math.MaxFloat64, 0.03125, -math.MaxFloat64},
 	}
 	for _, c := range cases {
 		if got := query.QuantizeCapW(c.capW, c.quantum); got != c.want {
@@ -427,5 +446,216 @@ func TestUnknownKernelHasNoShard(t *testing.T) {
 	s := newTestService(t, mA, query.Options{})
 	if _, ok := s.SampleRuns("No/Such/Kernel"); ok {
 		t.Fatal("sample runs for unknown kernel")
+	}
+}
+
+// counterValue reads an unlabeled counter from the process registry.
+func counterValue(t *testing.T, name string) float64 {
+	t.Helper()
+	fam, ok := metrics.Default.TakeSnapshot().Family(name)
+	if !ok || len(fam.Metrics) != 1 {
+		t.Fatalf("%s not registered as one series", name)
+	}
+	return *fam.Metrics[0].Value
+}
+
+// TestCacheAdmitsOnSecondMiss pins the admission contract: a selection
+// is cached on its second miss and served from the cache from its third
+// request on; a disabled cache never holds anything; and the doorkeeper
+// outlives reloads while the entries follow the model's content hash.
+func TestCacheAdmitsOnSecondMiss(t *testing.T) {
+	mA, mB := testModels(t)
+	ctx := context.Background()
+	s := newTestService(t, mA, query.Options{})
+	req := query.Request{Kernel: s.Kernels()[0], CapW: 17.3, Z: 0.5}
+	sel := func() query.Response {
+		t.Helper()
+		resp, err := s.Select(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+
+	declined := counterValue(t, "acsel_query_cache_declined_total")
+	first := sel()
+	if first.Cached || s.CacheLen() != 0 {
+		t.Fatalf("first select: cached %v, %d entries; want a miss that inserts nothing", first.Cached, s.CacheLen())
+	}
+	if got := counterValue(t, "acsel_query_cache_declined_total") - declined; got != 1 {
+		t.Fatalf("declined inserts after the first miss: %v, want 1", got)
+	}
+	second := sel()
+	if second.Cached || s.CacheLen() != 1 {
+		t.Fatalf("second select: cached %v, %d entries; want a miss that inserts", second.Cached, s.CacheLen())
+	}
+	if got := counterValue(t, "acsel_query_cache_declined_total") - declined; got != 1 {
+		t.Fatalf("declined inserts after the second miss: %v, want 1", got)
+	}
+	third := sel()
+	if !third.Cached {
+		t.Fatal("third select not served from the cache")
+	}
+	third.Cached = false
+	if third != first || second != first {
+		t.Fatalf("responses differ: %+v, %+v, %+v", first, second, third)
+	}
+
+	// A byte-identical reload keeps the entry.
+	if _, _, err := s.Reload(mA); err != nil {
+		t.Fatal(err)
+	}
+	if resp := sel(); !resp.Cached || resp.Selection != first.Selection {
+		t.Fatalf("after an identical reload: %+v, want the cached selection", resp)
+	}
+
+	// A reload to different bytes drops the entry, but the doorkeeper
+	// remembers the key: its first miss under model B is admitted.
+	hashB, _, err := s.Reload(mB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.CacheLen() != 0 {
+		t.Fatalf("cache holds %d entries after a content change, want 0", s.CacheLen())
+	}
+	underB := sel()
+	if underB.Cached || underB.ModelHash != hashB || s.CacheLen() != 1 {
+		t.Fatalf("first select under B: cached %v, hash %s, %d entries; want an admitted miss under %s",
+			underB.Cached, underB.ModelHash, s.CacheLen(), hashB)
+	}
+	if underB.Selection != oracle(t, s, mB, req.Kernel, underB.EffectiveCapW, req.Z) {
+		t.Fatal("selection under B does not match model B oracle")
+	}
+	if resp := sel(); !resp.Cached || resp.ModelHash != hashB || resp.Selection != underB.Selection {
+		t.Fatalf("second select under B: %+v, want B's cached selection", resp)
+	}
+
+	// CacheSize < 0 disables caching outright.
+	off := newTestService(t, mA, query.Options{CacheSize: -1})
+	for i := 0; i < 3; i++ {
+		resp, err := off.Select(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached || off.CacheLen() != 0 {
+			t.Fatalf("disabled cache, select %d: cached %v, %d entries", i+1, resp.Cached, off.CacheLen())
+		}
+	}
+}
+
+// TestSelectAllocs pins the allocation-free request path: a cache hit
+// and a first miss (computed, then declined by the doorkeeper) allocate
+// nothing once the shard's predictions exist.
+func TestSelectAllocs(t *testing.T) {
+	mA, _ := testModels(t)
+	s := newTestService(t, mA, query.Options{})
+	ctx := context.Background()
+	hot := query.Request{Kernel: s.Kernels()[0], CapW: 21}
+	for i := 0; i < 3; i++ { // computes the predictions, admits, hits
+		if _, err := s.Select(ctx, hot); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if resp, err := s.Select(ctx, hot); err != nil || !resp.Cached {
+			t.Fatalf("hit: cached %v, %v", resp.Cached, err)
+		}
+	}); got != 0 {
+		t.Errorf("cache hit: %v allocs/op, want 0", got)
+	}
+
+	capW := 30.0
+	if got := testing.AllocsPerRun(100, func() {
+		capW += s.CapQuantumW() // a key never asked before
+		if resp, err := s.Select(ctx, query.Request{Kernel: hot.Kernel, CapW: capW}); err != nil || resp.Cached {
+			t.Fatalf("first miss: cached %v, %v", resp.Cached, err)
+		}
+	}); got != 0 {
+		t.Errorf("first miss: %v allocs/op, want 0", got)
+	}
+}
+
+// TestSelectMetamorphic checks, through the service, properties the
+// paper's selection rule implies, and bitwise agreement with
+// core.SelectAmong. For every universe kernel, caps sweep a 1/32 W grid
+// over 0–60 W plus ±1e308 at z ∈ {0, ½, 1, 2}:
+//
+//   - EffectiveCapW is finite and never above CapW;
+//   - predicted performance never falls as the cap rises (from a cap
+//     the selection is predicted to meet, or at any cap for z = 0: the
+//     minimum-power fallback can outperform the first config whose
+//     margin fits);
+//   - predicted performance never rises as z rises, where the larger
+//     margin is predicted to be met;
+//   - every response equals core.SelectAmong over the model's own
+//     predictions at the effective cap.
+//
+// The sweep runs three times, so every key is served as a first miss,
+// then as the miss that admits it, then (doorkeeper collisions aside)
+// from the cache.
+func TestSelectMetamorphic(t *testing.T) {
+	mA, _ := testModels(t)
+	s := newTestService(t, mA, query.Options{CacheSize: 1 << 18})
+	ctx := context.Background()
+	zs := []float64{0, 0.5, 1, 2}
+	const gridPerW, maxCapW = 32, 60
+	caps := []float64{-1e308}
+	for i := 0; i <= maxCapW*gridPerW; i++ {
+		caps = append(caps, float64(i)/gridPerW)
+	}
+	caps = append(caps, 1e308)
+
+	for pass := 0; pass < 3; pass++ {
+		cached := 0
+		for _, kernel := range s.Kernels() {
+			sr, _ := s.SampleRuns(kernel)
+			preds, cluster, err := mA.PredictAll(sr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prevCap := make([]core.Selection, len(zs))
+			for ci, capW := range caps {
+				var smallerZ core.Selection // this cap's pick at the previous z
+				for zi, z := range zs {
+					resp, err := s.Select(ctx, query.Request{Kernel: kernel, CapW: capW, Z: z})
+					if err != nil {
+						t.Fatal(err)
+					}
+					at := func(format string, args ...any) {
+						t.Helper()
+						t.Fatalf("pass %d %s cap %v z %v: "+format, append([]any{pass + 1, kernel, capW, z}, args...)...)
+					}
+					if resp.Cached {
+						cached++
+					}
+					eff := resp.EffectiveCapW
+					if math.IsNaN(eff) || math.IsInf(eff, 0) || eff > capW {
+						at("effective cap %v", eff)
+					}
+					want, err := core.SelectAmong(preds, cluster, eff, z)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if resp.Selection != want {
+						at("service %+v != SelectAmong %+v", resp.Selection, want)
+					}
+					sel := resp.Selection
+					if prev := prevCap[zi]; ci > 0 && (prev.MeetsCapPredicted || z == 0) && sel.Predicted.Perf < prev.Predicted.Perf {
+						at("predicted perf fell from %v to %v as the cap rose", prev.Predicted.Perf, sel.Predicted.Perf)
+					}
+					if zi > 0 && sel.MeetsCapPredicted &&
+						(!smallerZ.MeetsCapPredicted || smallerZ.Predicted.Perf < sel.Predicted.Perf) {
+						at("picks %+v, above z %v's %+v", sel.Predicted, zs[zi-1], smallerZ.Predicted)
+					}
+					prevCap[zi], smallerZ = sel, sel
+				}
+			}
+		}
+		switch {
+		case pass < 2 && cached != 0:
+			t.Fatalf("pass %d: %d responses cached before their key's second miss", pass+1, cached)
+		case pass == 2 && cached == 0:
+			t.Fatal("pass 3: no response served from the cache")
+		}
 	}
 }
