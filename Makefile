@@ -12,7 +12,7 @@ CHAOS_PKGS = ./internal/rts ./internal/sched ./internal/power ./internal/fault .
 
 .PHONY: all build vet lint lint-fix-check test test-race test-chaos test-crash test-fleet test-query bench-selftest metrics-check fmt-check bench repro csv fuzz fuzz-smoke clean
 
-all: build vet lint lint-fix-check test test-race test-chaos test-crash test-fleet test-query bench-selftest metrics-check
+all: build vet fmt-check lint lint-fix-check test test-race test-chaos test-crash test-fleet test-query bench-selftest metrics-check
 
 build:
 	$(GO) build ./...

@@ -393,7 +393,7 @@ func (s *service) recover() error {
 		}
 	}
 
-	base := len(s.rt.Steps())
+	base := s.rt.NumSteps()
 	for i, rec := range recs[lastSnap+1:] {
 		want, err := rts.DecodeStep(rec)
 		if err != nil {
@@ -416,7 +416,7 @@ func (s *service) recover() error {
 		s.replayed++
 	}
 	s.recovered = true
-	total := len(s.rt.Steps())
+	total := s.rt.NumSteps()
 	s.epoch = total / len(s.app)
 	s.pos = total % len(s.app)
 	fmt.Fprintf(s.stderr, "acsel-serve: recovered from %s: snapshot with %d steps, %d replayed (epoch %d, position %d)\n",
@@ -509,7 +509,7 @@ func (s *service) writeSummary() error {
 		Input:         s.cfg.Input,
 		CapW:          s.cfg.CapW,
 		Epochs:        s.epoch,
-		Steps:         len(s.rt.Steps()),
+		Steps:         s.rt.NumSteps(),
 		Recovered:     s.recovered,
 		ReplayedSteps: s.replayed,
 		TornTail:      s.tornTail,

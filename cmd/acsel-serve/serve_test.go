@@ -211,6 +211,7 @@ func TestServeRejectsBadConfig(t *testing.T) {
 		{"negative epochs", func(c *config) { c.Epochs = -1 }, "non-negative"},
 		{"bad fault plan", func(c *config) { c.FaultPlan = "no-such-scenario" }, "scenario"},
 		{"unknown bench", func(c *config) { c.Bench = "NotABenchmark" }, "unknown benchmark"},
+		{"negative z", func(c *config) { c.Z = -1 }, "variance-aware z"},
 	}
 	for _, tc := range cases {
 		cfg := baseConfig(dir, "bad")

@@ -103,7 +103,7 @@ func (a *Agent) Report() Report {
 	r := ReportOf(hierarchy.View(a.node))
 	r.CapW = rt.Cap()
 	r.AdaptedKernels = len(rt.AdaptedKernels())
-	r.Steps = len(rt.Steps())
+	r.Steps = rt.NumSteps()
 	return r
 }
 

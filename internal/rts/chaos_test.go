@@ -179,10 +179,13 @@ func TestLadderDemoteAndPromoteMechanics(t *testing.T) {
 	if st.rung != RungMinPower {
 		t.Fatalf("second demotion: rung %v", st.rung)
 	}
-	floorCfg, err := m.Space.ByID(st.minPowerID)
-	if err != nil {
-		t.Fatal(err)
+	floor := st.preds[0]
+	for _, p := range st.preds[1:] {
+		if p.PowerW < floor.PowerW {
+			floor = p
+		}
 	}
+	floorCfg := floor.Config
 	if st.pinned != floorCfg {
 		t.Errorf("min-power rung pinned %v, floor is %v", st.pinned, floorCfg)
 	}
@@ -262,10 +265,11 @@ func TestWatchdogOnlyRunMatchesCleanSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	armed, err := New(m, Options{CapW: 24, Watchdog: true, DemoteAfter: 1 << 30})
+	armed, err := New(m, Options{CapW: 24, Watchdog: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	armed.demoteAfter = 1 << 30
 	for _, k := range held[:3] {
 		for i := 0; i < 6; i++ {
 			if _, err := clean.RunKernel(k); err != nil {

@@ -5,10 +5,11 @@
 // divergence tracker, and the full step history — and Restore rebuilds
 // a runtime whose observable behaviour (Steps, Summarize, HealthFor,
 // and every future RunKernel decision) is reflect.DeepEqual-identical
-// to one that never stopped. Predictions and the Pareto frontier are
-// deliberately NOT persisted: they are a deterministic function of the
-// model and the persisted sample runs, so Restore recomputes them and
-// a snapshot can never disagree with the model that consumes it.
+// to one that never stopped. Predictions, and the minimum-power floor
+// derived from them, are deliberately NOT persisted: they are a
+// deterministic function of the model and the persisted sample runs,
+// so Restore recomputes them and a snapshot can never disagree with
+// the model that consumes it.
 package rts
 
 import (
@@ -42,8 +43,8 @@ type KernelCheckpoint struct {
 	Key  string `json:"key"`
 	Iter int    `json:"iter"`
 	// Adapted records whether classification has happened (iter >= 2
-	// on an uninterrupted run); Restore recomputes the frontier and
-	// predictions from the samples only when true.
+	// on an uninterrupted run); Restore recomputes the predictions from
+	// the samples only when true.
 	Adapted   bool            `json:"adapted"`
 	CPUSample profiler.Sample `json:"cpu_sample"`
 	GPUSample profiler.Sample `json:"gpu_sample"`
@@ -53,7 +54,6 @@ type KernelCheckpoint struct {
 
 	Rung       Rung        `json:"rung"`
 	BaseRung   Rung        `json:"base_rung"`
-	MinPowerID int         `json:"min_power_id"`
 	Healthy    int         `json:"healthy"`
 	Unhealthy  int         `json:"unhealthy"`
 	DivEWMA    float64     `json:"div_ewma"`
@@ -105,7 +105,6 @@ func (rt *Runtime) Snapshot() *Snapshot {
 			PinnedCap:     st.pinnedCap,
 			Rung:          st.rung,
 			BaseRung:      st.baseRung,
-			MinPowerID:    st.minPowerID,
 			Healthy:       st.healthy,
 			Unhealthy:     st.unhealthy,
 			DivEWMA:       ewma,
@@ -134,12 +133,13 @@ func (rt *Runtime) Snapshot() *Snapshot {
 var ErrBadSnapshot = errors.New("rts: invalid snapshot")
 
 // Restore replaces the runtime's state with a snapshot taken from a
-// runtime over the same model and options. Per-kernel predictions and
-// frontiers are recomputed from the persisted sample runs — the same
-// deterministic computation adapt performed originally — so the
-// restored runtime's future selections match the uninterrupted run's
-// exactly. Restore fully overwrites prior state; call it on a fresh
-// runtime.
+// runtime over the same model and options. Per-kernel predictions are
+// recomputed from the persisted sample runs with core.Model.PredictAll
+// — the same deterministic computation adapt performed originally — and
+// every future selection, the min-power floor included, is made among
+// them, so the restored runtime's decisions match the uninterrupted
+// run's exactly. Restore fully overwrites prior state; call it on a
+// fresh runtime.
 func (rt *Runtime) Restore(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("%w: nil", ErrBadSnapshot)
@@ -167,7 +167,6 @@ func (rt *Runtime) Restore(snap *Snapshot) error {
 			pinnedCap:     kc.PinnedCap,
 			rung:          kc.Rung,
 			baseRung:      kc.BaseRung,
-			minPowerID:    kc.MinPowerID,
 			healthy:       kc.Healthy,
 			unhealthy:     kc.Unhealthy,
 			demotions:     kc.Demotions,
@@ -184,12 +183,10 @@ func (rt *Runtime) Restore(snap *Snapshot) error {
 			st.applied = &cp
 		}
 		if kc.Adapted {
-			sr := core.SampleRuns{CPU: kc.CPUSample, GPU: kc.GPUSample}
-			frontier, preds, err := rt.model.PredictedFrontier(sr)
+			preds, _, err := rt.model.PredictAll(core.SampleRuns{CPU: kc.CPUSample, GPU: kc.GPUSample})
 			if err != nil {
 				return fmt.Errorf("rts: restoring %q: %w", kc.Key, err)
 			}
-			st.frontier = frontier
 			st.preds = preds
 		}
 		kernels[kc.Key] = st

@@ -1,10 +1,12 @@
 package rts
 
 import (
+	"encoding/json"
 	"math"
 	"reflect"
 	"testing"
 
+	"acsel/internal/checkpoint"
 	"acsel/internal/fault"
 	"acsel/internal/kernels"
 )
@@ -194,6 +196,65 @@ func TestRestoreCarriesCap(t *testing.T) {
 	restored := restoreInto(t, rt.Snapshot(), Options{CapW: 24})
 	if got := restored.Cap(); got != 17 {
 		t.Errorf("restored cap = %v, want 17", got)
+	}
+}
+
+// TestRestoreAcceptsMinPowerIDSnapshot: a version-1 snapshot that
+// carries a kernel's "min_power_id" still decodes and restores (the
+// field is ignored; the floor is derived from the predictions), and a
+// floored kernel stays pinned to the same configuration across a cap
+// change.
+func TestRestoreAcceptsMinPowerIDSnapshot(t *testing.T) {
+	m, held := trainedModel(t)
+	opts := Options{CapW: 24, Watchdog: true}
+	rt, err := New(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := held[0]
+	driveSteps(t, rt, []kernels.Kernel{k}, 0, 3)
+	st := rt.kernels[k.ID()]
+	for st.rung < RungMinPower {
+		if err := rt.demote(st, 24); err != nil {
+			t.Fatal(err)
+		}
+	}
+	floorCfg := st.pinned
+
+	data, err := json.Marshal(rt.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, kc := range doc["kernels"].([]any) {
+		kc.(map[string]any)["min_power_id"] = m.Space.IDOf(floorCfg)
+	}
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeSnapshot(checkpoint.Record{Type: RecordSnapshot, Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Version != SnapshotVersion {
+		t.Fatalf("snapshot version %d, want %d", snap.Version, SnapshotVersion)
+	}
+	restored, err := New(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.SetCap(40); err != nil {
+		t.Fatal(err)
+	}
+	driveSteps(t, restored, []kernels.Kernel{k}, 3, 4)
+	if got, _, _ := restored.SelectionFor(k.ID()); got != floorCfg {
+		t.Errorf("restored floored kernel pinned %v, want the floor %v", got, floorCfg)
 	}
 }
 

@@ -2,12 +2,12 @@
 // library is "designed to provide a foundation for" (§III-D): it
 // executes an application's kernels iteration by iteration, spends each
 // kernel's first two iterations on the sample configurations (§III-C),
-// classifies the kernel and caches its predicted Pareto frontier, pins
-// the kernel to the best predicted configuration under the current
-// power cap, and thereafter re-walks the cached frontier whenever the
-// cap changes — without re-profiling or re-examining all
-// configurations. An optional feedback limiter steps the pinned
-// configuration's frequency down when measured power exceeds the cap.
+// classifies the kernel and caches its per-configuration predictions,
+// pins the kernel to the best predicted configuration under the current
+// power cap, and thereafter re-selects among the cached predictions
+// (core.SelectAmong) whenever the cap changes — without re-profiling.
+// An optional feedback limiter steps the pinned configuration's
+// frequency down when measured power exceeds the cap.
 package rts
 
 import (
@@ -22,7 +22,6 @@ import (
 	"acsel/internal/core"
 	"acsel/internal/fault"
 	"acsel/internal/kernels"
-	"acsel/internal/pareto"
 	"acsel/internal/power"
 	"acsel/internal/profiler"
 	"acsel/internal/rapl"
@@ -60,8 +59,9 @@ type Options struct {
 	CapW float64
 	// FL enables the feedback frequency limiter on pinned kernels.
 	FL bool
-	// VarAwareZ, when positive, applies the variance-aware selection
-	// margin (§VI): predicted power + z·σ must fit under the cap.
+	// VarAwareZ is the variance-aware selection margin (§VI): predicted
+	// power + z·σ must fit under the cap. It must be finite and
+	// non-negative; 0 selects on predicted power alone.
 	VarAwareZ float64
 
 	// Faults wires a deterministic fault plan into the runtime's
@@ -73,22 +73,6 @@ type Options struct {
 	// Faults nil and Watchdog false the runtime behaves exactly as
 	// before this layer existed.
 	Watchdog bool
-	// DivergeFrac is the smoothed |measured−predicted|/predicted power
-	// divergence beyond which an iteration counts as unhealthy
-	// (default 0.35).
-	DivergeFrac float64
-	// DemoteAfter is how many consecutive unhealthy pinned iterations
-	// walk a kernel one rung down the ladder (default 2).
-	DemoteAfter int
-	// PromoteAfter is how many consecutive healthy pinned iterations
-	// walk it one rung back up (default 4).
-	PromoteAfter int
-	// MaxApplyRetries bounds the retry-with-backoff loop around
-	// transient P-state transition failures (default 3).
-	MaxApplyRetries int
-	// MaxMeasureRetries bounds sensor re-reads after a dropout
-	// (default 2).
-	MaxMeasureRetries int
 }
 
 // Rung is a kernel's position on the graceful-degradation ladder. The
@@ -124,15 +108,6 @@ func (r Rung) String() string {
 	return fmt.Sprintf("Rung(%d)", int(r))
 }
 
-// Watchdog defaults.
-const (
-	defaultDivergeFrac    = 0.35
-	defaultDemoteAfter    = 2
-	defaultPromoteAfter   = 4
-	defaultApplyRetries   = 3
-	defaultMeasureRetries = 2
-)
-
 // Step reports one executed kernel iteration.
 type Step struct {
 	Kernel    string
@@ -167,7 +142,6 @@ type kernelState struct {
 	cpuSample profiler.Sample
 	gpuSample profiler.Sample
 	cluster   int
-	frontier  *pareto.Frontier
 	preds     []core.Prediction
 	pinned    apu.Config
 	pinnedCap float64 // cap the pin was chosen for
@@ -176,7 +150,6 @@ type kernelState struct {
 	// armed (Options.Watchdog or a fault plan).
 	rung          Rung
 	baseRung      Rung // rung recovery stops at (ModelFL when FL opt is on)
-	minPowerID    int  // config ID of the min predicted-power floor
 	healthy       int  // consecutive healthy pinned iterations
 	unhealthy     int  // consecutive unhealthy pinned iterations
 	div           core.DivergenceTracker
@@ -221,6 +194,18 @@ type Runtime struct {
 	pm    *acpi.Manager
 	opts  Options
 
+	// Watchdog thresholds, fixed in New: the smoothed
+	// |measured−predicted|/predicted power divergence beyond which an
+	// iteration counts as unhealthy, the consecutive unhealthy
+	// (healthy) pinned iterations that demote (promote) a kernel one
+	// rung, and the retry budgets for transient P-state transition
+	// failures and sensor dropouts.
+	divergeFrac    float64
+	demoteAfter    int
+	promoteAfter   int
+	applyRetries   int
+	measureRetries int
+
 	mu      sync.Mutex
 	capW    float64
 	kernels map[string]*kernelState
@@ -241,6 +226,10 @@ func validCapW(w float64) error {
 	return nil
 }
 
+// ErrBadZ is returned when Options.VarAwareZ is negative, NaN, or
+// infinite.
+var ErrBadZ = errors.New("rts: variance-aware z must be finite and non-negative")
+
 // New creates a runtime over a trained model. A fault plan in the
 // options is wired through to the profiler's hardware seams and the
 // P-state manager.
@@ -251,13 +240,21 @@ func New(model *core.Model, opts Options) (*Runtime, error) {
 	if err := validCapW(opts.CapW); err != nil {
 		return nil, err
 	}
+	if z := opts.VarAwareZ; math.IsNaN(z) || math.IsInf(z, 0) || z < 0 {
+		return nil, fmt.Errorf("%w: got %v", ErrBadZ, z)
+	}
 	rt := &Runtime{
-		prof:    profiler.New(),
-		model:   model,
-		pm:      acpi.NewManager(),
-		opts:    opts,
-		capW:    opts.CapW,
-		kernels: map[string]*kernelState{},
+		prof:           profiler.New(),
+		model:          model,
+		pm:             acpi.NewManager(),
+		opts:           opts,
+		divergeFrac:    0.35,
+		demoteAfter:    2,
+		promoteAfter:   4,
+		applyRetries:   3,
+		measureRetries: 2,
+		capW:           opts.CapW,
+		kernels:        map[string]*kernelState{},
 	}
 	rt.prof.Faults = opts.Faults
 	rt.pm.SetFaultInjector(opts.Faults)
@@ -270,41 +267,6 @@ func New(model *core.Model, opts Options) (*Runtime, error) {
 // implementation.
 func (rt *Runtime) ladderArmed() bool { return rt.opts.Watchdog || rt.opts.Faults != nil }
 
-func (rt *Runtime) divergeFrac() float64 {
-	if rt.opts.DivergeFrac > 0 {
-		return rt.opts.DivergeFrac
-	}
-	return defaultDivergeFrac
-}
-
-func (rt *Runtime) demoteAfter() int {
-	if rt.opts.DemoteAfter > 0 {
-		return rt.opts.DemoteAfter
-	}
-	return defaultDemoteAfter
-}
-
-func (rt *Runtime) promoteAfter() int {
-	if rt.opts.PromoteAfter > 0 {
-		return rt.opts.PromoteAfter
-	}
-	return defaultPromoteAfter
-}
-
-func (rt *Runtime) applyRetryBudget() int {
-	if rt.opts.MaxApplyRetries > 0 {
-		return rt.opts.MaxApplyRetries
-	}
-	return defaultApplyRetries
-}
-
-func (rt *Runtime) measureRetryBudget() int {
-	if rt.opts.MaxMeasureRetries > 0 {
-		return rt.opts.MaxMeasureRetries
-	}
-	return defaultMeasureRetries
-}
-
 // Profiler exposes the measurement history (the paper: "a history of
 // performance and power measurements is made accessible to the
 // application or runtime").
@@ -313,8 +275,8 @@ func (rt *Runtime) Profiler() *profiler.Profiler { return rt.prof }
 // PStates exposes the ACPI manager, for inspecting DVFS state.
 func (rt *Runtime) PStates() *acpi.Manager { return rt.pm }
 
-// SetCap updates the power cap. Already-pinned kernels re-select from
-// their cached predicted frontiers on their next iteration. NaN,
+// SetCap updates the power cap. Already-pinned kernels re-select among
+// their cached predictions on their next iteration. NaN,
 // infinite, and non-positive wattages are rejected: a NaN cap would
 // silently disable every under-cap comparison downstream.
 func (rt *Runtime) SetCap(w float64) error {
@@ -355,7 +317,7 @@ func (rt *Runtime) RunKernelAt(k kernels.Kernel, callsite string) (Step, error) 
 	rt.mu.Lock()
 	st, ok := rt.kernels[key]
 	if !ok {
-		st = &kernelState{cluster: -1, minPowerID: -1}
+		st = &kernelState{cluster: -1}
 		if rt.opts.FL {
 			st.rung = RungModelFL
 		}
@@ -407,7 +369,7 @@ func (rt *Runtime) runSample(k kernels.Kernel, st *kernelState, cfg apu.Config, 
 		return s, stepMeta{}, err
 	}
 	s, err := rt.prof.RunConfigAttempt(k, cfg, iter, 0)
-	for a := 1; errors.Is(err, power.ErrSensorDropout) && a <= rt.measureRetryBudget(); a++ {
+	for a := 1; errors.Is(err, power.ErrSensorDropout) && a <= rt.measureRetries; a++ {
 		st.dropouts++
 		mDropouts.Inc()
 		s, err = rt.prof.RunConfigAttempt(k, cfg, iter, a)
@@ -436,7 +398,7 @@ func (rt *Runtime) runSample(k kernels.Kernel, st *kernelState, cfg apu.Config, 
 func (rt *Runtime) runPinned(k kernels.Kernel, st *kernelState, key string, capW float64) (Step, error) {
 	armed := rt.ladderArmed()
 	if !stats.AlmostEqual(st.pinnedCap, capW) {
-		// Cap changed: re-walk the cached frontier (no re-profiling).
+		// Cap changed: re-select from cached predictions (no re-profiling).
 		if err := rt.reselect(st, capW); err != nil {
 			return Step{}, err
 		}
@@ -474,7 +436,7 @@ func (rt *Runtime) runPinned(k kernels.Kernel, st *kernelState, key string, capW
 		}
 	} else {
 		s, err = rt.prof.RunConfigAttempt(k, runCfg, st.iter, 0)
-		for a := 1; errors.Is(err, power.ErrSensorDropout) && a <= rt.measureRetryBudget(); a++ {
+		for a := 1; errors.Is(err, power.ErrSensorDropout) && a <= rt.measureRetries; a++ {
 			st.dropouts++
 			mDropouts.Inc()
 			s, err = rt.prof.RunConfigAttempt(k, runCfg, st.iter, a)
@@ -520,7 +482,7 @@ func (rt *Runtime) runPinned(k kernels.Kernel, st *kernelState, key string, capW
 		if trusted {
 			st.div.Observe(rt.predictedW(st, runCfg), measured)
 			mDivergence.Set(st.div.Value())
-			if measured > capW || st.div.Diverged(rt.divergeFrac()) {
+			if measured > capW || st.div.Diverged(rt.divergeFrac) {
 				st.unhealthy++
 				st.healthy = 0
 			} else {
@@ -533,9 +495,11 @@ func (rt *Runtime) runPinned(k kernels.Kernel, st *kernelState, key string, capW
 			st.unhealthy++
 			st.healthy = 0
 		}
-		if st.unhealthy >= rt.demoteAfter() {
-			rt.demote(st, capW)
-		} else if st.rung > st.baseRung && st.healthy >= rt.promoteAfter() {
+		if st.unhealthy >= rt.demoteAfter {
+			if err := rt.demote(st, capW); err != nil {
+				return Step{}, err
+			}
+		} else if st.rung > st.baseRung && st.healthy >= rt.promoteAfter {
 			rt.promote(st, capW)
 		}
 	}
@@ -550,9 +514,8 @@ func (rt *Runtime) runPinned(k kernels.Kernel, st *kernelState, key string, capW
 // simulation has no wall clock.
 func (rt *Runtime) applyWithRetry(st *kernelState, key string) error {
 	evKey := fmt.Sprintf("%s#i%d", key, st.iter)
-	budget := rt.applyRetryBudget()
 	var err error
-	for attempt := 0; attempt <= budget; attempt++ {
+	for attempt := 0; attempt <= rt.applyRetries; attempt++ {
 		if attempt > 0 {
 			st.applyRetries++
 			mPStateRetries.Inc()
@@ -568,21 +531,19 @@ func (rt *Runtime) applyWithRetry(st *kernelState, key string) error {
 
 // demote walks the kernel one rung down the ladder and, at the
 // bottom, pins the minimum predicted-power configuration.
-func (rt *Runtime) demote(st *kernelState, capW float64) {
+func (rt *Runtime) demote(st *kernelState, capW float64) error {
 	st.unhealthy, st.healthy = 0, 0
 	if st.rung >= RungMinPower {
-		return
+		return nil
 	}
 	st.rung++
 	st.demotions++
 	mLadderTransitions.With("demote").Inc()
 	st.div.Reset()
-	if st.rung == RungMinPower && st.minPowerID >= 0 {
-		if cfg, err := rt.model.Space.ByID(st.minPowerID); err == nil {
-			st.pinned = cfg
-			st.pinnedCap = capW
-		}
+	if st.rung == RungMinPower {
+		return rt.reselect(st, capW)
 	}
+	return nil
 }
 
 // promote walks the kernel one rung back up after sustained healthy
@@ -605,91 +566,51 @@ func (rt *Runtime) promote(st *kernelState, capW float64) {
 }
 
 // predictedW returns the model's predicted package power for cfg, or
-// NaN if the kernel has no cached prediction for it.
+// NaN if the kernel has no cached prediction for it. Predictions are
+// cached in config-ID order (core.Model.PredictAll).
 func (rt *Runtime) predictedW(st *kernelState, cfg apu.Config) float64 {
 	id := rt.model.Space.IDOf(cfg)
-	if id < 0 {
+	if id < 0 || id >= len(st.preds) {
 		return math.NaN()
 	}
-	// Predictions are cached in config-ID order, but scan as a
-	// fallback in case that invariant ever changes.
-	if id < len(st.preds) && st.preds[id].ConfigID == id {
-		return st.preds[id].PowerW
-	}
-	for _, p := range st.preds {
-		if p.ConfigID == id {
-			return p.PowerW
-		}
-	}
-	return math.NaN()
+	return st.preds[id].PowerW
 }
 
-// adapt classifies the kernel from its two samples, caches predictions
-// and the predicted frontier, and pins the initial configuration.
+// adapt classifies the kernel from its two samples, caches its
+// predictions, and pins the initial configuration.
 func (rt *Runtime) adapt(st *kernelState, capW float64) error {
-	sr := core.SampleRuns{CPU: st.cpuSample, GPU: st.gpuSample}
-	frontier, preds, err := rt.model.PredictedFrontier(sr)
-	if err != nil {
-		return err
-	}
-	cluster, err := rt.model.Classify(sr)
+	preds, cluster, err := rt.model.PredictAll(core.SampleRuns{CPU: st.cpuSample, GPU: st.gpuSample})
 	if err != nil {
 		return err
 	}
 	st.cluster = cluster
-	st.frontier = frontier
 	st.preds = preds
-	st.minPowerID = minPowerConfig(preds)
 	return rt.reselect(st, capW)
 }
 
-// minPowerConfig finds the minimum predicted-power configuration — the
-// ladder's conservative floor. NaN predictions never win a < race, so
-// a poisoned prediction set still yields a deterministic pick.
-func minPowerConfig(preds []core.Prediction) int {
-	bestID := -1
-	minW := -1.0
-	for _, p := range preds {
-		if bestID < 0 || p.PowerW < minW {
-			minW, bestID = p.PowerW, p.ConfigID
-		}
-	}
-	return bestID
-}
-
-// reselect picks the pinned configuration from cached predictions for
-// the current cap.
+// reselect pins the configuration core.SelectAmong picks from the
+// cached predictions for capW. A kernel on the bottom rung of an armed
+// ladder stays floored at minimum predicted power regardless of what
+// the cap would allow — recovery goes through promote, not through a
+// cap change. The floor is SelectAmong's fallback: selecting under a
+// cap of −Inf with no margin fits nothing.
 func (rt *Runtime) reselect(st *kernelState, capW float64) error {
 	if st.preds == nil {
 		return errors.New("rts: reselect before adaptation")
 	}
-	bestID := -1
-	if rt.opts.VarAwareZ > 0 {
-		best := -1.0
-		for _, p := range st.preds {
-			if p.PowerW+rt.opts.VarAwareZ*p.PowerStd <= capW && p.Perf > best {
-				best, bestID = p.Perf, p.ConfigID
-			}
-		}
-	} else if pt, ok := st.frontier.BestUnderCap(capW); ok {
-		bestID = pt.ID
+	floored := rt.ladderArmed() && st.rung == RungMinPower
+	selCapW, z := capW, rt.opts.VarAwareZ
+	if floored {
+		selCapW, z = math.Inf(-1), 0
 	}
-	if bestID < 0 {
-		// Fall back to the minimum predicted power configuration.
-		bestID = minPowerConfig(st.preds)
-		mReselectFallback.Inc()
-	}
-	if rt.ladderArmed() && st.rung == RungMinPower && st.minPowerID >= 0 {
-		// A kernel on the bottom rung stays floored at minimum power
-		// regardless of what the cap would allow — recovery goes
-		// through promote, not through a cap change.
-		bestID = st.minPowerID
-	}
-	cfg, err := rt.model.Space.ByID(bestID)
+	sel, err := core.SelectAmong(st.preds, st.cluster, selCapW, z)
 	if err != nil {
 		return err
 	}
-	st.pinned = cfg
+	if !sel.MeetsCapPredicted && !floored {
+		mReselectFallback.Inc()
+	}
+	st.pinned = sel.Config
 	st.pinnedCap = capW
 	return nil
 }
@@ -742,6 +663,13 @@ func (rt *Runtime) Steps() []Step {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	return append([]Step(nil), rt.steps...)
+}
+
+// NumSteps returns how many steps have executed, without copying them.
+func (rt *Runtime) NumSteps() int {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return len(rt.steps)
 }
 
 // Summary aggregates a run.

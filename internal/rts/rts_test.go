@@ -222,17 +222,7 @@ func TestVarAwareOptionIsMoreConservative(t *testing.T) {
 
 func predictedPower(t *testing.T, m *core.Model, rt *Runtime, k kernels.Kernel, cfg apu.Config) float64 {
 	t.Helper()
-	hist := rt.Profiler().HistoryFor(k.ID())
-	var sr core.SampleRuns
-	for _, s := range hist {
-		if s.Iteration == 0 && s.Config == apu.SampleConfigCPU() {
-			sr.CPU = s
-		}
-		if s.Iteration == 1 && s.Config == apu.SampleConfigGPU() {
-			sr.GPU = s
-		}
-	}
-	preds, _, err := m.PredictAll(sr)
+	preds, _, err := m.PredictAll(sampleRunsOf(rt, k))
 	if err != nil {
 		t.Fatal(err)
 	}
