@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"math"
@@ -13,6 +12,7 @@ import (
 	"acsel/internal/hierarchy"
 	"acsel/internal/kernels"
 	"acsel/internal/rts"
+	"acsel/internal/wire"
 )
 
 // AgentOptions configures a node's fleet membership.
@@ -115,55 +115,54 @@ func (a *Agent) Orphaned() bool {
 	return a.orphaned
 }
 
-// Register installs the agent's HTTP handlers (PathReport, PathCap) on
-// a mux — in acsel-serve, the same mux that serves /metrics.
+// codeCapRefused is the error code of a cap the runtime refuses (422).
+const codeCapRefused = "cap_refused"
+
+// Register installs the agent's HTTP handlers (GET PathReport, POST
+// PathCap) on a mux — in acsel-serve, the same mux that serves
+// /metrics. The mux answers any other method with 405 and an Allow
+// header.
 func (a *Agent) Register(mux *http.ServeMux) {
-	mux.HandleFunc(PathReport, a.handleReport)
-	mux.HandleFunc(PathCap, a.handleCap)
+	mux.HandleFunc("GET "+PathReport, a.handleReport)
+	mux.HandleFunc("POST "+PathCap, a.handleCap)
 }
 
-func (a *Agent) handleReport(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
+// badRequest answers 400 with the shared error envelope.
+func badRequest(w http.ResponseWriter, format string, args ...any) {
+	wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, fmt.Sprintf(format, args...))
+}
+
+func (a *Agent) handleReport(w http.ResponseWriter, _ *http.Request) {
 	mReportsServed.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(a.Report())
+	wire.WriteJSON(w, http.StatusOK, a.Report())
 }
 
 func (a *Agent) handleCap(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var cr CapRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes)).Decode(&cr); err != nil {
+	if err := wire.Decode(req.Body, &cr); err != nil {
 		mCapsRejected.Inc()
-		http.Error(w, "bad cap request: "+err.Error(), http.StatusBadRequest)
+		badRequest(w, "bad cap request: %v", err)
 		return
 	}
 	if cr.Version != ProtocolVersion {
 		mCapsRejected.Inc()
-		http.Error(w, fmt.Sprintf("cap request version %d (want %d)", cr.Version, ProtocolVersion),
-			http.StatusBadRequest)
+		badRequest(w, "cap request version %d (want %d)", cr.Version, ProtocolVersion)
 		return
 	}
 	if math.IsNaN(cr.CapW) || math.IsInf(cr.CapW, 0) || cr.CapW <= 0 {
 		mCapsRejected.Inc()
-		http.Error(w, fmt.Sprintf("cap %v is not a positive wattage", cr.CapW), http.StatusBadRequest)
+		badRequest(w, "cap %v is not a positive wattage", cr.CapW)
 		return
 	}
 	if err := a.node.Runtime.SetCap(cr.CapW); err != nil {
 		mCapsRejected.Inc()
-		http.Error(w, "runtime refused cap: "+err.Error(), http.StatusUnprocessableEntity)
+		wire.WriteError(w, http.StatusUnprocessableEntity, codeCapRefused, "runtime refused cap: "+err.Error())
 		return
 	}
 	mCapsApplied.Inc()
 	a.touchContact()
 	a.opts.Logf("fleet agent %s: cap %.1f W applied (round %d)", a.name, cr.CapW, cr.Round)
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(CapResponse{Name: a.name, CapW: cr.CapW})
+	wire.WriteJSON(w, http.StatusOK, CapResponse{Name: a.name, CapW: cr.CapW})
 }
 
 // touchContact records a successful coordinator exchange and clears

@@ -1,21 +1,15 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net/http"
 	"time"
 
 	"acsel/internal/fault"
+	"acsel/internal/wire"
 )
-
-// maxBodyBytes bounds any fleet RPC body; reports are a few KB even
-// with hundreds of breakpoints, so anything near the limit is garbage.
-const maxBodyBytes = 1 << 20
 
 // nominalRTTSeconds is the baseline round trip a NetDelay fault
 // multiplies — the delay is booked against the injected-delay
@@ -40,9 +34,9 @@ type Client struct {
 	Retries int
 	// Timeout bounds each attempt (default 2s).
 	Timeout time.Duration
-	// Backoff is the base delay before the first retry, doubling per
-	// attempt (default 50ms).
-	Backoff time.Duration
+	// backoff is the base delay before the first retry, doubling per
+	// attempt (default 50ms); only tests shorten it.
+	backoff time.Duration
 }
 
 func (c *Client) retries() int {
@@ -60,13 +54,6 @@ func (c *Client) timeout() time.Duration {
 		return 2 * time.Second
 	}
 	return c.Timeout
-}
-
-func (c *Client) backoff() time.Duration {
-	if c == nil || c.Backoff <= 0 {
-		return 50 * time.Millisecond
-	}
-	return c.Backoff
 }
 
 // Report pulls an agent's current report.
@@ -99,11 +86,15 @@ func (c *Client) SendHeartbeat(ctx context.Context, coordURL string, hb Heartbea
 
 // call runs the retry loop around attempt.
 func (c *Client) call(ctx context.Context, method, url string, body, out any, key string) error {
+	base := c.backoff
+	if base <= 0 {
+		base = 50 * time.Millisecond
+	}
 	var err error
 	for attempt := 0; attempt <= c.retries(); attempt++ {
 		if attempt > 0 {
 			mRPCRetries.Inc()
-			d := c.backoff() << (attempt - 1)
+			d := base << (attempt - 1)
 			select {
 			case <-time.After(d):
 			case <-ctx.Done():
@@ -137,46 +128,15 @@ func (c *Client) attempt(ctx context.Context, method, url string, body, out any,
 		return fmt.Errorf("fleet: %s %s: injected network drop (%s#%d)", method, url, key, attempt)
 	}
 
-	actx, cancel := context.WithTimeout(ctx, c.timeout())
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("fleet: encode %s %s: %w", method, url, err)
-		}
-		rd = bytes.NewReader(data)
-	}
-	req, err := http.NewRequestWithContext(actx, method, url, rd)
+	data, err := wire.Call(ctx, c.HTTP, c.timeout(), method, url, body)
 	if err != nil {
-		return fmt.Errorf("fleet: %s %s: %w", method, url, err)
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("fleet: %s %s: %w", method, url, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return fmt.Errorf("fleet: %s %s: read body: %w", method, url, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fleet: %s %s: %s: %s", method, url, resp.Status, truncate(data, 200))
+		return fmt.Errorf("fleet: %w", err)
 	}
 	if corrupt {
 		scramble(data, key, attempt, corruptMag)
 	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("fleet: %s %s: decode response: %w", method, url, err)
-		}
+	if err := wire.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("fleet: %s %s: decode response: %w", method, url, err)
 	}
 	return nil
 }
@@ -210,11 +170,4 @@ func scramble(data []byte, key string, attempt int, magnitude float64) {
 		seed ^= seed << 17
 		data[seed%uint64(len(data))] ^= 0xFF
 	}
-}
-
-func truncate(b []byte, n int) string {
-	if len(b) > n {
-		b = b[:n]
-	}
-	return string(b)
 }

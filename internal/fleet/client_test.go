@@ -30,7 +30,7 @@ func TestClientDropNeverReachesPeer(t *testing.T) {
 		hits.Add(1)
 	}))
 	defer srv.Close()
-	cl := &Client{Faults: dropAll(), Retries: 2, Backoff: time.Millisecond}
+	cl := &Client{Faults: dropAll(), Retries: 2, backoff: time.Millisecond}
 	_, err := cl.Report(context.Background(), srv.URL, fault.EventKey("report/x", 0))
 	if err == nil {
 		t.Fatal("pull succeeded under a certain drop")
@@ -57,7 +57,7 @@ func TestClientCorruptionRejected(t *testing.T) {
 		Name:  "corrupt-all",
 		Rules: []fault.Rule{{Site: fault.SiteNet, Kind: fault.NetCorrupt, Prob: 1, Magnitude: 64}},
 	}, 1)
-	cl := &Client{Faults: inj, Retries: 1, Backoff: time.Millisecond}
+	cl := &Client{Faults: inj, Retries: 1, backoff: time.Millisecond}
 	if _, err := cl.Report(context.Background(), srv.URL, fault.EventKey("report/x", 0)); err == nil {
 		t.Fatal("pull returned a corrupted report as valid")
 	}
@@ -82,7 +82,7 @@ func TestNetFlakyRoundsHoldInvariants(t *testing.T) {
 	}
 	coord, url := startCoordinator(t, CoordinatorOptions{
 		BudgetW: budget, Policy: hierarchy.WaterFill, LeaseTTL: time.Hour,
-		Client: &Client{Faults: inj, Retries: 1, Backoff: time.Millisecond},
+		Client: &Client{Faults: inj, Retries: 1, backoff: time.Millisecond},
 		Now:    clock.Now, Logf: t.Logf,
 	})
 	join(t, url, members)

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"math"
@@ -14,6 +13,7 @@ import (
 	"acsel/internal/checkpoint"
 	"acsel/internal/fault"
 	"acsel/internal/hierarchy"
+	"acsel/internal/wire"
 )
 
 // budgetSlack absorbs floating-point noise when checking the
@@ -159,30 +159,25 @@ func (c *Coordinator) Round() int {
 	return c.round
 }
 
-// Register installs the coordinator's HTTP handlers (PathHeartbeat,
-// PathMembers) on a mux.
+// Register installs the coordinator's HTTP handlers (POST
+// PathHeartbeat, GET PathMembers) on a mux.
 func (c *Coordinator) Register(mux *http.ServeMux) {
-	mux.HandleFunc(PathHeartbeat, c.handleHeartbeat)
-	mux.HandleFunc(PathMembers, c.handleMembers)
+	mux.HandleFunc("POST "+PathHeartbeat, c.handleHeartbeat)
+	mux.HandleFunc("GET "+PathMembers, c.handleMembers)
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var hb Heartbeat
-	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes)).Decode(&hb); err != nil {
-		http.Error(w, "bad heartbeat: "+err.Error(), http.StatusBadRequest)
+	if err := wire.Decode(req.Body, &hb); err != nil {
+		badRequest(w, "bad heartbeat: %v", err)
 		return
 	}
 	if hb.Version != ProtocolVersion {
-		http.Error(w, fmt.Sprintf("heartbeat version %d (want %d)", hb.Version, ProtocolVersion),
-			http.StatusBadRequest)
+		badRequest(w, "heartbeat version %d (want %d)", hb.Version, ProtocolVersion)
 		return
 	}
 	if hb.Name == "" || hb.Addr == "" {
-		http.Error(w, "heartbeat needs name and addr", http.StatusBadRequest)
+		badRequest(w, "heartbeat needs name and addr")
 		return
 	}
 	c.mu.Lock()
@@ -198,20 +193,14 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, req *http.Request) 
 	assigned := m.assignedW
 	c.mu.Unlock()
 	mHeartbeats.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(HeartbeatResponse{
+	wire.WriteJSON(w, http.StatusOK, HeartbeatResponse{
 		LeaseMillis: c.opts.LeaseTTL.Milliseconds(),
 		AssignedW:   assigned,
 	})
 }
 
-func (c *Coordinator) handleMembers(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(c.Status())
+func (c *Coordinator) handleMembers(w http.ResponseWriter, _ *http.Request) {
+	wire.WriteJSON(w, http.StatusOK, c.Status())
 }
 
 // Status snapshots the coordinator for diagnostics (GET PathMembers).

@@ -22,6 +22,13 @@
 // runtime's min-power degradation ladder guards it. All RPCs cross the
 // internal/fault SiteNet seam, so chaos tests can deterministically
 // drop, delay, or corrupt any exchange.
+//
+// The wire code is internal/wire, shared with the selection service:
+// both ends decode bodies strictly (over 1 MiB, unknown fields and
+// trailing data are rejected), every 4xx answers the JSON envelope
+// {"error","code"} (bad_request, or cap_refused for a refused cap),
+// and the mux answers a wrong method with 405. Retries stay here in
+// Client; the selection service has no caller that retries.
 package fleet
 
 import (

@@ -312,7 +312,7 @@ func TestPushFailureKeepsBudgetInvariant(t *testing.T) {
 	const budget = 60.0
 	coord, url := startCoordinator(t, CoordinatorOptions{
 		BudgetW: budget, Policy: hierarchy.Uniform, LeaseTTL: time.Hour,
-		Client: &Client{Retries: -1, Timeout: 200 * time.Millisecond, Backoff: time.Millisecond},
+		Client: &Client{Retries: -1, Timeout: 200 * time.Millisecond, backoff: time.Millisecond},
 		Now:    clock.Now, Logf: t.Logf,
 	})
 	join(t, url, members)
@@ -348,7 +348,7 @@ func TestAgentOrphanFallback(t *testing.T) {
 	m := members[0]
 	agent, err := NewAgent("orphan-node", m.rt, m.agent.node.App, AgentOptions{
 		Coordinator: "http://127.0.0.1:1", // nothing listens here
-		Client:      &Client{Retries: -1, Timeout: 200 * time.Millisecond, Backoff: time.Millisecond},
+		Client:      &Client{Retries: -1, Timeout: 200 * time.Millisecond, backoff: time.Millisecond},
 		OrphanAfter: 2 * time.Second,
 		Logf:        t.Logf,
 		Now:         clock.Now,

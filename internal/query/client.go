@@ -1,28 +1,29 @@
 package query
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
+
+	"acsel/internal/wire"
 )
 
-// Client speaks the selection API over HTTP/JSON. Remote errors carry
-// their wire code, so errors.Is(err, ErrOverloaded) (and the rest of
-// the taxonomy) behaves identically to the in-process Service — the
-// load generator and acsel-predict -remote rely on that symmetry.
-// The zero value is not usable; BaseURL is required.
+// callTimeout bounds each call in addition to the caller's context.
+const callTimeout = 5 * time.Second
+
+// Client speaks the selection API over HTTP/JSON through
+// http.DefaultClient, each call bounded by 5 s and the caller's
+// context. Remote errors carry their wire code, so
+// errors.Is(err, ErrOverloaded) (and the rest of the taxonomy) behaves
+// identically to the in-process Service — the load generator and
+// acsel-predict -remote rely on that symmetry. Responses are decoded
+// as strictly as requests, and one over 1 MiB is an error. The zero
+// value is not usable; BaseURL is required.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:9090".
 	BaseURL string
-	// HTTP is the underlying client (http.DefaultClient if nil).
-	HTTP *http.Client
-	// Timeout bounds each call in addition to the caller's context
-	// (default 5s).
-	Timeout time.Duration
 }
 
 // Select answers one query remotely.
@@ -78,63 +79,18 @@ func (c *Client) Reload(ctx context.Context, path string) (ModelsInfo, error) {
 	return info, nil
 }
 
-func (c *Client) timeout() time.Duration {
-	if c.Timeout <= 0 {
-		return 5 * time.Second
-	}
-	return c.Timeout
-}
-
 // call runs one JSON round trip and surfaces wire errors as typed ones.
 func (c *Client) call(ctx context.Context, method, path string, body, out any) error {
-	actx, cancel := context.WithTimeout(ctx, c.timeout())
-	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return fmt.Errorf("query: encode %s %s: %w", method, path, err)
-		}
-		rd = bytes.NewReader(data)
+	data, err := wire.Call(ctx, http.DefaultClient, callTimeout, method, c.BaseURL+path, body)
+	var werr *wire.Error
+	if errors.As(err, &werr) && werr.Code != "" {
+		return errFromCode(werr.Code, werr.Message)
 	}
-	req, err := http.NewRequestWithContext(actx, method, c.BaseURL+path, rd)
 	if err != nil {
-		return fmt.Errorf("query: %s %s: %w", method, path, err)
+		return fmt.Errorf("query: %w", err)
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	hc := c.HTTP
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("query: %s %s: %w", method, path, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return fmt.Errorf("query: %s %s: read body: %w", method, path, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
-		if jerr := json.Unmarshal(data, &eb); jerr == nil && eb.Code != "" {
-			return errFromCode(eb.Code, eb.Error)
-		}
-		return fmt.Errorf("query: %s %s: %s: %s", method, path, resp.Status, truncate(data, 200))
-	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("query: %s %s: decode response: %w", method, path, err)
-		}
+	if err := wire.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("query: %s %s: decode response: %w", method, path, err)
 	}
 	return nil
-}
-
-func truncate(b []byte, n int) string {
-	if len(b) > n {
-		b = b[:n]
-	}
-	return string(b)
 }

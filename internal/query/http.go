@@ -1,8 +1,6 @@
 package query
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,6 +8,7 @@ import (
 	"os"
 
 	"acsel/internal/core"
+	"acsel/internal/wire"
 )
 
 // Wire paths of the selection service.
@@ -23,26 +22,20 @@ const (
 	PathModels = "/v1/models"
 )
 
-// maxBodyBytes bounds any request body; a single query is under 200
-// bytes and a full batch a few tens of KB, so anything near the limit
-// is garbage.
-const maxBodyBytes = 1 << 20
-
-// Error codes carried in error bodies so clients recover the typed
-// error across the wire (errors.Is works the same local and -remote).
-const (
-	codeBadRequest    = "bad_request"
-	codeUnknownKernel = "unknown_kernel"
-	codeOverloaded    = "overloaded"
-	codeBatchTooLarge = "batch_too_large"
-	codeClosed        = "closed"
-	codeInternal      = "internal"
-)
-
-// errorBody is the JSON error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
+// taxonomy maps each typed service error to its wire code and HTTP
+// status, and back on the client side, so errors.Is works the same
+// local and -remote. Overload is 429: the admission-control answer
+// the load generator counts as shed.
+var taxonomy = []struct {
+	err    error
+	code   string
+	status int
+}{
+	{ErrBadRequest, wire.CodeBadRequest, http.StatusBadRequest},
+	{ErrUnknownKernel, "unknown_kernel", http.StatusNotFound},
+	{ErrOverloaded, "overloaded", http.StatusTooManyRequests},
+	{ErrBatchTooLarge, "batch_too_large", http.StatusRequestEntityTooLarge},
+	{ErrClosed, "closed", http.StatusServiceUnavailable},
 }
 
 // BatchRequest is the wire form of a batched query.
@@ -91,83 +84,33 @@ func DecodeSelectRequest(r io.Reader) (Request, error) {
 	return req, nil
 }
 
-// decodeStrict decodes exactly one JSON value with unknown fields
-// rejected and the body size bounded. It reads one byte past the bound,
-// so a body cut at the limit is rejected instead of being checked for
-// trailing data only up to the cut.
+// decodeStrict is wire.Decode with its error typed ErrBadRequest.
 func decodeStrict(r io.Reader, out any) error {
-	body, err := io.ReadAll(io.LimitReader(r, maxBodyBytes+1))
-	if err != nil {
-		return fmt.Errorf("%w: reading body: %v", ErrBadRequest, err)
-	}
-	if len(body) > maxBodyBytes {
-		return fmt.Errorf("%w: body exceeds %d bytes", ErrBadRequest, maxBodyBytes)
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(out); err != nil {
+	if err := wire.Decode(r, out); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); !errors.Is(err, io.EOF) {
-		return fmt.Errorf("%w: trailing data after JSON body", ErrBadRequest)
 	}
 	return nil
 }
 
-// codeFor maps a typed service error to its wire code.
-func codeFor(err error) string {
-	switch {
-	case errors.Is(err, ErrBadRequest):
-		return codeBadRequest
-	case errors.Is(err, ErrUnknownKernel):
-		return codeUnknownKernel
-	case errors.Is(err, ErrOverloaded):
-		return codeOverloaded
-	case errors.Is(err, ErrBatchTooLarge):
-		return codeBatchTooLarge
-	case errors.Is(err, ErrClosed):
-		return codeClosed
+// codeFor maps a service error to its wire code and HTTP status;
+// an error outside the taxonomy is internal.
+func codeFor(err error) (string, int) {
+	for _, t := range taxonomy {
+		if errors.Is(err, t.err) {
+			return t.code, t.status
+		}
 	}
-	return codeInternal
-}
-
-// statusFor maps a typed service error to its HTTP status. Overload is
-// 429 — the admission-control contract the load generator retries on.
-func statusFor(err error) int {
-	switch codeFor(err) {
-	case codeBadRequest:
-		return http.StatusBadRequest
-	case codeUnknownKernel:
-		return http.StatusNotFound
-	case codeOverloaded:
-		return http.StatusTooManyRequests
-	case codeBatchTooLarge:
-		return http.StatusRequestEntityTooLarge
-	case codeClosed:
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
+	return wire.CodeInternal, http.StatusInternalServerError
 }
 
 // errFromCode reverses codeFor on the client side.
 func errFromCode(code, msg string) error {
-	var base error
-	switch code {
-	case codeBadRequest:
-		base = ErrBadRequest
-	case codeUnknownKernel:
-		base = ErrUnknownKernel
-	case codeOverloaded:
-		base = ErrOverloaded
-	case codeBatchTooLarge:
-		base = ErrBatchTooLarge
-	case codeClosed:
-		base = ErrClosed
-	default:
-		return fmt.Errorf("query: remote error (%s): %s", code, msg)
+	for _, t := range taxonomy {
+		if t.code == code {
+			return fmt.Errorf("%w: remote: %s", t.err, msg)
+		}
 	}
-	return fmt.Errorf("%w: remote: %s", base, msg)
+	return fmt.Errorf("query: remote error (%s): %s", code, msg)
 }
 
 // handler serves the query API for one Service.
@@ -185,39 +128,21 @@ func NewHandler(s *Service) http.Handler {
 
 // Register mounts the selection API routes on an existing mux (the
 // acsel-serve pattern: one mux carries /metrics, fleet, and queries).
+// The mux answers any other method with 405 and an Allow header.
 func Register(mux *http.ServeMux, s *Service) {
 	h := &handler{s: s}
-	mux.HandleFunc(PathSelect, h.handleSelect)
-	mux.HandleFunc(PathSelectBatch, h.handleBatch)
-	mux.HandleFunc(PathModels, h.handleModels)
-}
-
-// writeJSON encodes v before it writes the header, so a value that
-// cannot be encoded answers 500 with a typed error body instead of a
-// 200 with an empty one.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		status = http.StatusInternalServerError
-		buf.Reset()
-		_ = json.NewEncoder(&buf).Encode(errorBody{Error: "query: encode response: " + err.Error(), Code: codeInternal})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	mux.HandleFunc("POST "+PathSelect, h.handleSelect)
+	mux.HandleFunc("POST "+PathSelectBatch, h.handleBatch)
+	mux.HandleFunc("GET "+PathModels, h.handleInfo)
+	mux.HandleFunc("POST "+PathModels, h.handleReload)
 }
 
 func writeError(w http.ResponseWriter, err error) {
-	writeJSON(w, statusFor(err), errorBody{Error: err.Error(), Code: codeFor(err)})
+	code, status := codeFor(err)
+	wire.WriteError(w, status, code, err.Error())
 }
 
 func (h *handler) handleSelect(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed,
-			errorBody{Error: "POST only", Code: codeBadRequest})
-		return
-	}
 	req, err := DecodeSelectRequest(r.Body)
 	if err != nil {
 		writeError(w, err)
@@ -228,16 +153,10 @@ func (h *handler) handleSelect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (h *handler) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed,
-			errorBody{Error: "POST only", Code: codeBadRequest})
-		return
-	}
 	var breq BatchRequest
 	if err := decodeStrict(r.Body, &breq); err != nil {
 		writeError(w, err)
@@ -251,44 +170,40 @@ func (h *handler) handleBatch(w http.ResponseWriter, r *http.Request) {
 	out := BatchResponse{Results: make([]BatchItem, len(resps))}
 	for i := range resps {
 		if errs[i] != nil {
-			out.Results[i] = BatchItem{Error: errs[i].Error(), Code: codeFor(errs[i])}
+			code, _ := codeFor(errs[i])
+			out.Results[i] = BatchItem{Error: errs[i].Error(), Code: code}
 			continue
 		}
 		resp := resps[i]
 		out.Results[i] = BatchItem{Response: &resp}
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
-func (h *handler) handleModels(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, h.info())
-	case http.MethodPost:
-		var req ReloadRequest
-		if err := decodeStrict(r.Body, &req); err != nil {
-			writeError(w, err)
-			return
-		}
-		if req.Path == "" {
-			writeError(w, fmt.Errorf("%w: missing model path", ErrBadRequest))
-			return
-		}
-		m, err := loadModelFile(req.Path)
-		if err != nil {
-			writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
-			return
-		}
-		if _, _, err := h.s.Reload(m); err != nil {
-			writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
-			return
-		}
-		writeJSON(w, http.StatusOK, h.info())
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		writeJSON(w, http.StatusMethodNotAllowed,
-			errorBody{Error: "GET or POST only", Code: codeBadRequest})
+func (h *handler) handleInfo(w http.ResponseWriter, _ *http.Request) {
+	wire.WriteJSON(w, http.StatusOK, h.info())
+}
+
+func (h *handler) handleReload(w http.ResponseWriter, r *http.Request) {
+	var req ReloadRequest
+	if err := decodeStrict(r.Body, &req); err != nil {
+		writeError(w, err)
+		return
 	}
+	if req.Path == "" {
+		writeError(w, fmt.Errorf("%w: missing model path", ErrBadRequest))
+		return
+	}
+	m, err := loadModelFile(req.Path)
+	if err != nil {
+		writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
+		return
+	}
+	if _, _, err := h.s.Reload(m); err != nil {
+		writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
+		return
+	}
+	wire.WriteJSON(w, http.StatusOK, h.info())
 }
 
 func (h *handler) info() ModelsInfo {
