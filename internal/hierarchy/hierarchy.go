@@ -143,13 +143,16 @@ func View(n *Node) NodeView {
 func (v *localView) NodeName() string { return v.n.Name }
 
 func (v *localView) DemandW() (float64, bool) {
-	steps := v.n.Runtime.Steps()
 	window := len(v.n.App)
-	if window == 0 || len(steps) < window {
+	if window == 0 {
+		return 0, false
+	}
+	steps := v.n.Runtime.LastSteps(window)
+	if len(steps) < window {
 		return 0, false
 	}
 	var sum float64
-	for _, s := range steps[len(steps)-window:] {
+	for _, s := range steps {
 		sum += s.PowerW
 	}
 	return sum / float64(window), true

@@ -162,6 +162,41 @@ func TestDemandProportionalRespectsBudget(t *testing.T) {
 	}
 }
 
+// TestDemandWMatchesFullHistory checks that DemandW, which copies only
+// the last len(App) steps, is bitwise the mean power of the last
+// len(App) steps of the full history, and unavailable before a full
+// window has run.
+func TestDemandWMatchesFullHistory(t *testing.T) {
+	c := twoNodeCluster(t, Uniform, 56)
+	compared := 0
+	for round := 0; round < 3; round++ {
+		for _, n := range c.Nodes {
+			steps, window := n.Runtime.Steps(), len(n.App)
+			got, ok := View(n).DemandW()
+			if len(steps) < window {
+				if ok {
+					t.Errorf("%s, round %d: demand %v from %d of %d steps", n.Name, round, got, len(steps), window)
+				}
+				continue
+			}
+			var sum float64
+			for _, s := range steps[len(steps)-window:] {
+				sum += s.PowerW
+			}
+			if want := sum / float64(window); !ok || math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s, round %d: demand %v, %v; want %v", n.Name, round, got, ok, want)
+			}
+			compared++
+		}
+		if _, err := c.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no node ever ran a full window")
+	}
+}
+
 func TestWaterFillFavorsHungrierNode(t *testing.T) {
 	// After adaptation, the CoMD node (GPU-heavy, high power demand for
 	// its performance) should receive a different share than the

@@ -127,7 +127,10 @@ func (r *Registry) WriteProm(w io.Writer) error {
 						return err
 					}
 				}
-				total := h.Count()
+				// +Inf and _count come from the same pass as the
+				// finite buckets, so the exposition stays monotone
+				// under concurrent Observe.
+				total := cum + h.counts[len(h.upper)].Load()
 				if _, err := bw.WriteString(f.name + "_bucket" + labelPairs(f.labels, key, "le", "+Inf") +
 					" " + strconv.FormatUint(total, 10) + "\n"); err != nil {
 					return err
@@ -211,16 +214,16 @@ func (r *Registry) TakeSnapshot() Snapshot {
 				ms.Value = &v
 			case KindHistogram:
 				h := m.histogram
-				count := h.Count()
 				sum := h.Sum()
-				ms.Count = &count
-				ms.Sum = &sum
 				var cum uint64
 				for i, bound := range h.upper {
 					cum += h.counts[i].Load()
 					ms.Buckets = append(ms.Buckets, BucketSnapshot{LE: formatValue(bound), Count: cum})
 				}
+				count := cum + h.counts[len(h.upper)].Load()
 				ms.Buckets = append(ms.Buckets, BucketSnapshot{LE: "+Inf", Count: count})
+				ms.Count = &count
+				ms.Sum = &sum
 			}
 			fs.Metrics = append(fs.Metrics, ms)
 		}

@@ -7,9 +7,12 @@
 // measurements; this package turns the runtime system itself into a
 // measured subject. Record paths are allocation-free and lock-free:
 // counters and gauges are single atomic words (float64 bits), histogram
-// observation is a binary search plus three atomic adds. Label lookup
-// (With) takes a read lock and may allocate on first use of a label
-// combination, so hot paths should hold the returned child handle.
+// observation is a binary search plus two atomic adds (its bucket and
+// its sum). A histogram keeps no separate count: the count is the sum
+// of the buckets, so an export taken mid-observation is still
+// internally consistent. Label lookup (With) takes a read lock and may
+// allocate on first use of a label combination, so hot paths should
+// hold the returned child handle.
 //
 // Non-finite inputs are dropped at the door: a NaN or infinite
 // observation would poison sums and serialize badly, so Add/Set/Observe
@@ -150,9 +153,8 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // Histogram is a fixed-bucket distribution. Buckets are cumulative at
 // export, Prometheus-style, with an implicit +Inf bucket.
 type Histogram struct {
-	upper   []float64 // sorted finite upper bounds
-	counts  []atomic.Uint64
-	count   atomic.Uint64
+	upper   []float64       // sorted finite upper bounds
+	counts  []atomic.Uint64 // per bucket, the last one +Inf
 	sumBits atomic.Uint64
 }
 
@@ -165,7 +167,6 @@ func (h *Histogram) Observe(v float64) {
 	// above every bound land in the trailing +Inf bucket.
 	i := sort.SearchFloat64s(h.upper, v)
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	addFloat(&h.sumBits, v)
 }
 
@@ -180,8 +181,14 @@ func (h *Histogram) Time() func() {
 	return func() { h.Observe(time.Since(start).Seconds()) }
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// Count returns the number of observations: the sum of the buckets.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts
 // by linear interpolation within the containing bucket, the standard
@@ -189,7 +196,7 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // the last finite bound (the histogram cannot resolve beyond it).
 // Returns NaN for an empty histogram or non-finite q.
 func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
+	total := h.Count()
 	if total == 0 || math.IsNaN(q) {
 		return math.NaN()
 	}

@@ -3,10 +3,12 @@ package metrics
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -250,7 +252,9 @@ func TestJSONSnapshotGolden(t *testing.T) {
 
 // TestConcurrentRecordAndExport hammers every metric type from many
 // goroutines while exports run concurrently; final totals must be
-// exact. Run under -race this is also the data-race proof for the
+// exact, and every histogram export taken mid-run must be internally
+// consistent: cumulative buckets never decrease and +Inf equals the
+// count. Run under -race this is also the data-race proof for the
 // lock-free record paths.
 func TestConcurrentRecordAndExport(t *testing.T) {
 	r := NewRegistry()
@@ -259,43 +263,63 @@ func TestConcurrentRecordAndExport(t *testing.T) {
 	g := r.NewGauge("conc_ratio", "")
 	h := r.NewHistogramVec("conc_wait_seconds", "", []float64{0.5, 1, 2}, "phase")
 
+	h.With("run") // exported from the first pass on
+	// The writers record until the exporter has finished, at least
+	// 1000 times each, and count what they recorded.
 	const workers = 8
-	const perWorker = 5000
+	const exports = 1000
+	exported := make(chan struct{})
+	recorded := make([]int, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			site := []string{"a", "b", "c"}[w%3]
-			for i := 0; i < perWorker; i++ {
+			for i := 0; ; i++ {
+				if i >= 1000 {
+					select {
+					case <-exported:
+						recorded[w] = i
+						return
+					default:
+					}
+				}
 				c.Inc()
 				cv.With(site).Add(2)
 				g.Add(1)
+				// Every observation is finite-bucketed, so an export
+				// whose +Inf lags its finite buckets shows as a decrease.
 				h.With("run").Observe(float64(i%4) * 0.6)
 			}
 		}(w)
 	}
-	// Concurrent readers: exports must see consistent intermediate
-	// state without disturbing the writers.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			var buf bytes.Buffer
-			if err := r.WriteProm(&buf); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := r.WriteJSON(&buf); err != nil {
-				t.Error(err)
-				return
-			}
+	// A concurrent reader: every export must be consistent
+	// intermediate state, and must not disturb the writers.
+	for i := 0; i < exports; i++ {
+		var buf bytes.Buffer
+		if err := r.WriteProm(&buf); err != nil {
+			t.Fatal(err)
 		}
-	}()
+		if err := promHistogramConsistent(buf.String(), "conc_wait_seconds"); err != nil {
+			t.Errorf("WriteProm export %d: %v", i, err)
+			break
+		}
+		if err := snapshotHistogramConsistent(r.TakeSnapshot(), "conc_wait_seconds"); err != nil {
+			t.Errorf("TakeSnapshot %d: %v", i, err)
+			break
+		}
+		if err := r.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(exported)
 	wg.Wait()
-	<-done
 
-	total := float64(workers * perWorker)
+	var total float64
+	for _, n := range recorded {
+		total += float64(n)
+	}
 	if got := c.Value(); got != total {
 		t.Errorf("counter = %v, want %v", got, total)
 	}
@@ -310,8 +334,71 @@ func TestConcurrentRecordAndExport(t *testing.T) {
 		t.Errorf("labeled counters sum to %v, want %v", sites, want)
 	}
 	if got := h.With("run").Count(); got != uint64(total) {
-		t.Errorf("histogram count = %d, want %d", uint64(total), got)
+		t.Errorf("histogram count = %d, want %d", got, uint64(total))
 	}
+}
+
+// promHistogramConsistent checks one histogram family's exposition in
+// a WriteProm output (a single child): its cumulative buckets never
+// decrease, and the +Inf bucket equals _count.
+func promHistogramConsistent(text, name string) error {
+	var cum []uint64
+	var inf, count uint64
+	for _, line := range strings.Split(text, "\n") {
+		if !strings.HasPrefix(line, name+"_") {
+			continue
+		}
+		v, err := strconv.ParseUint(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+		switch {
+		case strings.HasPrefix(line, name+"_bucket"):
+			cum = append(cum, v)
+			if strings.Contains(line, `le="+Inf"`) {
+				inf = v
+			}
+		case strings.HasPrefix(line, name+"_count"):
+			count = v
+		default:
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("%q: %v", line, err)
+		}
+	}
+	if len(cum) == 0 {
+		return fmt.Errorf("no %s buckets exported", name)
+	}
+	return cumulativeConsistent(cum, inf, count)
+}
+
+// snapshotHistogramConsistent is promHistogramConsistent over every
+// child of the family in a snapshot.
+func snapshotHistogramConsistent(snap Snapshot, name string) error {
+	f, ok := snap.Family(name)
+	if !ok || len(f.Metrics) == 0 {
+		return fmt.Errorf("no %s family in the snapshot", name)
+	}
+	for _, m := range f.Metrics {
+		cum := make([]uint64, len(m.Buckets))
+		for i, b := range m.Buckets {
+			cum[i] = b.Count
+		}
+		if err := cumulativeConsistent(cum, m.Buckets[len(m.Buckets)-1].Count, *m.Count); err != nil {
+			return fmt.Errorf("%v: %v", m.Labels, err)
+		}
+	}
+	return nil
+}
+
+func cumulativeConsistent(cum []uint64, inf, count uint64) error {
+	for i := 1; i < len(cum); i++ {
+		if cum[i] < cum[i-1] {
+			return fmt.Errorf("cumulative buckets decrease: %v", cum)
+		}
+	}
+	if inf != count {
+		return fmt.Errorf("+Inf bucket %d, count %d (buckets %v)", inf, count, cum)
+	}
+	return nil
 }
 
 func TestHistogramTimer(t *testing.T) {

@@ -12,7 +12,7 @@ var (
 		"Selection queries received, by outcome (served, cached, shed, deadline, error).",
 		"outcome")
 	mCacheHits = metrics.NewCounter("acsel_query_cache_hits_total",
-		"Selections served from the LRU prediction cache.")
+		"Selections served from the CLOCK selection cache.")
 	mCacheMisses = metrics.NewCounter("acsel_query_cache_misses_total",
 		"Selections that had to be computed (cache miss or cache disabled).")
 	mCacheDeclined = metrics.NewCounter("acsel_query_cache_declined_total",

@@ -19,10 +19,11 @@
 //     taken it is shed with a typed ErrOverloaded (the HTTP layer's
 //     429) instead of waiting without bound, and shed is a first-class
 //     metric.
-//   - A selection is cached from its second miss: an LRU behind a
-//     doorkeeper of key fingerprints inserts a key only once it has
+//   - A selection is cached from its second miss: a CLOCK cache behind
+//     a doorkeeper of key fingerprints inserts a key only once it has
 //     been computed before, so churning traffic never pays an insert
-//     and an eviction per request. Each entry carries the model's
+//     and an eviction per request, and a hit takes only a shared read
+//     lock, so concurrent hits never wait on one another. Each entry carries the model's
 //     SHA-256 content hash (core.Model.Hash) and is served only under
 //     that hash, so a hot model reload — an atomic generation pointer
 //     swap — implicitly invalidates every stale entry; the purge
@@ -91,9 +92,9 @@ type Options struct {
 	// that finds every slot taken is shed with ErrOverloaded (default:
 	// 256).
 	MaxInFlight int
-	// CacheSize is the LRU capacity in selections (default: 4096;
-	// negative disables caching). A selection is cached from its
-	// second miss.
+	// CacheSize is the selection cache's capacity in entries, evicted
+	// by CLOCK (default: 4096; negative disables caching). A selection
+	// is cached from its second miss.
 	CacheSize int
 	// CapQuantumW is the cap quantization step in watts (default:
 	// DefaultCapQuantumW; negative disables quantization).
@@ -233,7 +234,7 @@ type Service struct {
 	opts   Options
 	now    func() time.Time
 	shards map[string]*shard
-	cache  *lruCache
+	cache  *clockCache
 	// slots is the in-flight semaphore: a computing request holds one
 	// token, so its capacity is Options.MaxInFlight.
 	slots chan struct{}
@@ -281,7 +282,7 @@ func NewService(m *core.Model, opts Options) (*Service, error) {
 		opts:   opts,
 		now:    opts.Now,
 		shards: make(map[string]*shard, len(universe)),
-		cache:  newLRUCache(opts.CacheSize),
+		cache:  newClockCache(opts.CacheSize),
 		slots:  make(chan struct{}, opts.MaxInFlight),
 	}
 	if s.now == nil {
@@ -413,7 +414,8 @@ func (s *Service) Select(ctx context.Context, req Request) (Response, error) {
 	gen := s.gen.Load()
 	eff := QuantizeCapW(req.CapW, s.opts.CapQuantumW)
 	key := cacheKey{shard: sh.idx, capBits: math.Float64bits(eff), zBits: math.Float64bits(req.Z)}
-	if resp, ok := s.cache.get(key, gen.hash); ok {
+	resp, ok, stale := s.cache.get(key, gen.hash)
+	if ok {
 		mCacheHits.Inc()
 		outcomeCached.Inc()
 		s.cachedN.Add(1)
@@ -431,7 +433,7 @@ func (s *Service) Select(ctx context.Context, req Request) (Response, error) {
 		outcomeShed.Inc()
 		return Response{}, fmt.Errorf("%w: %d selections in flight", ErrOverloaded, s.opts.MaxInFlight)
 	}
-	resp, err := s.compute(ctx, key, gen, sh, eff, req.Z)
+	resp, err := s.compute(ctx, key, stale, gen, sh, eff, req.Z)
 	<-s.slots
 	switch {
 	case err == nil:
@@ -464,8 +466,9 @@ func (s *Service) SelectBatch(ctx context.Context, reqs []Request) ([]Response, 
 }
 
 // compute answers one cache miss against generation gen and offers the
-// answer to the cache under key. The caller holds an in-flight slot.
-func (s *Service) compute(ctx context.Context, key cacheKey, gen *generation, sh *shard, capW, z float64) (Response, error) {
+// answer to the cache under key, which the miss found resident under
+// another hash when stale. The caller holds an in-flight slot.
+func (s *Service) compute(ctx context.Context, key cacheKey, stale bool, gen *generation, sh *shard, capW, z float64) (Response, error) {
 	admitted := s.now()
 	if s.opts.computeGate != nil {
 		s.opts.computeGate()
@@ -493,7 +496,7 @@ func (s *Service) compute(ctx context.Context, key cacheKey, gen *generation, sh
 		ModelHash:     gen.hash,
 		ModelSeq:      gen.seq,
 	}
-	if s.cache.put(key, gen.hash, resp) {
+	if s.cache.put(key, gen.hash, resp, stale) {
 		mCacheDeclined.Inc()
 	}
 	return resp, nil

@@ -28,7 +28,7 @@ var (
 
 // testUniverse is the serving universe: the LULESH/Small kernels, held
 // out of training exactly like the paper's leave-benchmark-out split.
-func testUniverse(t *testing.T) []kernels.Kernel {
+func testUniverse(t testing.TB) []kernels.Kernel {
 	t.Helper()
 	for _, c := range kernels.Combos() {
 		if c.Benchmark == "LULESH" && c.Input == "Small" {
@@ -40,7 +40,7 @@ func testUniverse(t *testing.T) []kernels.Kernel {
 }
 
 // testModels trains (once) and returns two models whose hashes differ.
-func testModels(t *testing.T) (*core.Model, *core.Model) {
+func testModels(t testing.TB) (*core.Model, *core.Model) {
 	t.Helper()
 	fixOnce.Do(func() {
 		var ks []kernels.Kernel
@@ -70,7 +70,7 @@ func testModels(t *testing.T) (*core.Model, *core.Model) {
 	return fixA, fixB
 }
 
-func newTestService(t *testing.T, m *core.Model, opts query.Options) *query.Service {
+func newTestService(t testing.TB, m *core.Model, opts query.Options) *query.Service {
 	t.Helper()
 	if len(opts.Kernels) == 0 {
 		opts.Kernels = testUniverse(t)

@@ -665,6 +665,15 @@ func (rt *Runtime) Steps() []Step {
 	return append([]Step(nil), rt.steps...)
 }
 
+// LastSteps returns a copy of the last n executed steps in order, or of
+// every step when fewer than n have executed.
+func (rt *Runtime) LastSteps(n int) []Step {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	n = min(max(n, 0), len(rt.steps))
+	return append([]Step(nil), rt.steps[len(rt.steps)-n:]...)
+}
+
 // NumSteps returns how many steps have executed, without copying them.
 func (rt *Runtime) NumSteps() int {
 	rt.mu.Lock()

@@ -1,6 +1,7 @@
 package rts
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -252,6 +253,38 @@ func TestSummarize(t *testing.T) {
 	}
 	if len(rt.Steps()) != 16 {
 		t.Error("step history incomplete")
+	}
+}
+
+// TestLastSteps checks that LastSteps returns the tail of Steps, clamps
+// n to [0, NumSteps], and hands out a copy the caller may overwrite.
+func TestLastSteps(t *testing.T) {
+	m, held := trainedModel(t)
+	rt, err := New(m, Options{CapW: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.LastSteps(3); len(got) != 0 {
+		t.Fatalf("before any step: %d steps", len(got))
+	}
+	for _, k := range held[:3] {
+		for i := 0; i < 2; i++ {
+			if _, err := rt.RunKernel(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	all := rt.Steps()
+	for _, n := range []int{-1, 0, 1, 4, len(all), len(all) + 5} {
+		want := all[len(all)-min(max(n, 0), len(all)):]
+		if got := rt.LastSteps(n); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Errorf("LastSteps(%d) = %d steps, want the last %d", n, len(got), len(want))
+		}
+	}
+	tail := rt.LastSteps(2)
+	tail[0].PowerW, tail[1].PowerW = -1, -1
+	if again := rt.LastSteps(2); !reflect.DeepEqual(again, all[len(all)-2:]) {
+		t.Error("writing to LastSteps' result changed the runtime's history")
 	}
 }
 
