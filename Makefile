@@ -93,13 +93,14 @@ test-fleet:
 # through two hot reloads and an injected slow-shard fault; every
 # response is checked bitwise against a single-threaded oracle, and
 # in-flight admission must shed without any request outliving its
-# deadline. The run's latency/shed summary is written to
+# deadline. Two tests run beside it: one checks the counts every
+# request outcome moves, one the in-flight bound. The run's latency/shed summary is written to
 # $(QUERY_SUMMARY) (CI uploads it as a build artifact).
 QUERY_SUMMARY ?= query-summary.json
 test-query:
 	ACSEL_QUERY_SUMMARY=$(abspath $(QUERY_SUMMARY)) $(GO) test -race -count=1 -v \
 		$(if $(QUERY_SHORT),-short,) \
-		-run 'TestSoakSelectionService|TestStressHotReloadRace' ./internal/query
+		-run 'TestSoakSelectionService|TestStressHotReloadRace|TestOutcomeCountsConsistent|TestAdmissionNeverExceedsMaxInFlight' ./internal/query
 
 # Self-tests of the repository benchmark (perfbench/, its own module):
 # same seed, same inputs and counts; a second seed passes every gate;

@@ -29,6 +29,7 @@ var metricCtors = map[string]struct {
 	labelsIdx int
 }{
 	"NewCounter":      {"counter", -1},
+	"NewCounterFunc":  {"counter", -1},
 	"NewCounterVec":   {"counter", 2},
 	"NewGauge":        {"gauge", -1},
 	"NewGaugeVec":     {"gauge", 2},

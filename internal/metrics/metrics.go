@@ -5,14 +5,15 @@
 //
 // The paper's whole contribution is making good decisions from
 // measurements; this package turns the runtime system itself into a
-// measured subject. Record paths are allocation-free and lock-free:
-// counters and gauges are single atomic words (float64 bits), histogram
-// observation is a binary search plus two atomic adds (its bucket and
-// its sum). A histogram keeps no separate count: the count is the sum
-// of the buckets, so an export taken mid-observation is still
-// internally consistent. Label lookup (With) takes a read lock and may
-// allocate on first use of a label combination, so hot paths should
-// hold the returned child handle.
+// measured subject. Record paths are allocation-free and lock-free: a
+// counter keeps Inc's increments in an integer word, so Inc is one
+// atomic add, and Add's in a float64-bits word beside it; a gauge is a
+// single float64-bits word; histogram observation is a binary search
+// plus two atomic adds (its bucket and its sum). A histogram keeps no
+// separate count: the count is the sum of the buckets, so an export
+// taken mid-observation is still internally consistent. Label lookup
+// (With) takes a read lock and may allocate on first use of a label
+// combination, so hot paths should hold the returned child handle.
 //
 // Non-finite inputs are dropped at the door: a NaN or infinite
 // observation would poison sums and serialize badly, so Add/Set/Observe
@@ -107,11 +108,14 @@ func addFloat(word *atomic.Uint64, delta float64) {
 // Counter is a monotonically increasing metric. The zero value is
 // usable but unregistered; obtain counters from a Registry.
 type Counter struct {
-	bits atomic.Uint64
+	n    atomic.Uint64 // increments by Inc
+	bits atomic.Uint64 // float64 bits of the sum of Add's increments
+	// fn, set only on a counter built by NewCounterFunc, is its value.
+	fn func() float64
 }
 
 // Inc adds 1.
-func (c *Counter) Inc() { c.Add(1) }
+func (c *Counter) Inc() { c.n.Add(1) }
 
 // Add increases the counter by v. Negative and non-finite deltas are
 // ignored: counters are monotone by contract.
@@ -122,8 +126,14 @@ func (c *Counter) Add(v float64) {
 	addFloat(&c.bits, v)
 }
 
-// Value returns the current count.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
+// Value returns the current count: the sum of both words, or fn() for a
+// counter built by NewCounterFunc.
+func (c *Counter) Value() float64 {
+	if c.fn != nil {
+		return c.fn()
+	}
+	return float64(c.n.Load()) + math.Float64frombits(c.bits.Load())
+}
 
 // Gauge is a metric that can move in both directions.
 type Gauge struct {
@@ -247,7 +257,8 @@ type family struct {
 	help    string
 	kind    Kind
 	labels  []string
-	buckets []float64 // histogram families only
+	buckets []float64      // histogram families only
+	fn      func() float64 // derived counter families only
 
 	mu       sync.RWMutex
 	children map[string]metric
@@ -273,18 +284,7 @@ func (f *family) child(values []string) metric {
 	if m, ok := f.children[key]; ok {
 		return m
 	}
-	m = metric{}
-	switch f.kind {
-	case KindCounter:
-		m.counter = &Counter{}
-	case KindGauge:
-		m.gauge = &Gauge{}
-	case KindHistogram:
-		m.histogram = &Histogram{
-			upper:  f.buckets,
-			counts: make([]atomic.Uint64, len(f.buckets)+1),
-		}
-	}
+	m = metricFor(f)
 	f.children[key] = m
 	return m
 }
@@ -353,12 +353,13 @@ func ValidName(name string) bool {
 	return true
 }
 
-// register returns the family for (name, kind, help, labels, buckets),
-// creating it if new. Re-registering an identical specification returns
-// the existing family — package-level metric vars may be re-evaluated
-// by tests — while a conflicting specification panics: two meanings for
-// one name is a bug worth failing loudly over.
-func (r *Registry) register(name, help string, kind Kind, labels []string, buckets []float64) *family {
+// register returns the family for (name, kind, help, labels, buckets,
+// fn), creating it if new. Re-registering an identical specification
+// returns the existing family — package-level metric vars may be
+// re-evaluated by tests — while a conflicting specification panics: two
+// meanings for one name is a bug worth failing loudly over. Functions
+// do not compare, so a derived counter (fn non-nil) never re-registers.
+func (r *Registry) register(name, help string, kind Kind, labels []string, buckets []float64, fn func() float64) *family {
 	if !ValidName(name) {
 		panic(fmt.Sprintf("metrics: invalid metric name %q (want snake_case)", name))
 	}
@@ -373,7 +374,8 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.fams[name]; ok {
-		if f.kind != kind || f.help != help || !equalStrings(f.labels, labels) || !equalFloats(f.buckets, buckets) {
+		if f.kind != kind || f.help != help || !equalStrings(f.labels, labels) || !equalFloats(f.buckets, buckets) ||
+			f.fn != nil || fn != nil {
 			panic(fmt.Sprintf("metrics: conflicting re-registration of %q", name))
 		}
 		return f
@@ -384,6 +386,7 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 		kind:     kind,
 		labels:   append([]string(nil), labels...),
 		buckets:  buckets,
+		fn:       fn,
 		children: map[string]metric{},
 	}
 	if len(labels) == 0 {
@@ -401,7 +404,7 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 func metricFor(f *family) metric {
 	switch f.kind {
 	case KindCounter:
-		return metric{counter: &Counter{}}
+		return metric{counter: &Counter{fn: f.fn}}
 	case KindGauge:
 		return metric{gauge: &Gauge{}}
 	default:
@@ -465,37 +468,51 @@ func equalFloats(a, b []float64) bool {
 
 // NewCounter registers (or finds) a plain counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
-	return r.register(name, help, KindCounter, nil, nil).child(nil).counter
+	return r.register(name, help, KindCounter, nil, nil, nil).child(nil).counter
+}
+
+// NewCounterFunc registers a counter whose value is fn(), read at
+// export, in snapshots and by Value. It exports a count derived from
+// other counters, so that each event is counted once, where it happens.
+// fn must be monotone and safe for concurrent use. The returned
+// counter only reads: Inc and Add on it do not change its value.
+func (r *Registry) NewCounterFunc(name, help string, fn func() float64) *Counter {
+	return r.register(name, help, KindCounter, nil, nil, fn).child(nil).counter
 }
 
 // NewCounterVec registers (or finds) a labeled counter family.
 func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{fam: r.register(name, help, KindCounter, labels, nil)}
+	return &CounterVec{fam: r.register(name, help, KindCounter, labels, nil, nil)}
 }
 
 // NewGauge registers (or finds) a plain gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
-	return r.register(name, help, KindGauge, nil, nil).child(nil).gauge
+	return r.register(name, help, KindGauge, nil, nil, nil).child(nil).gauge
 }
 
 // NewGaugeVec registers (or finds) a labeled gauge family.
 func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{fam: r.register(name, help, KindGauge, labels, nil)}
+	return &GaugeVec{fam: r.register(name, help, KindGauge, labels, nil, nil)}
 }
 
 // NewHistogram registers (or finds) a plain histogram with the given
 // bucket upper bounds (+Inf implicit).
 func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	return r.register(name, help, KindHistogram, nil, buckets).child(nil).histogram
+	return r.register(name, help, KindHistogram, nil, buckets, nil).child(nil).histogram
 }
 
 // NewHistogramVec registers (or finds) a labeled histogram family.
 func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{fam: r.register(name, help, KindHistogram, labels, buckets)}
+	return &HistogramVec{fam: r.register(name, help, KindHistogram, labels, buckets, nil)}
 }
 
 // NewCounter registers a plain counter in the Default registry.
 func NewCounter(name, help string) *Counter { return Default.NewCounter(name, help) }
+
+// NewCounterFunc registers a derived counter in Default.
+func NewCounterFunc(name, help string, fn func() float64) *Counter {
+	return Default.NewCounterFunc(name, help, fn)
+}
 
 // NewCounterVec registers a labeled counter family in Default.
 func NewCounterVec(name, help string, labels ...string) *CounterVec {

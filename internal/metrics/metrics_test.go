@@ -29,6 +29,48 @@ func TestCounterSemantics(t *testing.T) {
 	}
 }
 
+// TestCounterFunc: a derived counter exports fn() wherever the registry
+// is read, and a name it holds cannot be registered again with any
+// meaning.
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry()
+	a := r.NewCounter("part_a_total", "")
+	b := r.NewCounter("part_b_total", "")
+	d := r.NewCounterFunc("derived_total", "a plus b", func() float64 { return a.Value() + b.Value() })
+	a.Inc()
+	b.Add(2)
+	d.Inc() // reads only: no effect
+	if got := d.Value(); got != 3 {
+		t.Errorf("Value = %v, want 3", got)
+	}
+	fam, ok := r.TakeSnapshot().Family("derived_total")
+	if !ok || fam.Type != "counter" || len(fam.Metrics) != 1 || *fam.Metrics[0].Value != 3 {
+		t.Errorf("snapshot family = %+v, want one counter at 3", fam)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# TYPE derived_total counter\nderived_total 3\n"; !strings.Contains(buf.String(), want) {
+		t.Errorf("exposition lacks %q:\n%s", want, buf.String())
+	}
+	for name, reg := range map[string]func(){
+		"derived twice":      func() { r.NewCounterFunc("derived_total", "a plus b", a.Value) },
+		"plain over derived": func() { r.NewCounter("derived_total", "a plus b") },
+		"derived over plain": func() { r.NewCounterFunc("part_a_total", "", b.Value) },
+		"invalid name":       func() { r.NewCounterFunc("Bad-Name", "", a.Value) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: registration did not panic", name)
+				}
+			}()
+			reg()
+		}()
+	}
+}
+
 func TestGaugeSemantics(t *testing.T) {
 	var g Gauge
 	g.Set(10)
@@ -513,13 +555,14 @@ func TestDefaultRegistryWrappers(t *testing.T) {
 	c := NewCounter("wrapper_smoke_total", "wrapper test")
 	c.Inc()
 	NewCounterVec("wrapper_smoke_site_total", "wrapper test", "site").With("x").Inc()
+	NewCounterFunc("wrapper_smoke_derived_total", "wrapper test", c.Value)
 	NewGauge("wrapper_smoke_ratio", "wrapper test").Set(1)
 	NewGaugeVec("wrapper_smoke_depth_ratio", "wrapper test", "site").With("x").Set(2)
 	NewHistogram("wrapper_smoke_seconds", "wrapper test", TimeBuckets).Observe(0.01)
 	NewHistogramVec("wrapper_smoke_wait_seconds", "wrapper test", TimeBuckets, "phase").With("p").Observe(0.01)
 	snap := Default.TakeSnapshot()
 	for _, name := range []string{
-		"wrapper_smoke_total", "wrapper_smoke_site_total", "wrapper_smoke_ratio",
+		"wrapper_smoke_total", "wrapper_smoke_site_total", "wrapper_smoke_derived_total", "wrapper_smoke_ratio",
 		"wrapper_smoke_depth_ratio", "wrapper_smoke_seconds", "wrapper_smoke_wait_seconds",
 	} {
 		if _, ok := snap.Family(name); !ok {

@@ -1,29 +1,25 @@
 package query
 
-import "acsel/internal/metrics"
+import (
+	"sync/atomic"
 
-// Metric families of the selection query service. Admission control is
-// observable by construction: every request increments exactly one
-// outcome (served, cached, shed, deadline, error), the wait between
-// taking an in-flight slot and computing is a histogram, and cache
-// effectiveness is counted as hits, misses and declined inserts.
+	"acsel/internal/metrics"
+)
+
+// Metric families of the selection query service. Every request is
+// counted once, by its outcome (served, cached, shed, deadline, error);
+// the hit, shed and miss families are derived from those counts at
+// export, so no request pays for a second count. Cache effectiveness is
+// also counted as declined inserts and purged entries, and computation
+// time is a histogram.
 var (
 	mRequests = metrics.NewCounterVec("acsel_query_requests_total",
 		"Selection queries received, by outcome (served, cached, shed, deadline, error).",
 		"outcome")
-	mCacheHits = metrics.NewCounter("acsel_query_cache_hits_total",
-		"Selections served from the CLOCK selection cache.")
-	mCacheMisses = metrics.NewCounter("acsel_query_cache_misses_total",
-		"Selections that had to be computed (cache miss or cache disabled).")
 	mCacheDeclined = metrics.NewCounter("acsel_query_cache_declined_total",
 		"Computed selections the cache did not insert because it was their key's first miss.")
-	mShed = metrics.NewCounter("acsel_query_shed_total",
-		"Requests rejected by admission control because every in-flight slot was taken.")
 	mReloads = metrics.NewCounter("acsel_query_model_reloads_total",
 		"Hot model reloads applied via atomic generation swap.")
-	mQueueWait = metrics.NewHistogram("acsel_query_queue_wait_seconds",
-		"Time from a cache miss taking its in-flight slot to the start of its computation.",
-		metrics.ExponentialBuckets(1e-5, 2.5, 14))
 	mSelectSeconds = metrics.NewHistogram("acsel_query_select_seconds",
 		"Computation time for one selection (prediction reuse included).",
 		metrics.ExponentialBuckets(1e-6, 2.5, 14))
@@ -39,4 +35,24 @@ var (
 	outcomeShed     = mRequests.With("shed")
 	outcomeDeadline = mRequests.With("deadline")
 	outcomeError    = mRequests.With("error")
+)
+
+// computeErrors counts the errors after the cache lookup: the miss
+// family needs them, and the error outcome also counts rejections.
+var computeErrors atomic.Uint64
+
+// The families derived from the outcome counters.
+var (
+	_ = metrics.NewCounterFunc("acsel_query_cache_hits_total",
+		"Selections served from the CLOCK selection cache.",
+		outcomeCached.Value)
+	_ = metrics.NewCounterFunc("acsel_query_shed_total",
+		"Requests rejected by admission control because every in-flight slot was taken.",
+		outcomeShed.Value)
+	_ = metrics.NewCounterFunc("acsel_query_cache_misses_total",
+		"Selections that had to be computed (cache miss or cache disabled).",
+		func() float64 {
+			return outcomeServed.Value() + outcomeShed.Value() + outcomeDeadline.Value() +
+				float64(computeErrors.Load())
+		})
 )

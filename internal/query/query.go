@@ -15,10 +15,10 @@
 //     memoized-prediction lookup plus one SelectAmong scan, less than a
 //     hand-off to a worker goroutine would, so the service owns no
 //     goroutines. Before computing, the request takes one of
-//     Options.MaxInFlight slots without blocking; when every slot is
-//     taken it is shed with a typed ErrOverloaded (the HTTP layer's
-//     429) instead of waiting without bound, and shed is a first-class
-//     metric.
+//     Options.MaxInFlight slots without blocking — one atomic add to
+//     an in-flight count; when every slot is taken it is shed with a
+//     typed ErrOverloaded (the HTTP layer's 429) instead of waiting
+//     without bound, and shed is a first-class metric.
 //   - A selection is cached from its second miss: a CLOCK cache behind
 //     a doorkeeper of key fingerprints inserts a key only once it has
 //     been computed before, so churning traffic never pays an insert
@@ -111,8 +111,6 @@ type Options struct {
 	// makes the kernel's shard deterministically slow, which is how the
 	// stress tests widen race windows and force admission control on.
 	Faults *fault.Injector
-	// Now is the clock (time.Now if nil); tests pin it.
-	Now func() time.Time
 
 	// computeGate, when non-nil, is called after a request takes its
 	// in-flight slot and before it computes. Tests use it to hold
@@ -158,8 +156,9 @@ type Response struct {
 	Cached    bool    `json:"cached,omitempty"`
 }
 
-// Stats is a point-in-time snapshot of the service's own counters
-// (mirrors of the metric families, readable without registry scraping).
+// Stats is a point-in-time snapshot of the query counters, read from
+// the metric families without registry scraping. The families are
+// process-wide, so the counts cover every Service in the process.
 type Stats struct {
 	Served  uint64 `json:"served"`
 	Cached  uint64 `json:"cached"`
@@ -232,21 +231,15 @@ func (sh *shard) predictions(g *generation) (*shardPreds, error) {
 // methods are safe for concurrent use.
 type Service struct {
 	opts   Options
-	now    func() time.Time
 	shards map[string]*shard
 	cache  *clockCache
-	// slots is the in-flight semaphore: a computing request holds one
-	// token, so its capacity is Options.MaxInFlight.
-	slots chan struct{}
+	// inFlight counts the requests admitted to compute; it never stays
+	// above Options.MaxInFlight.
+	inFlight atomic.Int64
 
 	gen      atomic.Pointer[generation]
 	reloadMu sync.Mutex
 	closed   atomic.Bool
-
-	served  atomic.Uint64
-	cachedN atomic.Uint64
-	shed    atomic.Uint64
-	reloads atomic.Uint64
 }
 
 // NewService builds the service around an initial model: it precomputes
@@ -280,13 +273,8 @@ func NewService(m *core.Model, opts Options) (*Service, error) {
 	}
 	s := &Service{
 		opts:   opts,
-		now:    opts.Now,
 		shards: make(map[string]*shard, len(universe)),
 		cache:  newClockCache(opts.CacheSize),
-		slots:  make(chan struct{}, opts.MaxInFlight),
-	}
-	if s.now == nil {
-		s.now = time.Now
 	}
 	p := profiler.New()
 	for i, k := range universe {
@@ -351,13 +339,15 @@ func (s *Service) SampleRuns(kernel string) (core.SampleRuns, bool) {
 	return sh.sr, true
 }
 
-// Stats snapshots the service counters.
+// Stats snapshots the query counters. They are process-wide: every
+// Service in the process counts into the same metric families, so
+// compare two snapshots to count one service's traffic.
 func (s *Service) Stats() Stats {
 	return Stats{
-		Served:  s.served.Load(),
-		Cached:  s.cachedN.Load(),
-		Shed:    s.shed.Load(),
-		Reloads: s.reloads.Load(),
+		Served:  uint64(outcomeServed.Value()),
+		Cached:  uint64(outcomeCached.Value()),
+		Shed:    uint64(outcomeShed.Value()),
+		Reloads: uint64(mReloads.Value()),
 	}
 }
 
@@ -384,7 +374,6 @@ func (s *Service) Reload(m *core.Model) (hash string, seq uint64, err error) {
 	purged := s.cache.purgeExcept(hash)
 	mCachePurged.Add(float64(purged))
 	mReloads.Inc()
-	s.reloads.Add(1)
 	return g.hash, g.seq, nil
 }
 
@@ -395,7 +384,9 @@ func (s *Service) Close() { s.closed.Store(true) }
 // Select answers one query. A cache hit returns at once. A miss takes
 // an in-flight slot or, when none is free, returns ErrOverloaded
 // immediately; it then computes on the caller's goroutine and returns
-// ctx's error if the deadline expires first.
+// ctx's error if the deadline expires first. Each request increments
+// one outcome counter; an error after the cache lookup also counts
+// itself for the miss family.
 func (s *Service) Select(ctx context.Context, req Request) (Response, error) {
 	if err := req.Validate(); err != nil {
 		outcomeError.Inc()
@@ -416,34 +407,28 @@ func (s *Service) Select(ctx context.Context, req Request) (Response, error) {
 	key := cacheKey{shard: sh.idx, capBits: math.Float64bits(eff), zBits: math.Float64bits(req.Z)}
 	resp, ok, stale := s.cache.get(key, gen.hash)
 	if ok {
-		mCacheHits.Inc()
 		outcomeCached.Inc()
-		s.cachedN.Add(1)
 		resp.CapW = req.CapW
 		resp.Cached = true
 		return resp, nil
 	}
-	mCacheMisses.Inc()
 
-	select {
-	case s.slots <- struct{}{}:
-	default:
-		mShed.Inc()
-		s.shed.Add(1)
+	if s.inFlight.Add(1) > int64(s.opts.MaxInFlight) {
+		s.inFlight.Add(-1)
 		outcomeShed.Inc()
 		return Response{}, fmt.Errorf("%w: %d selections in flight", ErrOverloaded, s.opts.MaxInFlight)
 	}
 	resp, err := s.compute(ctx, key, stale, gen, sh, eff, req.Z)
-	<-s.slots
+	s.inFlight.Add(-1)
 	switch {
 	case err == nil:
 		resp.CapW = req.CapW
 		outcomeServed.Inc()
-		s.served.Add(1)
 	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
 		outcomeDeadline.Inc()
 	default:
 		outcomeError.Inc()
+		computeErrors.Add(1)
 	}
 	return resp, err
 }
@@ -469,11 +454,9 @@ func (s *Service) SelectBatch(ctx context.Context, reqs []Request) ([]Response, 
 // answer to the cache under key, which the miss found resident under
 // another hash when stale. The caller holds an in-flight slot.
 func (s *Service) compute(ctx context.Context, key cacheKey, stale bool, gen *generation, sh *shard, capW, z float64) (Response, error) {
-	admitted := s.now()
 	if s.opts.computeGate != nil {
 		s.opts.computeGate()
 	}
-	mQueueWait.Observe(s.now().Sub(admitted).Seconds())
 	defer mSelectSeconds.Time()()
 	sp, err := sh.predictions(gen)
 	if err != nil {
