@@ -607,19 +607,18 @@ func BenchmarkAdaptiveRuntimeApp(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		var pinned, viol int
 		for step := 0; step < 6; step++ {
 			for _, k := range app {
-				if _, err := runtime.RunKernel(k); err != nil {
+				s, err := runtime.RunKernel(k)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		}
-		var pinned, viol int
-		for _, s := range runtime.Steps() {
-			if s.Phase == rts.PhasePinned {
-				pinned++
-				if !s.UnderCap {
-					viol++
+				if s.Phase == rts.PhasePinned {
+					pinned++
+					if !s.UnderCap {
+						viol++
+					}
 				}
 			}
 		}

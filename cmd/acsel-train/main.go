@@ -63,6 +63,9 @@ func run(out, holdout string, k, iters int, logTargets bool, profileOut string, 
 	}
 
 	p := profiler.New()
+	// Only -profiles reads the samples back, so only it pays for
+	// keeping them.
+	p.KeepHistory = profileOut != ""
 	opts := core.DefaultTrainOptions()
 	opts.K = k
 	opts.Iterations = iters

@@ -95,14 +95,15 @@ func NewAgent(name string, rt *rts.Runtime, app []kernels.Kernel, opts AgentOpti
 // Name returns the agent's node name.
 func (a *Agent) Name() string { return a.name }
 
-// Report samples the node into its wire form: the demand summary and
+// Report puts the node into its wire form: the demand summary and
 // predicted utility curve the dividers consume, plus the current cap
-// and learning diagnostics.
+// and learning diagnostics. The curve comes from the node's cache,
+// rebuilt only after a kernel adapts.
 func (a *Agent) Report() Report {
 	rt := a.node.Runtime
 	r := ReportOf(hierarchy.View(a.node))
 	r.CapW = rt.Cap()
-	r.AdaptedKernels = len(rt.AdaptedKernels())
+	_, r.AdaptedKernels = a.node.UtilityCurve()
 	r.Steps = rt.NumSteps()
 	return r
 }

@@ -34,7 +34,7 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"acsel/internal/hierarchy"
 )
@@ -57,11 +57,12 @@ const (
 )
 
 // Report is one node's self-description: its measured power demand and
-// the predicted utility curve of its adapted kernels, sampled at the
-// curve's breakpoints. The curve is a step function that changes value
-// only at breakpoints, so the samples reconstruct it exactly — the
+// the predicted utility curve of its adapted kernels, in the wire form
+// of a hierarchy.Curve. The curve is a step function, so its
+// breakpoints and their utilities reconstruct it exactly — the
 // dividers run on a remote Report precisely as they would on the local
-// node (see Report.View).
+// node (see Report.View). An agent sends only the breakpoints where
+// the utility rises; a receiver accepts any non-decreasing curve.
 type Report struct {
 	Version int    `json:"version"`
 	Name    string `json:"name"`
@@ -73,9 +74,9 @@ type Report struct {
 	// window; DemandOK is false before any history exists.
 	DemandW  float64 `json:"demand_w"`
 	DemandOK bool    `json:"demand_ok"`
-	// Breakpoints are the sorted unique predicted power values at
-	// which the utility curve can jump; Utility[i] is the curve's value
-	// at Breakpoints[i].
+	// Breakpoints are strictly increasing node caps at which the
+	// utility curve jumps; Utility[i] is the curve's value from
+	// Breakpoints[i] up to the next breakpoint (zero below the first).
 	Breakpoints []float64 `json:"breakpoints,omitempty"`
 	Utility     []float64 `json:"utility,omitempty"`
 	// AdaptedKernels and Steps are diagnostics (how much the node has
@@ -123,24 +124,20 @@ func (r Report) Validate() error {
 	return nil
 }
 
-// ReportOf samples a NodeView into its wire form. The inverse is
+// ReportOf puts a NodeView into its wire form. The inverse is
 // Report.View; dividing over either yields identical caps.
 func ReportOf(v hierarchy.NodeView) Report {
 	r := Report{Version: ProtocolVersion, Name: v.NodeName()}
 	r.DemandW, r.DemandOK = v.DemandW()
-	bps := v.Breakpoints()
-	if len(bps) > 0 {
-		r.Breakpoints = append([]float64(nil), bps...)
-		r.Utility = make([]float64, len(bps))
-		for i, bp := range bps {
-			r.Utility[i] = v.UtilityAt(bp)
-		}
+	if c := v.Curve(); len(c.Breakpoints) > 0 {
+		r.Breakpoints = slices.Clone(c.Breakpoints)
+		r.Utility = slices.Clone(c.Utility)
 	}
 	return r
 }
 
-// View adapts the report back into the divider's NodeView: the step
-// curve is reconstructed by lookup over the sampled breakpoints.
+// View adapts the report back into the divider's NodeView, over the
+// curve it carries.
 func (r Report) View() hierarchy.NodeView { return reportView{r} }
 
 type reportView struct{ r Report }
@@ -149,20 +146,8 @@ func (v reportView) NodeName() string { return v.r.Name }
 
 func (v reportView) DemandW() (float64, bool) { return v.r.DemandW, v.r.DemandOK }
 
-func (v reportView) Breakpoints() []float64 { return v.r.Breakpoints }
-
-// UtilityAt evaluates the sampled step curve: the value of the
-// greatest breakpoint not above capW, zero below the first one.
-func (v reportView) UtilityAt(capW float64) float64 {
-	bps := v.r.Breakpoints
-	i := sort.SearchFloat64s(bps, capW)
-	if i < len(bps) && bps[i] == capW { //lint:ignore floatcmp the local curve admits configs at exactly the cap (<=), so an exact breakpoint hit takes its own value
-		return v.r.Utility[i]
-	}
-	if i == 0 {
-		return 0
-	}
-	return v.r.Utility[i-1]
+func (v reportView) Curve() hierarchy.Curve {
+	return hierarchy.Curve{Breakpoints: v.r.Breakpoints, Utility: v.r.Utility}
 }
 
 // CapRequest asks an agent to apply a new node power cap.

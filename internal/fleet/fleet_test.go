@@ -26,7 +26,7 @@ var (
 
 // sharedModel trains one model (on SMC+LU, like the hierarchy tests)
 // and returns application kernel sets to spread across fleet members.
-func sharedModel(t *testing.T) (*core.Model, [][]kernels.Kernel) {
+func sharedModel(t testing.TB) (*core.Model, [][]kernels.Kernel) {
 	t.Helper()
 	setupOnce.Do(func() {
 		var training []kernels.Kernel

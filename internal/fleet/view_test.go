@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"acsel/internal/hierarchy"
@@ -16,23 +15,12 @@ type synthView struct {
 	name     string
 	demandW  float64
 	demandOK bool
-	bps      []float64
-	util     []float64
+	curve    hierarchy.Curve
 }
 
 func (v synthView) NodeName() string         { return v.name }
 func (v synthView) DemandW() (float64, bool) { return v.demandW, v.demandOK }
-func (v synthView) Breakpoints() []float64   { return v.bps }
-func (v synthView) UtilityAt(c float64) float64 {
-	i := sort.SearchFloat64s(v.bps, c)
-	if i < len(v.bps) && v.bps[i] == c { //lint:ignore floatcmp step curve includes its breakpoints
-		return v.util[i]
-	}
-	if i == 0 {
-		return 0
-	}
-	return v.util[i-1]
-}
+func (v synthView) Curve() hierarchy.Curve   { return v.curve }
 
 func randomViews(rng *rand.Rand, n int) []hierarchy.NodeView {
 	views := make([]hierarchy.NodeView, n)
@@ -45,8 +33,8 @@ func randomViews(rng *rand.Rand, n int) []hierarchy.NodeView {
 		u := 0.0
 		for bp := 5 + rng.Float64()*10; bp < 80 && rng.Intn(8) != 0; bp += 1 + rng.Float64()*12 {
 			u += rng.Float64() * 0.3
-			v.bps = append(v.bps, bp)
-			v.util = append(v.util, u)
+			v.curve.Breakpoints = append(v.curve.Breakpoints, bp)
+			v.curve.Utility = append(v.curve.Utility, u)
 		}
 		views[i] = v
 	}
@@ -76,7 +64,7 @@ func roundtrip(t *testing.T, v hierarchy.NodeView) hierarchy.NodeView {
 // a report round-tripped over the wire reconstructs the utility curve
 // exactly, so the dividers produce bitwise-identical caps from remote
 // reports and local views. Float64 values survive JSON unchanged and
-// the curve is a step function sampled at every breakpoint, so exact
+// the curve is a step function carried by its breakpoints, so exact
 // equality — not tolerance — is the contract.
 func TestRemoteViewMatchesLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -91,9 +79,9 @@ func TestRemoteViewMatchesLocal(t *testing.T) {
 		// Pointwise curve equality at breakpoints, between them, and at
 		// the extremes.
 		for i, v := range local {
-			for _, bp := range v.Breakpoints() {
+			for _, bp := range v.Curve().Breakpoints {
 				for _, at := range []float64{bp, bp - 0.25, bp + 0.25, 0, 500} {
-					if got, want := remote[i].UtilityAt(at), v.UtilityAt(at); got != want { //lint:ignore floatcmp exact reconstruction is the contract
+					if got, want := remote[i].Curve().At(at), v.Curve().At(at); got != want { //lint:ignore floatcmp exact reconstruction is the contract
 						t.Fatalf("trial %d %s: remote utility(%v) = %v, local %v",
 							trial, v.NodeName(), at, got, want)
 					}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
 	"strings"
 	"testing"
 
@@ -19,26 +18,13 @@ type synthView struct {
 	name     string
 	demandW  float64
 	demandOK bool
-	bps      []float64
-	util     []float64
+	curve    Curve
 }
 
 func (v synthView) NodeName() string         { return v.name }
 func (v synthView) DemandW() (float64, bool) { return v.demandW, v.demandOK }
-func (v synthView) Breakpoints() []float64   { return v.bps }
-func (v synthView) UtilityAt(c float64) float64 {
-	i := sort.SearchFloat64s(v.bps, c)
-	if i < len(v.bps) && v.bps[i] == c { //lint:ignore floatcmp step curve includes its breakpoints
-		return v.util[i]
-	}
-	if i == 0 {
-		return 0
-	}
-	return v.util[i-1]
-}
+func (v synthView) Curve() Curve             { return v.curve }
 
-// randomViews builds n synthetic nodes with sorted breakpoints and
-// non-decreasing utilities from a seeded stream.
 func randomViews(rng *rand.Rand, n int) []NodeView {
 	views := make([]NodeView, n)
 	for i := range views {
@@ -50,8 +36,8 @@ func randomViews(rng *rand.Rand, n int) []NodeView {
 		u := 0.0
 		for bp := 5 + rng.Float64()*10; bp < 80 && rng.Intn(8) != 0; bp += 1 + rng.Float64()*12 {
 			u += rng.Float64() * 0.3
-			v.bps = append(v.bps, bp)
-			v.util = append(v.util, u)
+			v.curve.Breakpoints = append(v.curve.Breakpoints, bp)
+			v.curve.Utility = append(v.curve.Utility, u)
 		}
 		views[i] = v
 	}
@@ -175,6 +161,30 @@ func TestClusterStepJoinsErrors(t *testing.T) {
 	for _, name := range []string{"n0", "n1"} {
 		if !strings.Contains(err.Error(), "node "+name+":") {
 			t.Fatalf("joined error dropped %s's failure:\n%v", name, err)
+		}
+	}
+}
+
+// BenchmarkDivideWaterFill measures one water-fill division of a 56 W
+// budget between two adapted nodes (CoMD and LULESH), over their
+// cached curves.
+func BenchmarkDivideWaterFill(b *testing.B) {
+	_, apps := sharedModel(b)
+	nodes := []*Node{newNode(b, "n0", apps["comd"], 28), newNode(b, "n1", apps["lulesh"], 28)}
+	for _, n := range nodes {
+		for i := 0; i < 3; i++ {
+			for _, k := range n.App {
+				if _, err := n.Runtime.RunKernel(k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	views := []NodeView{View(nodes[0]), View(nodes[1])}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := Divide(WaterFill, views, 56); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

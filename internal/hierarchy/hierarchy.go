@@ -15,9 +15,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
+	"acsel/internal/core"
 	"acsel/internal/kernels"
 	"acsel/internal/rts"
 	"acsel/internal/stats"
@@ -63,11 +65,21 @@ func ParsePolicy(s string) (Policy, error) {
 }
 
 // Node is one machine in the cluster: an adaptive runtime executing an
-// application's kernels each timestep.
+// application's kernels each timestep. Name, Runtime and App are fixed
+// once the node is in use; the node caches its utility curve.
 type Node struct {
 	Name    string
 	Runtime *rts.Runtime
 	App     []kernels.Kernel
+
+	// mu guards the cached curve, the adapted-kernel count it was
+	// built from and the runtime generation it was built at. A
+	// runtime at generation 0 has adapted nothing, so the zero cache
+	// is already that runtime's curve.
+	mu      sync.Mutex
+	gen     uint64
+	curve   Curve
+	adapted int
 }
 
 // MinNodeCapW is the smallest per-node budget the divider will assign —
@@ -118,32 +130,163 @@ type NodeView interface {
 	// DemandW reports the node's mean measured power over its recent
 	// window; ok is false before any measurement history exists.
 	DemandW() (demandW float64, ok bool)
-	// Breakpoints returns the sorted unique predicted power values at
-	// which the node's utility curve can jump.
-	Breakpoints() []float64
-	// UtilityAt evaluates the node's predicted weighted normalized
-	// performance at a given node cap. The curve is a step function
-	// that changes value only at Breakpoints.
-	UtilityAt(capW float64) float64
+	// Curve is the node's predicted utility curve. Callers must not
+	// modify it: views share it with the node's cache.
+	Curve() Curve
 }
 
-// localView adapts an in-process *Node to NodeView, with the utility
-// curve and breakpoints computed once at construction.
+// Curve is a node's predicted utility as a step function of its power
+// cap: the weighted normalized performance its adapted kernels can
+// reach under the cap. Utility[j] holds from Breakpoints[j] up to the
+// next breakpoint; below the first one the utility is zero.
+// Breakpoints are strictly increasing, and a curve built by
+// UtilityCurve keeps only those where the utility rises.
+type Curve struct {
+	Breakpoints []float64
+	Utility     []float64
+}
+
+// At evaluates the curve at a cap: the utility of the greatest
+// breakpoint not above capW, zero below the first breakpoint (and for
+// a NaN cap, under which nothing is affordable).
+func (c Curve) At(capW float64) float64 {
+	i := sort.Search(len(c.Breakpoints), func(j int) bool { return !(c.Breakpoints[j] <= capW) })
+	if i == 0 {
+		return 0
+	}
+	return c.Utility[i-1]
+}
+
+// UtilityCurve returns the node's utility curve and the number of
+// adapted kernels it was built from. The curve changes only when a
+// kernel adapts, so it is rebuilt only when the runtime's Generation
+// has moved since the last build. Un-adapted nodes get an empty curve
+// (zero everywhere: no information yet).
+func (n *Node) UtilityCurve() (Curve, int) {
+	// Read the generation before the predictions: a kernel adapting
+	// in between makes the cached curve newer than its generation,
+	// never older, and the next call rebuilds it.
+	gen := n.Runtime.Generation()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.gen != gen {
+		n.curve, n.adapted = buildCurve(n)
+		n.gen = gen
+	}
+	return n.curve, n.adapted
+}
+
+// buildCurve weighs each adapted kernel by its time share in the
+// application and sweeps their predictions into one curve.
+func buildCurve(n *Node) (Curve, int) {
+	shareOf := make(map[string]float64, len(n.App))
+	for _, k := range n.App {
+		shareOf[k.ID()] = k.TimeShare
+	}
+	keys := n.Runtime.AdaptedKernels()
+	weights := make([]float64, 0, len(keys))
+	preds := make([][]core.Prediction, 0, len(keys))
+	for _, key := range keys {
+		ps, ok := n.Runtime.PredictionsFor(key)
+		if !ok {
+			continue
+		}
+		// A kernel absent from the app mix (or with a vanishing share)
+		// falls back to an equal share.
+		weight, known := shareOf[key]
+		if !known || stats.AlmostZero(weight) {
+			weight = 1.0 / float64(len(n.App))
+		}
+		weights = append(weights, weight)
+		preds = append(preds, ps)
+	}
+	return sweepCurve(weights, preds), len(keys)
+}
+
+// sweepCurve builds the utility curve of kernels with the given
+// weights and per-configuration predictions in one pass over the
+// breakpoints — the kernels' distinct predicted powers, where some
+// configuration becomes affordable. For each kernel in order it takes
+// the running best predicted performance over the breakpoints and adds
+// weight·best/maxPerf to each breakpoint's total: at every cap, the
+// same terms in the same order as summing each kernel's best
+// affordable performance directly, so the totals are bit-identical to
+// that evaluation. A kernel without a positive predicted performance
+// contributes nothing. Only breakpoints where the total rises are
+// kept.
+func sweepCurve(weights []float64, preds [][]core.Prediction) Curve {
+	var bps []float64
+	for _, ps := range preds {
+		for _, p := range ps {
+			if !math.IsNaN(p.PowerW) { // a NaN power is never affordable
+				bps = append(bps, p.PowerW)
+			}
+		}
+	}
+	sort.Float64s(bps)
+	bps = slices.Compact(bps)
+	total := make([]float64, len(bps))
+	best := make([]float64, len(bps)) // a kernel's best perf at exactly each breakpoint
+	for k, ps := range preds {
+		maxPerf := 0.0
+		for _, p := range ps {
+			if p.Perf > maxPerf {
+				maxPerf = p.Perf
+			}
+		}
+		if !(maxPerf > 0) {
+			continue
+		}
+		clear(best)
+		for _, p := range ps {
+			if math.IsNaN(p.PowerW) {
+				continue
+			}
+			j := sort.SearchFloat64s(bps, p.PowerW)
+			if p.Perf > best[j] {
+				best[j] = p.Perf
+			}
+		}
+		run := 0.0
+		for j := range bps {
+			if best[j] > run {
+				run = best[j]
+			}
+			total[j] += weights[k] * run / maxPerf
+		}
+	}
+	var c Curve
+	last := 0.0
+	for j, u := range total {
+		if u > last {
+			c.Breakpoints = append(c.Breakpoints, bps[j])
+			c.Utility = append(c.Utility, u)
+			last = u
+		}
+	}
+	return c
+}
+
+// localView adapts an in-process *Node to NodeView.
 type localView struct {
 	n     *Node
-	curve func(float64) float64
-	bps   []float64
+	curve Curve
 }
 
-// View builds the NodeView of an in-process node.
+// View builds the NodeView of an in-process node over its cached
+// utility curve.
 func View(n *Node) NodeView {
-	return &localView{n: n, curve: nodeUtilityCurve(n), bps: nodeBreakpoints(n)}
+	c, _ := n.UtilityCurve()
+	return localView{n: n, curve: c}
 }
 
-func (v *localView) NodeName() string { return v.n.Name }
+func (v localView) NodeName() string { return v.n.Name }
 
-func (v *localView) DemandW() (float64, bool) {
-	window := len(v.n.App)
+// DemandW is the mean measured power of the node's last application
+// timestep: its last len(App) steps, or the last rts.StepWindow when
+// the application has more kernels than the runtime retains steps.
+func (v localView) DemandW() (float64, bool) {
+	window := min(len(v.n.App), rts.StepWindow)
 	if window == 0 {
 		return 0, false
 	}
@@ -158,9 +301,7 @@ func (v *localView) DemandW() (float64, bool) {
 	return sum / float64(window), true
 }
 
-func (v *localView) Breakpoints() []float64 { return v.bps }
-
-func (v *localView) UtilityAt(capW float64) float64 { return v.curve(capW) }
+func (v localView) Curve() Curve { return v.curve }
 
 // Divide computes per-node caps for the views under a policy and
 // budget, without applying them anywhere. Every policy returns caps
@@ -248,35 +389,39 @@ func demandShares(views []NodeView, budgetW float64) []float64 {
 // each node's predicted utility curve — weighted normalized
 // performance achievable at a given node cap, from the adapted
 // kernels' cached predictions. The curves are step functions that jump
-// only where some configuration becomes affordable, so the allocator
-// works on those breakpoints: at each round it finds, per node, the
-// affordable breakpoint with the best predicted-gain-per-watt, and
-// funds the globally best one until nothing affordable improves.
-// Density ties break on node name, so the division is invariant to the
-// order the views arrive in.
+// only at their breakpoints, so the allocator works on those: at each
+// round it finds, per node, the affordable breakpoint with the best
+// predicted-gain-per-watt, and funds the globally best one until
+// nothing affordable improves. Density ties break on node name, so the
+// division is invariant to the order the views arrive in.
 func waterFillShares(views []NodeView, budgetW float64) []float64 {
 	n := len(views)
 	caps := make([]float64, n)
-	for i := range caps {
+	curves := make([]Curve, n)
+	for i, v := range views {
 		caps[i] = MinNodeCapW
+		curves[i] = v.Curve()
 	}
 	remaining := budgetW - MinNodeCapW*float64(n)
 	for {
 		bestI, bestBP, bestDensity := -1, 0.0, 0.0
-		for i, v := range views {
-			base := v.UtilityAt(caps[i])
-			for _, bp := range v.Breakpoints() {
+		for i, c := range curves {
+			base := c.At(caps[i])
+			for j, bp := range c.Breakpoints {
 				cost := bp - caps[i]
-				if cost <= 1e-9 || cost > remaining {
+				if cost <= 1e-9 {
 					continue
 				}
-				gain := v.UtilityAt(bp) - base
+				if cost > remaining { // breakpoints ascend: none further is affordable
+					break
+				}
+				gain := c.Utility[j] - base
 				if gain <= 0 {
 					continue
 				}
 				d := gain / cost
 				if d > bestDensity ||
-					(bestI >= 0 && bestI != i && d == bestDensity && v.NodeName() < views[bestI].NodeName()) { //lint:ignore floatcmp identical inputs yield identical densities; the tie-break keys on exact equality
+					(bestI >= 0 && bestI != i && d == bestDensity && views[i].NodeName() < views[bestI].NodeName()) { //lint:ignore floatcmp identical inputs yield identical densities; the tie-break keys on exact equality
 					bestI, bestBP, bestDensity = i, bp, d
 				}
 			}
@@ -293,85 +438,6 @@ func waterFillShares(views []NodeView, budgetW float64) []float64 {
 		caps[i] += remaining / float64(n)
 	}
 	return caps
-}
-
-// nodeBreakpoints returns the sorted unique predicted power values of a
-// node's adapted kernels — the caps at which its utility curve can jump.
-func nodeBreakpoints(node *Node) []float64 {
-	seen := map[float64]bool{}
-	var bps []float64
-	for _, key := range node.Runtime.AdaptedKernels() {
-		preds, ok := node.Runtime.PredictionsFor(key)
-		if !ok {
-			continue
-		}
-		for _, p := range preds {
-			if !seen[p.PowerW] {
-				seen[p.PowerW] = true
-				bps = append(bps, p.PowerW)
-			}
-		}
-	}
-	sort.Float64s(bps)
-	return bps
-}
-
-// nodeUtilityCurve estimates weighted normalized performance at a node
-// cap: for each adapted kernel, the best predicted performance under
-// the cap divided by its best predicted performance overall, weighted
-// by the kernel's time share. Un-adapted nodes get a flat curve (no
-// information yet).
-func nodeUtilityCurve(node *Node) func(float64) float64 {
-	type kernelPreds struct {
-		weight  float64
-		perf    []float64 // predicted perf per config
-		power   []float64
-		maxPerf float64
-	}
-	var ks []kernelPreds
-	shareOf := map[string]float64{}
-	for _, k := range node.App {
-		shareOf[k.ID()] = k.TimeShare
-	}
-	for _, key := range node.Runtime.AdaptedKernels() {
-		preds, ok := node.Runtime.PredictionsFor(key)
-		if !ok {
-			continue
-		}
-		// A kernel absent from the app mix (or with a vanishing share)
-		// falls back to an equal share.
-		weight, known := shareOf[key]
-		if !known || stats.AlmostZero(weight) {
-			weight = 1.0 / float64(len(node.App))
-		}
-		kp := kernelPreds{weight: weight}
-		for _, p := range preds {
-			kp.perf = append(kp.perf, p.Perf)
-			kp.power = append(kp.power, p.PowerW)
-			if p.Perf > kp.maxPerf {
-				kp.maxPerf = p.Perf
-			}
-		}
-		ks = append(ks, kp)
-	}
-	if len(ks) == 0 {
-		return func(float64) float64 { return 0 }
-	}
-	return func(capW float64) float64 {
-		total := 0.0
-		for _, kp := range ks {
-			best := 0.0
-			for i := range kp.perf {
-				if kp.power[i] <= capW && kp.perf[i] > best {
-					best = kp.perf[i]
-				}
-			}
-			if kp.maxPerf > 0 {
-				total += kp.weight * best / kp.maxPerf
-			}
-		}
-		return total
-	}
 }
 
 // StepResult summarizes one node's timestep.

@@ -20,7 +20,7 @@ var (
 
 // sharedModel trains one model (on SMC+LU) and prepares two node apps:
 // a GPU-friendly one (CoMD) and a mixed one (LULESH Small).
-func sharedModel(t *testing.T) (*core.Model, map[string][]kernels.Kernel) {
+func sharedModel(t testing.TB) (*core.Model, map[string][]kernels.Kernel) {
 	t.Helper()
 	setupOnce.Do(func() {
 		var training []kernels.Kernel
@@ -52,7 +52,7 @@ func sharedModel(t *testing.T) (*core.Model, map[string][]kernels.Kernel) {
 	return gModel, gApps
 }
 
-func newNode(t *testing.T, name string, app []kernels.Kernel, capW float64) *Node {
+func newNode(t testing.TB, name string, app []kernels.Kernel, capW float64) *Node {
 	t.Helper()
 	m, _ := sharedModel(t)
 	rt, err := rts.New(m, rts.Options{CapW: capW})
@@ -162,16 +162,17 @@ func TestDemandProportionalRespectsBudget(t *testing.T) {
 	}
 }
 
-// TestDemandWMatchesFullHistory checks that DemandW, which copies only
-// the last len(App) steps, is bitwise the mean power of the last
-// len(App) steps of the full history, and unavailable before a full
+// TestDemandWMatchesFullHistory checks that DemandW, which reads only
+// the runtime's retained steps, is bitwise the mean power of the last
+// len(App) steps RunKernel returned, and unavailable before a full
 // window has run.
 func TestDemandWMatchesFullHistory(t *testing.T) {
 	c := twoNodeCluster(t, Uniform, 56)
+	history := make([][]rts.Step, len(c.Nodes))
 	compared := 0
 	for round := 0; round < 3; round++ {
-		for _, n := range c.Nodes {
-			steps, window := n.Runtime.Steps(), len(n.App)
+		for i, n := range c.Nodes {
+			steps, window := history[i], len(n.App)
 			got, ok := View(n).DemandW()
 			if len(steps) < window {
 				if ok {
@@ -188,8 +189,14 @@ func TestDemandWMatchesFullHistory(t *testing.T) {
 			}
 			compared++
 		}
-		if _, err := c.Step(); err != nil {
-			t.Fatal(err)
+		for i, n := range c.Nodes {
+			for _, k := range n.App {
+				s, err := n.Runtime.RunKernel(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				history[i] = append(history[i], s)
+			}
 		}
 	}
 	if compared == 0 {
@@ -251,7 +258,7 @@ func TestWaterFillBeatsUniformOnPredictedUtility(t *testing.T) {
 	utility := func(c *Cluster, caps []float64) float64 {
 		total := 0.0
 		for i, n := range c.Nodes {
-			total += nodeUtilityCurve(n)(caps[i])
+			total += View(n).Curve().At(caps[i])
 		}
 		return total
 	}

@@ -1,9 +1,11 @@
 // Package profiler is the integrated profiling library of §III-D: it
 // associates power and performance measurements with specific kernels,
-// records per-invocation samples of performance counters and the two
-// SMU power domains, keeps an in-memory history available to the
-// runtime (the foundation for dynamic scheduling), and serializes
-// profiles to disk after a run.
+// takes per-invocation samples of performance counters and the two SMU
+// power domains, and — when asked to keep a history — records them in
+// memory and serializes the profiles to disk after a run. Every caller
+// receives each sample it asks for, so only a caller that wants the
+// whole log later (acsel-train -profiles) turns the history on; a
+// long-running runtime leaves it off and its memory stays bounded.
 //
 // On the real system the library is invoked through profiling pragmas
 // compiled into library calls around each kernel; here Run plays both
@@ -66,6 +68,10 @@ type Profiler struct {
 	// default) leaves all measurements byte-identical to a profiler
 	// without injection wiring.
 	Faults *fault.Injector
+	// KeepHistory records every successful sample in memory for
+	// History, HistoryFor and WriteJSON. Off by default: the history
+	// grows with every run and nothing on a decision path reads it.
+	KeepHistory bool
 
 	mu      sync.Mutex
 	history []Sample
@@ -108,7 +114,7 @@ func (p *Profiler) Run(k kernels.Kernel, cfgID, iteration int) (Sample, error) {
 // When the SMU fails (dropout or implausible reading) the kernel
 // still executed: the sample is returned with its timing intact and
 // whatever power the sensor claimed, alongside the sentinel error,
-// and is NOT recorded in the history.
+// and is NOT recorded in the history (kept only with KeepHistory).
 func (p *Profiler) RunAttempt(k kernels.Kernel, cfgID, iteration, attempt int) (Sample, error) {
 	cfg, err := p.Space.ByID(cfgID)
 	if err != nil {
@@ -162,9 +168,11 @@ func (p *Profiler) RunAttempt(k kernels.Kernel, cfgID, iteration, attempt int) (
 		ctr = ctr.Corrupted(f, rng)
 	}
 	s.Counters = ctr
-	p.mu.Lock()
-	p.history = append(p.history, s)
-	p.mu.Unlock()
+	if p.KeepHistory {
+		p.mu.Lock()
+		p.history = append(p.history, s)
+		p.mu.Unlock()
+	}
 	return s, nil
 }
 
@@ -212,7 +220,8 @@ func (p *Profiler) ProfileAllConfigs(k kernels.Kernel, iteration int) ([]Sample,
 	return out, nil
 }
 
-// History returns a copy of all recorded samples in recording order.
+// History returns a copy of all recorded samples in recording order:
+// nothing unless KeepHistory was set (or ReadJSON loaded some).
 func (p *Profiler) History() []Sample {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -221,7 +230,7 @@ func (p *Profiler) History() []Sample {
 
 // HistoryFor returns recorded samples for one kernel ID, ordered by
 // (config, iteration) — the per-kernel measurement history the paper
-// exposes to the runtime for dynamic scheduling.
+// exposes for dynamic scheduling, kept only with KeepHistory.
 func (p *Profiler) HistoryFor(kernelID string) []Sample {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -256,7 +265,8 @@ func (p *Profiler) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON loads samples previously written by WriteJSON and appends
-// them to the history.
+// them to the history, whether or not KeepHistory is set: loading is
+// itself the request to keep them.
 func (p *Profiler) ReadJSON(r io.Reader) error {
 	var ss []Sample
 	if err := json.NewDecoder(r).Decode(&ss); err != nil {

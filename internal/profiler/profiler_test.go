@@ -17,6 +17,7 @@ func testKernel() kernels.Kernel {
 
 func TestRunRecordsSample(t *testing.T) {
 	p := New()
+	p.KeepHistory = true
 	k := testKernel()
 	s, err := p.Run(k, 0, 1)
 	if err != nil {
@@ -33,6 +34,18 @@ func TestRunRecordsSample(t *testing.T) {
 	}
 	if len(p.History()) != 1 {
 		t.Errorf("history length = %d", len(p.History()))
+	}
+}
+
+// TestHistoryOffByDefault: a profiler keeps no samples unless asked,
+// so a long-running caller's memory does not grow with its runs.
+func TestHistoryOffByDefault(t *testing.T) {
+	p := New()
+	if _, err := p.ProfileAllConfigs(testKernel(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if h := p.History(); len(h) != 0 {
+		t.Fatalf("history holds %d samples with KeepHistory off", len(h))
 	}
 }
 
@@ -78,6 +91,7 @@ func TestRunConfig(t *testing.T) {
 
 func TestProfileAllConfigs(t *testing.T) {
 	p := New()
+	p.KeepHistory = true
 	k := testKernel()
 	ss, err := p.ProfileAllConfigs(k, 0)
 	if err != nil {
@@ -117,6 +131,7 @@ func TestProfileAllConfigsMatchesSequential(t *testing.T) {
 
 func TestHistoryFor(t *testing.T) {
 	p := New()
+	p.KeepHistory = true
 	k1 := testKernel()
 	b := kernels.Suite()[0]
 	k2 := kernels.Instantiate(b.Name, b.Kernels[1], "Small")
@@ -144,6 +159,7 @@ func TestHistoryFor(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	p := New()
+	p.KeepHistory = true
 	if _, err := p.Run(testKernel(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -155,6 +171,7 @@ func TestReset(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	p := New()
+	p.KeepHistory = true
 	if _, err := p.Run(testKernel(), 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -189,6 +206,7 @@ func TestReadJSONBadInput(t *testing.T) {
 
 func TestConcurrentRunsSafe(t *testing.T) {
 	p := New()
+	p.KeepHistory = true
 	k := testKernel()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -214,7 +232,6 @@ func BenchmarkProfileAllConfigs(b *testing.B) {
 	k := testKernel()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.Reset()
 		if _, err := p.ProfileAllConfigs(k, 0); err != nil {
 			b.Fatal(err)
 		}
@@ -226,16 +243,13 @@ var sinkSample Sample
 // BenchmarkRun measures one profiler run: seeding its noise stream,
 // the machine model, the SMU measurement and the counter readout.
 // Config and iteration vary as in a characterization; the history is
-// cleared every 4,096 runs so it stays bounded.
+// off, as in every caller but acsel-train -profiles.
 func BenchmarkRun(b *testing.B) {
 	p := New()
 	k := testKernel()
 	n := p.Space.Len()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if i%4096 == 0 {
-			p.Reset()
-		}
 		s, err := p.Run(k, i%n, i/n)
 		if err != nil {
 			b.Fatal(err)

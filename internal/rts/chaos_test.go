@@ -40,8 +40,8 @@ func TestRungString(t *testing.T) {
 }
 
 // chaosRun drives every held-out kernel iters times under a scenario
-// and returns the runtime.
-func chaosRun(t *testing.T, scenario string, seed int64, capW float64, iters int) *Runtime {
+// and returns the runtime and every step RunKernel returned, in order.
+func chaosRun(t *testing.T, scenario string, seed int64, capW float64, iters int) (*Runtime, []Step) {
 	t.Helper()
 	m, held := trainedModel(t)
 	sc, ok := fault.ScenarioByName(scenario)
@@ -52,33 +52,39 @@ func chaosRun(t *testing.T, scenario string, seed int64, capW float64, iters int
 	if err != nil {
 		t.Fatal(err)
 	}
+	var steps []Step
 	for _, k := range held {
 		for i := 0; i < iters; i++ {
-			if _, err := rt.RunKernel(k); err != nil {
+			s, err := rt.RunKernel(k)
+			if err != nil {
 				t.Fatalf("%s iter %d under %s: %v", k.Name, i, scenario, err)
 			}
+			steps = append(steps, s)
 		}
 	}
-	return rt
+	return rt, steps
 }
 
 func TestChaosReplayIsBitIdentical(t *testing.T) {
-	a := chaosRun(t, "blackout", 7, 22, 12)
-	b := chaosRun(t, "blackout", 7, 22, 12)
-	if !reflect.DeepEqual(a.Steps(), b.Steps()) {
+	a, as := chaosRun(t, "blackout", 7, 22, 12)
+	b, bs := chaosRun(t, "blackout", 7, 22, 12)
+	if !reflect.DeepEqual(as, bs) {
 		t.Error("same scenario+seed produced different step histories")
+	}
+	if !reflect.DeepEqual(a.Steps(), b.Steps()) {
+		t.Error("same scenario+seed retained different steps")
 	}
 	if !reflect.DeepEqual(a.Summarize(), b.Summarize()) {
 		t.Error("same scenario+seed produced different summaries")
 	}
-	c := chaosRun(t, "blackout", 8, 22, 12)
-	if reflect.DeepEqual(a.Steps(), c.Steps()) {
+	_, cs := chaosRun(t, "blackout", 8, 22, 12)
+	if reflect.DeepEqual(as, cs) {
 		t.Error("different seed replayed the same fault schedule")
 	}
 }
 
 func TestSensorDropoutSurvivedAndAccounted(t *testing.T) {
-	rt := chaosRun(t, "sensor-dropout", 3, 24, 15)
+	rt, steps := chaosRun(t, "sensor-dropout", 3, 24, 15)
 	sum := rt.Summarize()
 	if sum.Health == nil {
 		t.Fatal("no health map under fault injection")
@@ -94,7 +100,7 @@ func TestSensorDropoutSurvivedAndAccounted(t *testing.T) {
 	// Bounded re-reads recover most dropouts; only unrecovered ones
 	// surface as SensorLost steps, and none may count as violations of
 	// record: lost steps carry the model's estimate.
-	for _, s := range rt.Steps() {
+	for _, s := range steps {
 		if s.SensorLost && s.PowerW < 0 {
 			t.Errorf("lost-sensor step has negative power estimate: %+v", s)
 		}
@@ -105,7 +111,7 @@ func TestStuckSensorWalksDownLadder(t *testing.T) {
 	// sensor-stuck pins readings at 9 W — plausible (under the sanity
 	// bound) but far from predictions, so only the divergence watchdog
 	// can catch it.
-	rt := chaosRun(t, "sensor-stuck", 1, 24, 25)
+	rt, _ := chaosRun(t, "sensor-stuck", 1, 24, 25)
 	sum := rt.Summarize()
 	if sum.Demotions == 0 {
 		t.Error("stuck sensor never demoted any kernel")
@@ -119,10 +125,10 @@ func TestSpikeQuarantinedBySanityGate(t *testing.T) {
 	// sensor-spike multiplies readings ×8 (≥96 W), beyond the 120 W
 	// plausibility bound for high-power configs — those readings must be
 	// quarantined, not fed to the limiter, and excluded from Violations.
-	rt := chaosRun(t, "sensor-spike", 2, 30, 20)
+	rt, steps := chaosRun(t, "sensor-spike", 2, 30, 20)
 	sum := rt.Summarize()
 	quarantinedSteps := 0
-	for _, s := range rt.Steps() {
+	for _, s := range steps {
 		if s.Quarantined {
 			quarantinedSteps++
 			if s.PowerW > 120 {
@@ -136,7 +142,7 @@ func TestSpikeQuarantinedBySanityGate(t *testing.T) {
 }
 
 func TestPStateFlakyRetriesAndSurvives(t *testing.T) {
-	rt := chaosRun(t, "pstate-flaky", 5, 24, 15)
+	rt, _ := chaosRun(t, "pstate-flaky", 5, 24, 15)
 	sum := rt.Summarize()
 	if sum.ApplyRetries == 0 {
 		t.Error("flaky P-state scenario triggered zero apply retries")
@@ -270,17 +276,20 @@ func TestWatchdogOnlyRunMatchesCleanSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	armed.demoteAfter = 1 << 30
+	var cs, as []Step
 	for _, k := range held[:3] {
 		for i := 0; i < 6; i++ {
-			if _, err := clean.RunKernel(k); err != nil {
+			c, err := clean.RunKernel(k)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := armed.RunKernel(k); err != nil {
+			a, err := armed.RunKernel(k)
+			if err != nil {
 				t.Fatal(err)
 			}
+			cs, as = append(cs, c), append(as, a)
 		}
 	}
-	cs, as := clean.Steps(), armed.Steps()
 	if len(cs) != len(as) {
 		t.Fatalf("step counts differ: %d vs %d", len(cs), len(as))
 	}
@@ -297,12 +306,12 @@ func TestWatchdogOnlyRunMatchesCleanSteps(t *testing.T) {
 func TestBlackoutKeepsRuntimeAlive(t *testing.T) {
 	// Every seam faulting at once: the runtime must never return an
 	// error, and untrusted steps must not count as violations.
-	rt := chaosRun(t, "blackout", 11, 22, 15)
+	rt, steps := chaosRun(t, "blackout", 11, 22, 15)
 	sum := rt.Summarize()
-	if sum.Steps == 0 {
-		t.Fatal("no steps recorded")
+	if sum.Steps != len(steps) {
+		t.Fatalf("summary counts %d steps, RunKernel returned %d", sum.Steps, len(steps))
 	}
-	for _, s := range rt.Steps() {
+	for _, s := range steps {
 		if !s.Trusted() && !s.UnderCap && s.PowerW > 22 {
 			// Untrusted steps carry estimates; an estimate over cap is
 			// possible but must never have been a sensor claim.
@@ -319,8 +328,8 @@ func TestBlackoutKeepsRuntimeAlive(t *testing.T) {
 func TestSampleConfigsUnchangedUnderFaults(t *testing.T) {
 	// Fault injection must not change the adaptation protocol itself:
 	// the first two iterations still run the paper's sample configs.
-	rt := chaosRun(t, "blackout", 4, 24, 3)
-	for _, s := range rt.Steps() {
+	_, steps := chaosRun(t, "blackout", 4, 24, 3)
+	for _, s := range steps {
 		switch s.Phase {
 		case PhaseSampleCPU:
 			if s.Config != apu.SampleConfigCPU() {

@@ -2,14 +2,17 @@
 // piece of learned and health state a kill would otherwise lose — the
 // per-kernel adaptation (samples, cluster, pinned configuration), the
 // degradation-ladder position, retry/quarantine/dropout counters, the
-// divergence tracker, and the full step history — and Restore rebuilds
-// a runtime whose observable behaviour (Steps, Summarize, HealthFor,
-// and every future RunKernel decision) is reflect.DeepEqual-identical
-// to one that never stopped. Predictions, and the minimum-power floor
-// derived from them, are deliberately NOT persisted: they are a
-// deterministic function of the model and the persisted sample runs,
-// so Restore recomputes them and a snapshot can never disagree with
-// the model that consumes it.
+// divergence tracker, the running step totals and the last StepWindow
+// steps — and Restore rebuilds a runtime whose observable behaviour
+// (Steps, Summarize, HealthFor, and every future RunKernel decision)
+// is reflect.DeepEqual-identical to one that never stopped. A snapshot
+// does not grow with the number of steps executed. Version-1
+// snapshots, which carried the full step history instead, still
+// restore: the history is folded into the totals and the retained
+// window. Predictions, and the minimum-power floor derived from them,
+// are deliberately NOT persisted: they are a deterministic function of
+// the model and the persisted sample runs, so Restore recomputes them
+// and a snapshot can never disagree with the model that consumes it.
 package rts
 
 import (
@@ -24,9 +27,10 @@ import (
 	"acsel/internal/profiler"
 )
 
-// SnapshotVersion guards the snapshot schema; Restore rejects other
-// versions rather than guessing at field meanings.
-const SnapshotVersion = 1
+// SnapshotVersion guards the snapshot schema; Restore accepts it and
+// version 1 (full step history), and rejects any other version rather
+// than guessing at field meanings.
+const SnapshotVersion = 2
 
 // Journal record types for runtimes checkpointed through
 // internal/checkpoint: a full state snapshot, and one executed step.
@@ -76,7 +80,13 @@ type Snapshot struct {
 	// Kernels is sorted by key so snapshots of equal state are
 	// byte-identical regardless of map iteration order.
 	Kernels []KernelCheckpoint `json:"kernels"`
-	Steps   []Step             `json:"steps"`
+	// Totals aggregates every step executed; Recent holds the last
+	// min(Totals.Steps, StepWindow) of them, oldest first.
+	Totals StepTotals `json:"totals"`
+	Recent []Step     `json:"recent,omitempty"`
+	// Steps is a version-1 snapshot's full step history. Restore folds
+	// it into Totals and Recent; version 2 never writes it.
+	Steps []Step `json:"steps,omitempty"`
 }
 
 // Snapshot captures the runtime's current state. It is safe to call
@@ -123,9 +133,8 @@ func (rt *Runtime) Snapshot() *Snapshot {
 		}
 		snap.Kernels = append(snap.Kernels, kc)
 	}
-	if len(rt.steps) > 0 {
-		snap.Steps = append([]Step(nil), rt.steps...)
-	}
+	snap.Totals = rt.steps.totals
+	snap.Recent = rt.steps.last(StepWindow)
 	return snap
 }
 
@@ -144,11 +153,15 @@ func (rt *Runtime) Restore(snap *Snapshot) error {
 	if snap == nil {
 		return fmt.Errorf("%w: nil", ErrBadSnapshot)
 	}
-	if snap.Version != SnapshotVersion {
-		return fmt.Errorf("%w: version %d (want %d)", ErrBadSnapshot, snap.Version, SnapshotVersion)
+	if snap.Version != 1 && snap.Version != SnapshotVersion {
+		return fmt.Errorf("%w: version %d (want 1 or %d)", ErrBadSnapshot, snap.Version, SnapshotVersion)
 	}
 	if err := validCapW(snap.CapW); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadSnapshot, err)
+	}
+	steps, err := snapshotSteps(snap)
+	if err != nil {
+		return err
 	}
 	kernels := make(map[string]*kernelState, len(snap.Kernels))
 	for _, kc := range snap.Kernels {
@@ -191,17 +204,36 @@ func (rt *Runtime) Restore(snap *Snapshot) error {
 		}
 		kernels[kc.Key] = st
 	}
-	var steps []Step
-	if len(snap.Steps) > 0 {
-		steps = append([]Step(nil), snap.Steps...)
-	}
 	rt.mu.Lock()
 	rt.capW = snap.CapW
 	rt.kernels = kernels
 	rt.steps = steps
+	rt.gen++
 	rt.mu.Unlock()
 	mRestores.Inc()
 	return nil
+}
+
+// snapshotSteps rebuilds the step log a snapshot describes: version 1
+// replays its full history through the log, in order, so the totals
+// are the sums Summarize used to take over that history; version 2
+// carries the totals and the retained window directly.
+func snapshotSteps(snap *Snapshot) (stepLog, error) {
+	if snap.Version == 1 {
+		var l stepLog
+		for _, s := range snap.Steps {
+			l.record(s)
+		}
+		return l, nil
+	}
+	if len(snap.Steps) > 0 {
+		return stepLog{}, fmt.Errorf("%w: version %d snapshot with a version-1 step history", ErrBadSnapshot, snap.Version)
+	}
+	if n := snap.Totals.Steps; n < 0 || len(snap.Recent) != min(n, StepWindow) {
+		return stepLog{}, fmt.Errorf("%w: %d retained steps for %d executed (window %d)",
+			ErrBadSnapshot, len(snap.Recent), n, StepWindow)
+	}
+	return restoredLog(snap.Totals, snap.Recent), nil
 }
 
 // EncodeSnapshot frames the snapshot as a checkpoint journal record.

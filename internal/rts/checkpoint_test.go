@@ -12,17 +12,24 @@ import (
 )
 
 // driveSteps executes global step indices [from, to) in epoch order:
-// step s runs kernel ks[s mod len(ks)]. Both the sequential and the
-// interrupted runs use this driver, so their step histories are
-// directly comparable.
-func driveSteps(t *testing.T, rt *Runtime, ks []kernels.Kernel, from, to int) {
+// step s runs kernel ks[s mod len(ks)], and returns the steps
+// RunKernel returned. The sequential and the interrupted runs both go
+// through it, so their steps are directly comparable.
+func driveSteps(t *testing.T, rt *Runtime, ks []kernels.Kernel, from, to int) []Step {
 	t.Helper()
+	steps := make([]Step, 0, to-from)
 	for s := from; s < to; s++ {
-		if _, err := rt.RunKernel(ks[s%len(ks)]); err != nil {
+		step, err := rt.RunKernel(ks[s%len(ks)])
+		if err != nil {
 			t.Fatalf("step %d (%s): %v", s, ks[s%len(ks)].Name, err)
 		}
+		steps = append(steps, step)
 	}
+	return steps
 }
+
+// lastN is the tail of a step sequence a runtime retains.
+func lastN(steps []Step, n int) []Step { return steps[len(steps)-min(n, len(steps)):] }
 
 // restoreInto round-trips a snapshot through its journal-record
 // encoding into a fresh runtime with the same model and options.
@@ -49,9 +56,10 @@ func restoreInto(t *testing.T, snap *Snapshot, opts Options) *Runtime {
 
 // TestSnapshotRestoreEquivalence is the crash-safety contract: cutting
 // a run at ANY step boundary, snapshotting, restoring into a fresh
-// runtime, and continuing must reproduce the uninterrupted run's step
-// history and summary exactly (reflect.DeepEqual), under fault
-// injection exercising quarantine, retries, and ladder moves.
+// runtime, and continuing must reproduce every step the uninterrupted
+// run executed after the cut, its retained window and its summary
+// exactly (reflect.DeepEqual), under fault injection exercising
+// quarantine, retries, and ladder moves.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	m, held := trainedModel(t)
 	sc, ok := fault.ScenarioByName("blackout")
@@ -65,8 +73,11 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveSteps(t, seq, held, 0, total)
-	wantSteps := seq.Steps()
+	all := driveSteps(t, seq, held, 0, total)
+	wantWindow := seq.Steps()
+	if !reflect.DeepEqual(wantWindow, lastN(all, StepWindow)) {
+		t.Fatal("sequential run: retained window is not the tail of the executed steps")
+	}
 	wantSum := seq.Summarize()
 
 	// Cut points cover: before any step, mid-sampling (steps 1 and
@@ -79,9 +90,11 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 		}
 		driveSteps(t, rt, held, 0, cut)
 		restored := restoreInto(t, rt.Snapshot(), opts)
-		driveSteps(t, restored, held, cut, total)
-		if !reflect.DeepEqual(restored.Steps(), wantSteps) {
-			t.Errorf("cut %d: restored step history diverged from sequential run", cut)
+		if got := driveSteps(t, restored, held, cut, total); !reflect.DeepEqual(got, all[cut:]) {
+			t.Errorf("cut %d: restored run's steps diverged from sequential run", cut)
+		}
+		if !reflect.DeepEqual(restored.Steps(), wantWindow) {
+			t.Errorf("cut %d: restored retained window diverged from sequential run", cut)
 		}
 		if got := restored.Summarize(); !reflect.DeepEqual(got, wantSum) {
 			t.Errorf("cut %d: restored summary diverged:\ngot  %+v\nwant %+v", cut, got, wantSum)
@@ -101,7 +114,7 @@ func TestSnapshotRestoreEquivalenceClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	driveSteps(t, seq, held, 0, total)
+	all := driveSteps(t, seq, held, 0, total)
 
 	cut := len(held) + 2
 	rt, err := New(m, opts)
@@ -110,9 +123,11 @@ func TestSnapshotRestoreEquivalenceClean(t *testing.T) {
 	}
 	driveSteps(t, rt, held, 0, cut)
 	restored := restoreInto(t, rt.Snapshot(), opts)
-	driveSteps(t, restored, held, cut, total)
+	if got := driveSteps(t, restored, held, cut, total); !reflect.DeepEqual(got, all[cut:]) {
+		t.Error("clean run: restored run's steps diverged")
+	}
 	if !reflect.DeepEqual(restored.Steps(), seq.Steps()) {
-		t.Error("clean run: restored step history diverged")
+		t.Error("clean run: restored retained window diverged")
 	}
 	if got, want := restored.Summarize(), seq.Summarize(); !reflect.DeepEqual(got, want) {
 		t.Errorf("clean run: restored summary diverged:\ngot  %+v\nwant %+v", got, want)
@@ -139,8 +154,8 @@ func TestRestoredSummaryIdenticalAtCutPoint(t *testing.T) {
 	if !reflect.DeepEqual(restored.Summarize(), rt.Summarize()) {
 		t.Errorf("summary drift:\ngot  %+v\nwant %+v", restored.Summarize(), rt.Summarize())
 	}
-	if !reflect.DeepEqual(restored.Steps(), rt.Steps()) {
-		t.Error("step history drift")
+	if !reflect.DeepEqual(restored.Steps(), rt.Steps()) || restored.NumSteps() != rt.NumSteps() {
+		t.Error("retained step drift")
 	}
 	for _, k := range held {
 		got, gok := restored.HealthFor(k.ID())
@@ -199,8 +214,9 @@ func TestRestoreCarriesCap(t *testing.T) {
 	}
 }
 
-// TestRestoreAcceptsMinPowerIDSnapshot: a version-1 snapshot that
-// carries a kernel's "min_power_id" still decodes and restores (the
+// TestRestoreAcceptsMinPowerIDSnapshot: a snapshot that carries a
+// kernel's "min_power_id", as early version-1 snapshots did, still
+// decodes and restores (the
 // field is ignored; the floor is derived from the predictions), and a
 // floored kernel stays pinned to the same configuration across a cap
 // change.

@@ -206,11 +206,25 @@ type Runtime struct {
 	applyRetries   int
 	measureRetries int
 
+	// mu guards everything below. RunKernel holds it for the whole
+	// iteration, so readers see the state between two iterations,
+	// never the middle of one.
 	mu      sync.Mutex
 	capW    float64
 	kernels map[string]*kernelState
-	steps   []Step
+	// gen moves whenever a kernel's cached predictions are set (adapt,
+	// Restore); see Generation.
+	gen   uint64
+	steps stepLog
 }
+
+// StepWindow is how many of the most recent steps a runtime retains
+// (Steps, LastSteps, Snapshot). Older steps survive only in the
+// running totals, so a runtime's memory and snapshot size do not grow
+// with the number of steps it has executed. It covers the longest
+// window a caller reads: one application timestep (20 kernels for
+// LULESH).
+const StepWindow = 64
 
 // ErrNoModel is returned when constructing a runtime without a model.
 var ErrNoModel = errors.New("rts: nil model")
@@ -267,9 +281,10 @@ func New(model *core.Model, opts Options) (*Runtime, error) {
 // implementation.
 func (rt *Runtime) ladderArmed() bool { return rt.opts.Watchdog || rt.opts.Faults != nil }
 
-// Profiler exposes the measurement history (the paper: "a history of
-// performance and power measurements is made accessible to the
-// application or runtime").
+// Profiler exposes the runtime's profiling library. The runtime leaves
+// its sample history off (profiler.Profiler.KeepHistory): no decision
+// reads it, and a long-running runtime would otherwise keep every
+// sample it ever took.
 func (rt *Runtime) Profiler() *profiler.Profiler { return rt.prof }
 
 // PStates exposes the ACPI manager, for inspecting DVFS state.
@@ -315,6 +330,7 @@ func (rt *Runtime) RunKernelAt(k kernels.Kernel, callsite string) (Step, error) 
 		key += "@" + callsite
 	}
 	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	st, ok := rt.kernels[key]
 	if !ok {
 		st = &kernelState{cluster: -1}
@@ -325,7 +341,6 @@ func (rt *Runtime) RunKernelAt(k kernels.Kernel, callsite string) (Step, error) 
 		rt.kernels[key] = st
 	}
 	capW := rt.capW
-	rt.mu.Unlock()
 
 	var step Step
 	switch {
@@ -335,7 +350,7 @@ func (rt *Runtime) RunKernelAt(k kernels.Kernel, callsite string) (Step, error) 
 			return Step{}, err
 		}
 		st.cpuSample = s
-		step = rt.recordStep(k, st, PhaseSampleCPU, s, capW, meta)
+		step = newStep(k, st, PhaseSampleCPU, s, capW, meta)
 	case st.iter == 1:
 		s, meta, err := rt.runSample(k, st, apu.SampleConfigGPU(), 1)
 		if err != nil {
@@ -345,7 +360,7 @@ func (rt *Runtime) RunKernelAt(k kernels.Kernel, callsite string) (Step, error) 
 		if err := rt.adapt(st, capW); err != nil {
 			return Step{}, err
 		}
-		step = rt.recordStep(k, st, PhaseSampleGPU, s, capW, meta)
+		step = newStep(k, st, PhaseSampleGPU, s, capW, meta)
 	default:
 		s, err := rt.runPinned(k, st, key, capW)
 		if err != nil {
@@ -354,6 +369,7 @@ func (rt *Runtime) RunKernelAt(k kernels.Kernel, callsite string) (Step, error) 
 		step = s
 	}
 	st.iter++
+	rt.steps.record(step)
 	return step, nil
 }
 
@@ -503,7 +519,7 @@ func (rt *Runtime) runPinned(k kernels.Kernel, st *kernelState, key string, capW
 			rt.promote(st, capW)
 		}
 	}
-	return rt.recordStep(k, st, PhasePinned, s, capW, meta), nil
+	return newStep(k, st, PhasePinned, s, capW, meta), nil
 }
 
 // applyWithRetry drives the pinned configuration into the P-state
@@ -585,6 +601,7 @@ func (rt *Runtime) adapt(st *kernelState, capW float64) error {
 	}
 	st.cluster = cluster
 	st.preds = preds
+	rt.gen++
 	return rt.reselect(st, capW)
 }
 
@@ -615,7 +632,7 @@ func (rt *Runtime) reselect(st *kernelState, capW float64) error {
 	return nil
 }
 
-// stepMeta carries per-step robustness annotations into recordStep.
+// stepMeta carries per-step robustness annotations into newStep.
 type stepMeta struct {
 	rung        Rung
 	quarantined bool
@@ -626,7 +643,9 @@ type stepMeta struct {
 	estimateW float64
 }
 
-func (rt *Runtime) recordStep(k kernels.Kernel, st *kernelState, ph Phase, s profiler.Sample, capW float64, meta stepMeta) Step {
+// newStep builds the record of an executed iteration and counts it in
+// the step metrics.
+func newStep(k kernels.Kernel, st *kernelState, ph Phase, s profiler.Sample, capW float64, meta stepMeta) Step {
 	powerW := s.TotalPowerW()
 	if meta.quarantined || meta.sensorLost {
 		powerW = meta.estimateW
@@ -652,33 +671,131 @@ func (rt *Runtime) recordStep(k kernels.Kernel, st *kernelState, ph Phase, s pro
 	if step.Trusted() && !step.UnderCap {
 		mCapViolations.Inc()
 	}
-	rt.mu.Lock()
-	rt.steps = append(rt.steps, step)
-	rt.mu.Unlock()
 	return step
 }
 
-// Steps returns all executed steps in order.
+// stepLog is the runtime's bounded step state: running totals over
+// every executed step, and a ring of the last StepWindow steps whose
+// oldest entry, once the ring is full, sits at totals.Steps %
+// StepWindow.
+type stepLog struct {
+	totals StepTotals
+	recent []Step
+}
+
+// record folds an executed step into the totals and the ring.
+func (l *stepLog) record(s Step) {
+	if len(l.recent) < StepWindow {
+		l.recent = append(l.recent, s)
+	} else {
+		l.recent[l.totals.Steps%StepWindow] = s
+	}
+	l.totals.add(s)
+}
+
+// restoredLog rebuilds a log from its totals and its retained steps,
+// oldest first; len(recent) must be min(totals.Steps, StepWindow).
+func restoredLog(totals StepTotals, recent []Step) stepLog {
+	l := stepLog{totals: totals}
+	if len(recent) > 0 {
+		l.recent = make([]Step, len(recent))
+		for i, s := range recent {
+			l.recent[(totals.Steps-len(recent)+i)%StepWindow] = s
+		}
+	}
+	return l
+}
+
+// last returns the last n retained steps in execution order (n is
+// clamped to what the ring holds) as a fresh slice, nil when there are
+// none.
+func (l *stepLog) last(n int) []Step {
+	size := len(l.recent)
+	n = min(max(n, 0), size)
+	if n == 0 {
+		return nil
+	}
+	// The oldest step sits at index 0 until the ring fills, then in
+	// the slot the next step will overwrite.
+	oldest := 0
+	if size == StepWindow {
+		oldest = l.totals.Steps % StepWindow
+	}
+	out := make([]Step, n)
+	for i := range out {
+		out[i] = l.recent[(oldest+size-n+i)%size]
+	}
+	return out
+}
+
+// Steps returns the retained steps — the last StepWindow executed, or
+// every step when fewer have run — in execution order.
 func (rt *Runtime) Steps() []Step {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return append([]Step(nil), rt.steps...)
+	return rt.steps.last(StepWindow)
 }
 
-// LastSteps returns a copy of the last n executed steps in order, or of
-// every step when fewer than n have executed.
+// LastSteps returns a copy of the last n executed steps in order. n is
+// clamped to the steps retained: all of them while fewer than
+// StepWindow have run, StepWindow after.
 func (rt *Runtime) LastSteps(n int) []Step {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	n = min(max(n, 0), len(rt.steps))
-	return append([]Step(nil), rt.steps[len(rt.steps)-n:]...)
+	return rt.steps.last(n)
 }
 
-// NumSteps returns how many steps have executed, without copying them.
+// NumSteps returns how many steps have executed.
 func (rt *Runtime) NumSteps() int {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	return len(rt.steps)
+	return rt.steps.totals.Steps
+}
+
+// Generation counts the changes to the runtime's cached predictions:
+// it moves whenever a kernel adapts or a snapshot is restored, and at
+// no other time. Anything derived from AdaptedKernels and
+// PredictionsFor stays valid while the generation holds still.
+func (rt *Runtime) Generation() uint64 {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.gen
+}
+
+// StepTotals is the running aggregate of every executed step — the
+// step half of a Summary, kept up to date as steps execute so that no
+// step history is needed to produce it. Quarantined and lost readings
+// are counted apart from Violations: the truth is unknown.
+type StepTotals struct {
+	Steps        int     `json:"steps"`
+	TimeSec      float64 `json:"time_sec"`
+	EnergyJ      float64 `json:"energy_j"`
+	Violations   int     `json:"violations"`
+	PinnedSteps  int     `json:"pinned_steps"`
+	SampledSteps int     `json:"sampled_steps"`
+	Quarantined  int     `json:"quarantined"`
+	SensorLost   int     `json:"sensor_lost"`
+}
+
+// add folds one step into the totals. Steps are added in execution
+// order, so the float sums equal a sequential sum over the history.
+func (t *StepTotals) add(s Step) {
+	t.Steps++
+	t.TimeSec += s.TimeSec
+	t.EnergyJ += s.EnergyJ
+	switch {
+	case s.Quarantined:
+		t.Quarantined++
+	case s.SensorLost:
+		t.SensorLost++
+	case !s.UnderCap:
+		t.Violations++
+	}
+	if s.Phase == PhasePinned {
+		t.PinnedSteps++
+	} else {
+		t.SampledSteps++
+	}
 }
 
 // Summary aggregates a run.
@@ -702,30 +819,21 @@ type Summary struct {
 	Health map[string]KernelHealth
 }
 
-// Summarize reduces the step history. Steps whose readings were
-// quarantined or lost are excluded from Violations — the truth is
-// unknown — and counted separately.
+// Summarize reports the run so far: the running step totals plus,
+// with the watchdog armed, every kernel's ladder state.
 func (rt *Runtime) Summarize() Summary {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	var sum Summary
-	for _, s := range rt.steps {
-		sum.Steps++
-		sum.TimeSec += s.TimeSec
-		sum.EnergyJ += s.EnergyJ
-		switch {
-		case s.Quarantined:
-			sum.Quarantined++
-		case s.SensorLost:
-			sum.SensorLost++
-		case !s.UnderCap:
-			sum.Violations++
-		}
-		if s.Phase == PhasePinned {
-			sum.PinnedSteps++
-		} else {
-			sum.SampledSteps++
-		}
+	t := rt.steps.totals
+	sum := Summary{
+		Steps:        t.Steps,
+		TimeSec:      t.TimeSec,
+		EnergyJ:      t.EnergyJ,
+		Violations:   t.Violations,
+		PinnedSteps:  t.PinnedSteps,
+		SampledSteps: t.SampledSteps,
+		Quarantined:  t.Quarantined,
+		SensorLost:   t.SensorLost,
 	}
 	if rt.ladderArmed() {
 		sum.Health = make(map[string]KernelHealth, len(rt.kernels))

@@ -8,6 +8,7 @@ import (
 	"acsel/internal/apu"
 	"acsel/internal/core"
 	"acsel/internal/kernels"
+	"acsel/internal/metrics"
 	"acsel/internal/profiler"
 )
 
@@ -47,6 +48,21 @@ func trainedModel(t *testing.T) (*core.Model, []kernels.Kernel) {
 		t.Fatal(modelErr)
 	}
 	return gModel, gHeldOut
+}
+
+// profilerRuns reads acsel_profiler_runs_total summed over devices:
+// every instrumented kernel run in the process.
+func profilerRuns(t *testing.T) float64 {
+	t.Helper()
+	fam, ok := metrics.Default.TakeSnapshot().Family("acsel_profiler_runs_total")
+	if !ok {
+		t.Fatal("no acsel_profiler_runs_total family")
+	}
+	total := 0.0
+	for _, m := range fam.Metrics {
+		total += *m.Value
+	}
+	return total
 }
 
 func TestNewValidation(t *testing.T) {
@@ -138,7 +154,7 @@ func TestCapChangeReselectsFromCachedFrontier(t *testing.T) {
 		}
 	}
 	loose, _, _ := rt.SelectionFor(k.ID())
-	historyBefore := len(rt.Profiler().HistoryFor(k.ID()))
+	runsBefore := profilerRuns(t)
 
 	if err := rt.SetCap(13); err != nil {
 		t.Fatal(err)
@@ -152,10 +168,9 @@ func TestCapChangeReselectsFromCachedFrontier(t *testing.T) {
 		t.Errorf("cap 40→13 did not change the configuration (%v)", tight)
 	}
 	// Re-selection must not have triggered new sample-config profiling:
-	// exactly one new history entry (the pinned run itself).
-	historyAfter := len(rt.Profiler().HistoryFor(k.ID()))
-	if historyAfter != historyBefore+1 {
-		t.Errorf("cap change re-profiled: history %d -> %d", historyBefore, historyAfter)
+	// exactly one new profiler run (the pinned run itself).
+	if runs := profilerRuns(t) - runsBefore; runs != 1 {
+		t.Errorf("cap change re-profiled: %v profiler runs for one pinned step", runs)
 	}
 	if err := rt.SetCap(0); err == nil {
 		t.Error("zero cap accepted")
@@ -223,7 +238,7 @@ func TestVarAwareOptionIsMoreConservative(t *testing.T) {
 
 func predictedPower(t *testing.T, m *core.Model, rt *Runtime, k kernels.Kernel, cfg apu.Config) float64 {
 	t.Helper()
-	preds, _, err := m.PredictAll(sampleRunsOf(rt, k))
+	preds, _, err := m.PredictAll(sampleRunsOf(t, rt, k))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"acsel/internal/apu"
 	"acsel/internal/core"
 	"acsel/internal/kernels"
 	"acsel/internal/stats"
@@ -36,19 +35,17 @@ func TestNewRejectsBadZ(t *testing.T) {
 	}
 }
 
-// sampleRunsOf rebuilds the two sample runs a kernel was adapted from,
-// out of the runtime's measurement history.
-func sampleRunsOf(rt *Runtime, k kernels.Kernel) core.SampleRuns {
-	var sr core.SampleRuns
-	for _, s := range rt.Profiler().HistoryFor(k.ID()) {
-		switch {
-		case s.Iteration == 0 && s.Config == apu.SampleConfigCPU():
-			sr.CPU = s
-		case s.Iteration == 1 && s.Config == apu.SampleConfigGPU():
-			sr.GPU = s
+// sampleRunsOf returns the two sample runs a kernel was adapted from,
+// as the runtime's snapshot persists them.
+func sampleRunsOf(t *testing.T, rt *Runtime, k kernels.Kernel) core.SampleRuns {
+	t.Helper()
+	for _, kc := range rt.Snapshot().Kernels {
+		if kc.Key == k.ID() && kc.Adapted {
+			return core.SampleRuns{CPU: kc.CPUSample, GPU: kc.GPUSample}
 		}
 	}
-	return sr
+	t.Fatalf("%s has not adapted", k.ID())
+	return core.SampleRuns{}
 }
 
 // TestRuntimeSelectionMatchesCore is the runtime leg of the cross-layer
@@ -71,7 +68,7 @@ func TestRuntimeSelectionMatchesCore(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			sr := sampleRunsOf(rt, k)
+			sr := sampleRunsOf(t, rt, k)
 			preds, ok := rt.PredictionsFor(k.ID())
 			if !ok {
 				t.Fatalf("%s not adapted", k.ID())

@@ -17,6 +17,7 @@ import (
 func sampleData(t *testing.T) (*profiler.Profiler, []*core.KernelProfile) {
 	t.Helper()
 	p := profiler.New()
+	p.KeepHistory = true
 	k := kernels.Instantiate("LU", kernels.Suite()[3].Kernels[0], "Small")
 	opts := core.DefaultTrainOptions()
 	opts.Iterations = 1
@@ -269,6 +270,7 @@ func indexOf(t *testing.T, header []string, name string) int {
 
 func BenchmarkWriteSamplesCSV(b *testing.B) {
 	p := profiler.New()
+	p.KeepHistory = true
 	k := kernels.Instantiate("LU", kernels.Suite()[3].Kernels[0], "Small")
 	if _, err := p.ProfileAllConfigs(k, 0); err != nil {
 		b.Fatal(err)
