@@ -142,14 +142,16 @@ fuzz:
 	$(GO) test -fuzz FuzzPreprocess -fuzztime 30s ./internal/pragma
 
 # CI-sized fuzz pass: 10 seconds per target across every fuzzed package
-# (rank correlation, regression fitting, frontier shared order, pragma
-# preprocessing, checkpoint decoding, the shared strict wire decoder,
-# select-request wire decoding, the selection cache against a naive
-# model, lint summary encoding).
+# (rank correlation, regression fitting, frontier shared order, the
+# compiled selector against SelectAmong, pragma preprocessing,
+# checkpoint decoding, the shared strict wire decoder, select-request
+# wire decoding, the selection cache against a naive model, lint
+# summary encoding).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKendallTauRanks -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzFitRegression -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzSharedOrder -fuzztime 10s ./internal/pareto
+	$(GO) test -run '^$$' -fuzz FuzzSelectorMatchesSelectAmong -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzPreprocess -fuzztime 10s ./internal/pragma
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/wire

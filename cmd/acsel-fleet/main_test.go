@@ -125,9 +125,13 @@ func startAgent(t *testing.T, name string, app []kernels.Kernel, coordURL string
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range app {
-		if _, err := rt.RunKernel(k); err != nil {
-			t.Fatal(err)
+	// Two runs each, one per sample configuration, adapt every kernel,
+	// so the agent reports a utility curve from its first round on.
+	for run := 0; run < 2; run++ {
+		for _, k := range app {
+			if _, err := rt.RunKernel(k); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	agent, err := fleet.NewAgent(name, rt, app, fleet.AgentOptions{
@@ -142,6 +146,15 @@ func startAgent(t *testing.T, name string, app []kernels.Kernel, coordURL string
 	mux := http.NewServeMux()
 	agent.Register(mux)
 	srv := httptest.NewServer(mux)
+	rep, err := (&fleet.Client{}).Report(context.Background(), srv.URL, "")
+	if err != nil {
+		srv.Close()
+		t.Fatalf("report %s: %v", name, err)
+	}
+	if len(rep.Breakpoints) == 0 {
+		srv.Close()
+		t.Fatalf("%s serves no utility curve: no kernel has adapted", name)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		if err := agent.Run(ctx, srv.URL); err != nil {

@@ -30,7 +30,7 @@ func allKernels() []kernels.Kernel {
 	return ks
 }
 
-func trained(t *testing.T) ([]*KernelProfile, *Model, *apu.Space) {
+func trained(t testing.TB) ([]*KernelProfile, *Model, *apu.Space) {
 	t.Helper()
 	trainOnce.Do(func() {
 		p := profiler.New()

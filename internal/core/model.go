@@ -218,10 +218,10 @@ func (m *Model) selectUnderCap(sr SampleRuns, capW, z float64) (Selection, error
 
 // SelectAmong runs the cap-selection sweep over already-computed
 // predictions (as produced by PredictAll: indexed by configuration ID)
-// without copying them. It is the single selection loop behind
-// SelectUnderCap, the scheduler's model-based policies, and the query
-// service's batch path and per-kernel prediction cache, so every path yields
-// bitwise-identical Selections by construction.
+// without copying them. It is the selection rule behind SelectUnderCap
+// and the scheduler's model-based policies, and the reference for
+// Selector, its compiled form, which the runtime and the query service
+// select through; the two return bitwise-identical Selections.
 //
 //lint:deterministic
 func SelectAmong(preds []Prediction, cluster int, capW, z float64) (Selection, error) {

@@ -87,8 +87,11 @@ type testMember struct {
 	srv   *httptest.Server
 }
 
-// startMembers builds n agents with adapted runtimes (every kernel has
-// run once, so demand and predicted curves exist) on loopback servers.
+// startMembers builds n agents with adapted runtimes on loopback
+// servers: every kernel has run twice, once on each sample
+// configuration, so demand and predicted curves exist. At least one
+// served report must carry a curve, or every division the tests make
+// would divide nothing.
 func startMembers(t *testing.T, clock *fakeClock, n int, capW float64) []*testMember {
 	t.Helper()
 	model, apps := sharedModel(t)
@@ -99,9 +102,11 @@ func startMembers(t *testing.T, clock *fakeClock, n int, capW float64) []*testMe
 			t.Fatal(err)
 		}
 		app := apps[i%len(apps)]
-		for _, k := range app {
-			if _, err := rt.RunKernel(k); err != nil {
-				t.Fatal(err)
+		for run := 0; run < 2; run++ {
+			for _, k := range app {
+				if _, err := rt.RunKernel(k); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		name := string(rune('a'+i)) + "-node"
@@ -116,6 +121,19 @@ func startMembers(t *testing.T, clock *fakeClock, n int, capW float64) []*testMe
 		srv := httptest.NewServer(mux)
 		t.Cleanup(srv.Close)
 		members[i] = &testMember{agent: agent, rt: rt, srv: srv}
+	}
+	curves := 0
+	for _, m := range members {
+		rep, err := (&Client{}).Report(context.Background(), m.srv.URL, "")
+		if err != nil {
+			t.Fatalf("report %s: %v", m.agent.Name(), err)
+		}
+		if len(rep.Breakpoints) > 0 {
+			curves++
+		}
+	}
+	if curves == 0 {
+		t.Fatal("no member serves a utility curve: no kernel has adapted")
 	}
 	return members
 }

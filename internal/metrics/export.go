@@ -120,7 +120,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 				h := m.histogram
 				var cum uint64
 				for i, bound := range h.upper {
-					cum += h.counts[i].Load()
+					cum += h.bucket(i)
 					line := f.name + "_bucket" + labelPairs(f.labels, key, "le", formatValue(bound)) +
 						" " + strconv.FormatUint(cum, 10) + "\n"
 					if _, err := bw.WriteString(line); err != nil {
@@ -130,7 +130,7 @@ func (r *Registry) WriteProm(w io.Writer) error {
 				// +Inf and _count come from the same pass as the
 				// finite buckets, so the exposition stays monotone
 				// under concurrent Observe.
-				total := cum + h.counts[len(h.upper)].Load()
+				total := cum + h.bucket(len(h.upper))
 				if _, err := bw.WriteString(f.name + "_bucket" + labelPairs(f.labels, key, "le", "+Inf") +
 					" " + strconv.FormatUint(total, 10) + "\n"); err != nil {
 					return err
@@ -217,10 +217,10 @@ func (r *Registry) TakeSnapshot() Snapshot {
 				sum := h.Sum()
 				var cum uint64
 				for i, bound := range h.upper {
-					cum += h.counts[i].Load()
+					cum += h.bucket(i)
 					ms.Buckets = append(ms.Buckets, BucketSnapshot{LE: formatValue(bound), Count: cum})
 				}
-				count := cum + h.counts[len(h.upper)].Load()
+				count := cum + h.bucket(len(h.upper))
 				ms.Buckets = append(ms.Buckets, BucketSnapshot{LE: "+Inf", Count: count})
 				ms.Count = &count
 				ms.Sum = &sum

@@ -8,12 +8,17 @@
 // measured subject. Record paths are allocation-free and lock-free: a
 // counter keeps Inc's increments in an integer word, so Inc is one
 // atomic add, and Add's in a float64-bits word beside it; a gauge is a
-// single float64-bits word; histogram observation is a binary search
-// plus two atomic adds (its bucket and its sum). A histogram keeps no
-// separate count: the count is the sum of the buckets, so an export
-// taken mid-observation is still internally consistent. Label lookup
-// (With) takes a read lock and may allocate on first use of a label
-// combination, so hot paths should hold the returned child handle.
+// single float64-bits word. A histogram is striped: it keeps its bucket
+// counts and float sum once per stripe, each stripe on cache lines of
+// its own, and an observation is a binary search plus an atomic add to
+// its bucket and its sum in the stripe of the P it runs on, so
+// concurrent observers neither share a line nor retry one another's
+// compare-and-swap. The readers (Count, Quantile, Sum, both exporters)
+// add up the stripes. A histogram keeps no separate count: the count is
+// the sum of the buckets, so an export taken mid-observation is still
+// internally consistent. Label lookup (With) takes a read lock and may
+// allocate on first use of a label combination, so hot paths should
+// hold the returned child handle.
 //
 // Non-finite inputs are dropped at the door: a NaN or infinite
 // observation would poison sums and serialize badly, so Add/Set/Observe
@@ -25,6 +30,8 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -160,12 +167,61 @@ func (g *Gauge) Add(delta float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
+// stripes is the number of stripes each histogram keeps: the next
+// power of two at or above GOMAXPROCS when the package initializes.
+var stripes = 1 << bits.Len(uint(runtime.GOMAXPROCS(0)-1))
+
+// stripeToken names the stripe an observation records into.
+// stripePool hands tokens out, and a sync.Pool keeps one item per P
+// that the next Get on that P returns, so observations on one P keep
+// recording into one stripe, and observations on different Ps into
+// different stripes, as long as there are no more Ps than stripes.
+// Tokens grant affinity, not ownership: every stripe word is updated
+// atomically, so two goroutines on one stripe are still correct.
+type stripeToken struct{ stripe int }
+
+var (
+	// stripeTokens is allocated up front so the pool's New, which runs
+	// again after a garbage collection empties the pool, never
+	// allocates.
+	stripeTokens = make([]stripeToken, stripes)
+	nextStripe   atomic.Uint32
+	stripePool   = sync.Pool{New: func() any {
+		return &stripeTokens[int(nextStripe.Add(1)-1)&(stripes-1)]
+	}}
+)
+
+// cacheLineWords is the number of 64-bit words in a cache line.
+const cacheLineWords = 8
+
+func init() {
+	for i := range stripeTokens {
+		stripeTokens[i].stripe = i
+	}
+}
+
 // Histogram is a fixed-bucket distribution. Buckets are cumulative at
 // export, Prometheus-style, with an implicit +Inf bucket.
 type Histogram struct {
-	upper   []float64       // sorted finite upper bounds
-	counts  []atomic.Uint64 // per bucket, the last one +Inf
-	sumBits atomic.Uint64
+	upper []float64 // sorted finite upper bounds
+	// cells holds the stripes back to back, stride words apart: stripe
+	// s keeps the float64 bits of its sum at s*stride and its bucket
+	// counts, the last one +Inf, from s*stride+1. The stride leaves at
+	// least a cache line minus one word between the last word of a
+	// stripe and the first of the next, so no two stripes share a line
+	// wherever the slice starts.
+	cells  []atomic.Uint64
+	stride int
+}
+
+func newHistogram(upper []float64) *Histogram {
+	words := len(upper) + 2 // the sum, the finite buckets, +Inf
+	stride := (words + 2*cacheLineWords - 2) / cacheLineWords * cacheLineWords
+	return &Histogram{
+		upper:  upper,
+		cells:  make([]atomic.Uint64, stripes*stride),
+		stride: stride,
+	}
 }
 
 // Observe records one value. Non-finite observations are ignored.
@@ -176,26 +232,51 @@ func (h *Histogram) Observe(v float64) {
 	// First bucket whose upper bound is >= v (le semantics); values
 	// above every bound land in the trailing +Inf bucket.
 	i := sort.SearchFloat64s(h.upper, v)
-	h.counts[i].Add(1)
-	addFloat(&h.sumBits, v)
+	t := stripePool.Get().(*stripeToken)
+	base := t.stripe * h.stride
+	h.cells[base+1+i].Add(1)
+	addFloat(&h.cells[base], v)
+	stripePool.Put(t)
 }
 
-// Time starts a wall-clock phase timer; the returned stop function
-// observes the elapsed seconds. Use for named pipeline stages:
+// monoEpoch anchors Time's clock readings: time.Since of a Time that
+// carries a monotonic reading reads only the monotonic clock, which
+// costs about half of what time.Now does.
+var monoEpoch = time.Now()
+
+// Time starts a phase timer on the monotonic clock; the returned stop
+// function observes the elapsed seconds. Use for named pipeline stages:
 //
 //	stop := phaseSeconds.With("characterize").Time()
 //	... work ...
 //	stop()
 func (h *Histogram) Time() func() {
-	start := time.Now()
-	return func() { h.Observe(time.Since(start).Seconds()) }
+	start := monoNow()
+	return func() { h.Observe((monoNow() - start).Seconds()) }
+}
+
+// monoNow reads the monotonic clock as the time since monoEpoch. It
+// is kept out of line so that Time stays small enough to inline: an
+// inlined Time's stop closure does not escape, so a deferred timer
+// does not allocate.
+//
+//go:noinline
+func monoNow() time.Duration { return time.Since(monoEpoch) }
+
+// bucket returns bucket i's count, summed over the stripes.
+func (h *Histogram) bucket(i int) uint64 {
+	var n uint64
+	for base := 1 + i; base < len(h.cells); base += h.stride {
+		n += h.cells[base].Load()
+	}
+	return n
 }
 
 // Count returns the number of observations: the sum of the buckets.
 func (h *Histogram) Count() uint64 {
 	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
+	for i := 0; i <= len(h.upper); i++ {
+		n += h.bucket(i)
 	}
 	return n
 }
@@ -219,8 +300,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 	rank := q * float64(total)
 	var cum uint64
 	lower := 0.0
-	for i := range h.counts {
-		c := h.counts[i].Load()
+	for i := 0; i <= len(h.upper); i++ {
+		c := h.bucket(i)
 		if c > 0 && float64(cum)+float64(c) >= rank {
 			if i >= len(h.upper) {
 				return lower
@@ -236,8 +317,15 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return lower
 }
 
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+// Sum returns the sum of observations: the stripes' sums, added in
+// stripe order.
+func (h *Histogram) Sum() float64 {
+	sum := 0.0
+	for base := 0; base < len(h.cells); base += h.stride {
+		sum += math.Float64frombits(h.cells[base].Load())
+	}
+	return sum
+}
 
 // Buckets returns the finite upper bounds.
 func (h *Histogram) Buckets() []float64 { return append([]float64(nil), h.upper...) }
@@ -408,10 +496,7 @@ func metricFor(f *family) metric {
 	case KindGauge:
 		return metric{gauge: &Gauge{}}
 	default:
-		return metric{histogram: &Histogram{
-			upper:  f.buckets,
-			counts: make([]atomic.Uint64, len(f.buckets)+1),
-		}}
+		return metric{histogram: newHistogram(f.buckets)}
 	}
 }
 

@@ -456,6 +456,61 @@ func TestHistogramTimer(t *testing.T) {
 	}
 }
 
+// TestHistogramTimerAllocs pins the allocation-free deferred timer: an
+// inlined Time's stop closure stays on the caller's stack.
+func TestHistogramTimerAllocs(t *testing.T) {
+	h := NewRegistry().NewHistogram("timer_allocs_seconds", "", TimeBuckets)
+	if got := testing.AllocsPerRun(100, func() { defer h.Time()() }); got != 0 {
+		t.Errorf("defer h.Time()(): %v allocs/op, want 0", got)
+	}
+}
+
+// TestConcurrentHistogramExact has many goroutines, more than there are
+// stripes, observe into one histogram: once they finish, every bucket
+// count and Count are exact, and so is Sum, since every value is a
+// small integer and integer sums are exact in any order.
+func TestConcurrentHistogramExact(t *testing.T) {
+	r := NewRegistry()
+	h := r.NewHistogram("exact_wait_seconds", "", []float64{0.5, 1, 2, 3})
+	const workers, perWorker = 16, 5000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				h.Observe(float64((w + i) % 5))
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	// Values 0..4 land in buckets le=0.5, 1, 2, 3 and +Inf.
+	var want [5]uint64
+	wantSum := 0.0
+	for w := 0; w < workers; w++ {
+		for i := 0; i < perWorker; i++ {
+			v := (w + i) % 5
+			want[v]++
+			wantSum += float64(v)
+		}
+	}
+	if got := h.Count(); got != workers*perWorker {
+		t.Fatalf("count = %d, want %d", got, workers*perWorker)
+	}
+	if got := h.Sum(); got != wantSum {
+		t.Errorf("sum = %v, want %v", got, wantSum)
+	}
+	snap, _ := r.TakeSnapshot().Family("exact_wait_seconds")
+	var cum uint64
+	for i, b := range snap.Metrics[0].Buckets {
+		cum += want[i]
+		if b.Count != cum {
+			t.Errorf("bucket le=%s = %d, want %d", b.LE, b.Count, cum)
+		}
+	}
+}
+
 func TestVecLabelArityPanics(t *testing.T) {
 	r := NewRegistry()
 	cv := r.NewCounterVec("arity_total", "", "a", "b")

@@ -257,11 +257,24 @@ func (p *Profiler) Reset() {
 }
 
 // WriteJSON streams the history to w (one JSON document), the paper's
-// "written to disk after the application completes".
+// "written to disk after the application completes". Samples are
+// ordered by (kernel ID, config, iteration), as HistoryFor orders one
+// kernel's, not in recording order: parallel runs finish in no fixed
+// order, and the same runs must write the same bytes.
 func (p *Profiler) WriteJSON(w io.Writer) error {
+	h := p.History()
+	sort.SliceStable(h, func(i, j int) bool {
+		if h[i].KernelID != h[j].KernelID {
+			return h[i].KernelID < h[j].KernelID
+		}
+		if h[i].ConfigID != h[j].ConfigID {
+			return h[i].ConfigID < h[j].ConfigID
+		}
+		return h[i].Iteration < h[j].Iteration
+	})
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(p.History())
+	return enc.Encode(h)
 }
 
 // ReadJSON loads samples previously written by WriteJSON and appends

@@ -197,6 +197,35 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteJSONDeterministic checks that two identical parallel sweeps
+// write byte-identical histories, although their runs finish in no
+// fixed order.
+func TestWriteJSONDeterministic(t *testing.T) {
+	ks := []kernels.Kernel{testKernel()}
+	b := kernels.Suite()[1]
+	ks = append(ks, kernels.Instantiate(b.Name, b.Kernels[0], "Small"))
+	sweep := func() []byte {
+		p := New()
+		p.KeepHistory = true
+		for iter := 0; iter < 2; iter++ {
+			for _, k := range ks {
+				if _, err := p.ProfileAllConfigs(k, iter); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var buf bytes.Buffer
+		if err := p.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first, second := sweep(), sweep()
+	if !bytes.Equal(first, second) {
+		t.Fatalf("two identical sweeps wrote different JSON (%d and %d bytes)", len(first), len(second))
+	}
+}
+
 func TestReadJSONBadInput(t *testing.T) {
 	p := New()
 	if err := p.ReadJSON(strings.NewReader("not json")); err == nil {

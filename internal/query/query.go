@@ -7,12 +7,15 @@
 // frontier" to "never walk it twice for the same question":
 //
 //   - Per-kernel shards precompute the online stage's sample runs once
-//     and cache the model's full prediction vector per model
-//     generation, so a query is a cap sweep over cached predictions —
-//     core.SelectAmong, the exact loop behind core.SelectUnderCap, so
-//     every path is bitwise-identical to the single-threaded call.
+//     and, per model generation, the model's full prediction vector
+//     compiled into a core.Selector: the vector's candidates in
+//     preference order. A query scans that order to the first
+//     configuration under the cap, usually after one or two, and gets
+//     core.SelectAmong's answer — the rule behind core.SelectUnderCap —
+//     bit for bit, so every path is bitwise-identical to the
+//     single-threaded call.
 //   - A cache miss is computed on the caller's goroutine: it costs one
-//     memoized-prediction lookup plus one SelectAmong scan, less than a
+//     memoized-selector lookup plus one selector scan, less than a
 //     hand-off to a worker goroutine would, so the service owns no
 //     goroutines. Before computing, the request takes one of
 //     Options.MaxInFlight slots without blocking — one atomic add to
@@ -175,11 +178,11 @@ type generation struct {
 	seq   uint64
 }
 
-// shardPreds is one shard's prediction state for one generation.
+// shardPreds is one shard's prediction state for one generation: its
+// prediction vector, compiled for selection.
 type shardPreds struct {
 	genHash   string
-	cluster   int
-	preds     []core.Prediction
+	sel       *core.Selector
 	minPowerW float64
 }
 
@@ -199,8 +202,8 @@ type shard struct {
 // same generation compute once; callers pinned to different
 // generations each get a vector consistent with their own generation.
 // This is the production half of the test oracle: the soak tests
-// assert every served Response equals core.SelectAmong over exactly
-// this vector, which is only sound if the whole compute path is
+// assert every served Response equals core.SelectAmong over the vector
+// compiled here, which is only sound if the whole compute path is
 // deterministic — hence the directive.
 //
 //lint:deterministic
@@ -219,8 +222,7 @@ func (sh *shard) predictions(g *generation) (*shardPreds, error) {
 	}
 	p := &shardPreds{
 		genHash:   g.hash,
-		cluster:   cluster,
-		preds:     preds,
+		sel:       core.NewSelector(preds, cluster),
 		minPowerW: core.MinPredictedPowerW(preds),
 	}
 	sh.preds.Store(p)
@@ -233,14 +235,22 @@ type Service struct {
 	opts   Options
 	shards map[string]*shard
 	cache  *clockCache
-	// inFlight counts the requests admitted to compute; it never stays
-	// above Options.MaxInFlight.
-	inFlight atomic.Int64
 
 	gen      atomic.Pointer[generation]
 	reloadMu sync.Mutex
 	closed   atomic.Bool
+
+	// inFlight counts the requests admitted to compute; it never stays
+	// above Options.MaxInFlight. Every miss writes it twice and every
+	// request reads the fields above, so it has a cache line of its
+	// own.
+	_        [cacheLineBytes]byte
+	inFlight atomic.Int64
+	_        [cacheLineBytes - 8]byte
 }
+
+// cacheLineBytes is the cache-line size padding assumes.
+const cacheLineBytes = 64
 
 // NewService builds the service around an initial model: it precomputes
 // every universe kernel's sample runs (the online stage's two
@@ -465,7 +475,7 @@ func (s *Service) compute(ctx context.Context, key cacheKey, stale bool, gen *ge
 	if err := s.slowShard(ctx, sh.kernel); err != nil {
 		return Response{}, err
 	}
-	sel, err := core.SelectAmong(sp.preds, sp.cluster, capW, z)
+	sel, err := sp.sel.Select(capW, z)
 	if err != nil {
 		return Response{}, err
 	}
@@ -503,6 +513,11 @@ func (s *Service) slowShard(ctx context.Context, kernel string) error {
 			t := time.NewTimer(d)
 			select {
 			case <-t.C:
+				// Both may be ready after a long descheduling, and
+				// select picks either: the deadline still wins.
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 			case <-ctx.Done():
 				t.Stop()
 				return ctx.Err()

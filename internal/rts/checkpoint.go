@@ -200,7 +200,7 @@ func (rt *Runtime) Restore(snap *Snapshot) error {
 			if err != nil {
 				return fmt.Errorf("rts: restoring %q: %w", kc.Key, err)
 			}
-			st.preds = preds
+			st.setPredictions(preds)
 		}
 		kernels[kc.Key] = st
 	}

@@ -5,7 +5,8 @@
 // classifies the kernel and caches its per-configuration predictions,
 // pins the kernel to the best predicted configuration under the current
 // power cap, and thereafter re-selects among the cached predictions
-// (core.SelectAmong) whenever the cap changes — without re-profiling.
+// (core.SelectAmong, through its compiled core.Selector) whenever the
+// cap changes — without re-profiling.
 // An optional feedback limiter steps the pinned configuration's
 // frequency down when measured power exceeds the cap.
 package rts
@@ -143,6 +144,7 @@ type kernelState struct {
 	gpuSample profiler.Sample
 	cluster   int
 	preds     []core.Prediction
+	selector  *core.Selector // preds compiled for cluster; set with preds
 	pinned    apu.Config
 	pinnedCap float64 // cap the pin was chosen for
 
@@ -600,17 +602,25 @@ func (rt *Runtime) adapt(st *kernelState, capW float64) error {
 		return err
 	}
 	st.cluster = cluster
-	st.preds = preds
+	st.setPredictions(preds)
 	rt.gen++
 	return rt.reselect(st, capW)
 }
 
+// setPredictions caches an adapted kernel's predictions and compiles
+// them for selection in its cluster.
+func (st *kernelState) setPredictions(preds []core.Prediction) {
+	st.preds = preds
+	st.selector = core.NewSelector(preds, st.cluster)
+}
+
 // reselect pins the configuration core.SelectAmong picks from the
-// cached predictions for capW. A kernel on the bottom rung of an armed
-// ladder stays floored at minimum predicted power regardless of what
-// the cap would allow — recovery goes through promote, not through a
-// cap change. The floor is SelectAmong's fallback: selecting under a
-// cap of −Inf with no margin fits nothing.
+// cached predictions for capW, selecting through their compiled
+// core.Selector. A kernel on the bottom rung of an armed ladder stays
+// floored at minimum predicted power regardless of what the cap would
+// allow — recovery goes through promote, not through a cap change.
+// The floor is SelectAmong's fallback: selecting under a cap of −Inf
+// with no margin fits nothing.
 func (rt *Runtime) reselect(st *kernelState, capW float64) error {
 	if st.preds == nil {
 		return errors.New("rts: reselect before adaptation")
@@ -620,7 +630,7 @@ func (rt *Runtime) reselect(st *kernelState, capW float64) error {
 	if floored {
 		selCapW, z = math.Inf(-1), 0
 	}
-	sel, err := core.SelectAmong(st.preds, st.cluster, selCapW, z)
+	sel, err := st.selector.Select(selCapW, z)
 	if err != nil {
 		return err
 	}

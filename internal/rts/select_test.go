@@ -127,7 +127,8 @@ func TestReselectBreaksPerfTiesByLowerID(t *testing.T) {
 	}
 	preds[3].Perf, preds[3].PowerW = 5, 10
 	preds[7].Perf, preds[7].PowerW = 5, 8
-	st := &kernelState{cluster: 0, preds: preds}
+	st := &kernelState{cluster: 0}
+	st.setPredictions(preds)
 	if err := rt.reselect(st, 20); err != nil {
 		t.Fatal(err)
 	}
