@@ -10,9 +10,9 @@ RACE_PKGS = ./internal/rts ./internal/sched ./internal/profiler ./internal/hiera
 # paths that clean tests never reach.
 CHAOS_PKGS = ./internal/rts ./internal/sched ./internal/power ./internal/fault ./internal/fleet
 
-.PHONY: all build vet lint lint-fix-check test test-race test-chaos test-crash test-fleet test-query bench-selftest metrics-check fmt-check bench repro csv fuzz fuzz-smoke clean
+.PHONY: all build vet lint test test-race test-chaos test-crash test-fleet test-query bench-selftest metrics-check fmt-check bench repro csv fuzz fuzz-smoke clean
 
-all: build vet fmt-check lint lint-fix-check test test-race test-chaos test-crash test-fleet test-query bench-selftest metrics-check
+all: build vet fmt-check lint test test-race test-chaos test-crash test-fleet test-query bench-selftest metrics-check
 
 build:
 	$(GO) build ./...
@@ -23,10 +23,12 @@ vet:
 	cd perfbench && GOPROXY=off $(GO) vet .
 
 # Domain-specific static analysis (internal/lint). Unit analyzers:
-# float equality in model code, unit-suffix mismatches, unseeded
-# math/rand, dropped errors (including defer Close on writable files),
-# sleep-based test synchronization, map-iteration-ordered output,
-# goroutine leaks, and wall-clock values in artifacts. Module analyzers
+# float equality in model code, unseeded math/rand, dropped errors
+# (including defer Close on writable files), sleep-based test
+# synchronization, metric-name contract violations,
+# map-iteration-ordered output, goroutine leaks, and wall-clock values
+# in artifacts (ROADMAP item 9 records the mutation audit that decided
+# which analyzers stay). Module analyzers
 # (whole-module call graph + per-function summaries): inconsistent lock
 # order, mutex-guarded fields accessed bare, sync/atomic mixed with
 # plain access, and //lint:deterministic roots reached by
@@ -37,23 +39,6 @@ vet:
 # recorded baseline (currently zero — keep it there).
 lint:
 	$(GO) run ./cmd/acsel-lint -budget lint.budget -sarif lint.sarif ./...
-
-# Assert the suggested-fix engine is a no-op on a lint-clean tree: -fix
-# must not touch a single file (and is idempotent by construction). The
-# tree state is snapshotted before and after the run, so uncommitted
-# work in progress neither fails the check nor gets clobbered by it; if
-# -fix does change something, the changes are left in place for
-# inspection (git diff shows exactly what the fixer wanted).
-lint-fix-check:
-	@before=$$(mktemp); after=$$(mktemp); trap 'rm -f "$$before" "$$after"' EXIT; \
-	git diff -- '*.go' > $$before; \
-	$(GO) run ./cmd/acsel-lint -fix ./... || true; \
-	git diff -- '*.go' > $$after; \
-	if ! cmp -s $$before $$after; then \
-		echo "acsel-lint -fix modified the tree:"; \
-		diff $$before $$after | head -40; exit 1; \
-	fi; \
-	echo "lint-fix-check: -fix is a no-op on the tree"
 
 test:
 	$(GO) test ./...
@@ -145,8 +130,7 @@ fuzz:
 # (rank correlation, regression fitting, frontier shared order, the
 # compiled selector against SelectAmong, pragma preprocessing,
 # checkpoint decoding, the shared strict wire decoder, select-request
-# wire decoding, the selection cache against a naive model, lint
-# summary encoding).
+# wire decoding, the selection cache against a naive model).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKendallTauRanks -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzFitRegression -fuzztime 10s ./internal/stats
@@ -157,7 +141,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzSelectRequestDecode -fuzztime 10s ./internal/query
 	$(GO) test -run '^$$' -fuzz FuzzCacheAgainstModel -fuzztime 10s ./internal/query
-	$(GO) test -run '^$$' -fuzz FuzzSummaryRoundTrip -fuzztime 10s ./internal/lint
 
 clean:
 	rm -rf out/ model.json profiles.json lint.sarif query-summary.json

@@ -264,9 +264,20 @@ func TestFleetConvergesSurvivesCrashAndEviction(t *testing.T) {
 		startAgent(t, "gamma", apps[0], coordURL),
 	}
 
-	// Phase 1: the fleet converges to a full-budget assignment.
+	// Phase 1: the fleet converges to a full-budget assignment. A member
+	// that joined after the last round has no cap yet, so the budget can
+	// be fully assigned to the other two: wait until every member holds
+	// one.
 	st := pollStatus(t, coordURL, budget, "3 members at full budget", func(st fleet.Status) bool {
-		return len(st.Members) == 3 && math.Abs(st.AssignedTotalW-budget) < 1e-6
+		if len(st.Members) != 3 || math.Abs(st.AssignedTotalW-budget) >= 1e-6 {
+			return false
+		}
+		for _, m := range st.Members {
+			if m.AssignedW <= 0 {
+				return false
+			}
+		}
+		return true
 	})
 	for _, m := range st.Members {
 		if m.AssignedW < hierarchy.MinNodeCapW-1e-9 {

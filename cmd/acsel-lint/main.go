@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	acsel-lint [-C dir] [-checks list] [-list] [-fix] [-sarif file] [-budget file] [-summaries] [packages]
+//	acsel-lint [-C dir] [-checks list] [-list] [-sarif file] [-budget file] [-summaries] [packages]
 //
 // Package patterns follow the go tool: ./... (default), ./internal/rts,
 // ./internal/... . Findings are suppressed at the site with
@@ -17,10 +17,7 @@
 // analyze every package and report the findings that land in the
 // selected ones.
 //
-// -fix applies each finding's suggested fix (when one exists), gofmts
-// and atomically rewrites the touched files, then re-runs the analyzers
-// so the exit status reflects what remains; a second -fix run is a
-// no-op. -sarif writes a SARIF 2.1.0 log for CI annotation ("-" for
+// -sarif writes a SARIF 2.1.0 log for CI annotation ("-" for
 // stdout), including call-path traces as relatedLocations. -budget
 // names a findings-ratchet file holding the maximum tolerated finding
 // count: at or under budget the exit code is 0, so CI fails only on
@@ -51,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	checks := fs.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := fs.Bool("list", false, "list available checks and exit")
 	dir := fs.String("C", ".", "module root directory (must contain go.mod)")
-	fix := fs.Bool("fix", false, "apply suggested fixes, then re-run and report what remains")
 	sarifOut := fs.String("sarif", "", "write findings as SARIF 2.1.0 to this file (\"-\" for stdout)")
 	budget := fs.String("budget", "", "findings-ratchet file: exit 0 while findings stay at or under the recorded count")
 	summaries := fs.Bool("summaries", false, "dump the call graph and per-function summaries instead of linting")
@@ -93,32 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
-	}
-
-	if *fix {
-		res, err := lint.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		for _, f := range res.ChangedFiles {
-			if rel, err := filepath.Rel(root, f); err == nil {
-				f = rel
-			}
-			fmt.Fprintf(stderr, "acsel-lint: fixed %s\n", f)
-		}
-		if res.Skipped > 0 {
-			fmt.Fprintf(stderr, "acsel-lint: %d conflicting fix(es) skipped; re-run -fix\n", res.Skipped)
-		}
-		if len(res.ChangedFiles) > 0 {
-			// Fixed files changed on disk: the remaining findings must
-			// come from a fresh run.
-			diags, err = lint.RunSuite(root, fs.Args(), suite)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
-		}
 	}
 
 	if *sarifOut != "" {

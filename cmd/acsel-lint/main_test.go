@@ -94,7 +94,7 @@ func TestRunList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != 0 {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
-	for _, name := range []string{"floatcmp", "units", "globalrand", "errcheck", "locksleep"} {
+	for _, name := range []string{"floatcmp", "globalrand", "errcheck", "locksleep"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, out.String())
 		}

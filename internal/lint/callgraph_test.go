@@ -127,53 +127,3 @@ func TestSCCFixpointMutualRecursion(t *testing.T) {
 		t.Fatal("Ping missing from graph")
 	}
 }
-
-// TestSummaryEncodeDecodeRoundTrip pins the canonical form on a
-// hand-built summary covering every section of the format.
-func TestSummaryEncodeDecodeRoundTrip(t *testing.T) {
-	enc := "summary p.F\n" +
-		"acquire p.T.mu 10 w held=-\n" +
-		"acquire p.T.mu2 20 r held=p.T.mu\n" +
-		"entry p.T.mu\n" +
-		"field p.T.n 30 w must=p.T.mu may=p.T.mu\n" +
-		"field p.T.n 40 ra must=- may=-\n" +
-		"nondet walltime 50 time.Now\n" +
-		"release p.T.mu 60 w\n" +
-		"spawn 70\n" +
-		"trans p.T.mu 10\n" +
-		"unknown 80 call through func value cb\n"
-	s, err := DecodeSummary(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := EncodeSummary(s); got != enc {
-		t.Fatalf("round trip drifted:\n got: %q\nwant: %q", got, enc)
-	}
-	if !s.Fields[1].Atomic || s.Fields[1].Write {
-		t.Fatalf("flags lost: %+v", s.Fields[1])
-	}
-	if s.Fields[0].Struct != "p.T" {
-		t.Fatalf("struct = %q, want p.T", s.Fields[0].Struct)
-	}
-}
-
-// TestDecodeSummaryRejectsMalformed locks in strict parsing: garbage
-// must error, not silently decode into a wrong summary.
-func TestDecodeSummaryRejectsMalformed(t *testing.T) {
-	for _, bad := range []string{
-		"",
-		"summary \n",
-		"summary p.F extra\n",
-		"nope p.F\n",
-		"summary p.F\nacquire p.T.mu ten w held=-\n",
-		"summary p.F\nacquire p.T.mu 10 x held=-\n",
-		"summary p.F\nacquire p.T.mu 10 w\n",
-		"summary p.F\nfield bare 10 w must=- may=-\n",
-		"summary p.F\nnondet cosmic 10 x\n",
-		"summary p.F\nfield p.T.n 10 q must=- may=-\n",
-	} {
-		if _, err := DecodeSummary(bad); err == nil {
-			t.Errorf("DecodeSummary(%q) accepted malformed input", bad)
-		}
-	}
-}

@@ -11,8 +11,7 @@ import (
 // profiler or runtime layers turns a failed RAPL read or an apply()
 // rejection into silently-wrong energy numbers, which is worse than a
 // crash. Write `_ = f()` (or better, handle it) to make the drop
-// explicit; tests are exempt. Plain discards carry a suggested fix
-// inserting the explicit `_ =`.
+// explicit; tests are exempt.
 //
 // It also catches the deferred variant: `defer f.Close()` on a file
 // opened for writing (os.Create, os.CreateTemp, writable os.OpenFile —
@@ -63,18 +62,7 @@ func runErrCheck(pass *Pass) {
 			if !returnsError(pass, call) || isSafeCallee(pass, call) {
 				return true
 			}
-			pass.Report(Diagnostic{
-				Pos:     pass.Fset.Position(call.Pos()),
-				Message: fmt.Sprintf("error returned by %s is discarded; handle it or assign to _ explicitly", calleeString(call)),
-				Fixes: []SuggestedFix{{
-					Message: "make the discard explicit with _ =",
-					Edits: []TextEdit{{
-						Start:   pass.Fset.Position(call.Pos()),
-						End:     pass.Fset.Position(call.Pos()),
-						NewText: "_ = ",
-					}},
-				}},
-			})
+			pass.Reportf(call.Pos(), "error returned by %s is discarded; handle it or assign to _ explicitly", calleeString(call))
 			return true
 		})
 		runDeferClose(pass, f)

@@ -1,8 +1,8 @@
 // Package lint is a small static-analysis framework built entirely on
 // the standard library (go/ast, go/parser, go/types). It exists because
 // the reproduction's correctness rests on numeric invariants the
-// compiler cannot see — watts vs. joules, exact float comparison in
-// model code, deterministic seeding of the clustering/CART pipeline —
+// compiler cannot see — exact float comparison in model code,
+// deterministic seeding of the clustering/CART pipeline —
 // and the module deliberately carries zero external dependencies, so
 // golang.org/x/tools/go/analysis is off the table.
 //
@@ -33,10 +33,6 @@ type Diagnostic struct {
 	Pos     token.Position
 	Check   string // analyzer name, e.g. "floatcmp"
 	Message string
-	// Fixes carries machine-applicable suggested fixes; acsel-lint -fix
-	// applies the first one (see fix.go). Analyzers only attach a fix
-	// when it is safe and semantics-preserving.
-	Fixes []SuggestedFix
 	// Related carries the call-path trace of an interprocedural finding
 	// (module analyzers, modulepass.go): each step explains one hop from
 	// the reported position to the root cause. Rendered as SARIF
@@ -49,23 +45,6 @@ type Diagnostic struct {
 type RelatedPos struct {
 	Pos     token.Position
 	Message string
-}
-
-// TextEdit replaces the source range [Start.Offset, End.Offset) of
-// Start.Filename with NewText. Positions are fully resolved so the fix
-// applier works from file bytes without re-parsing.
-type TextEdit struct {
-	Start   token.Position
-	End     token.Position
-	NewText string
-}
-
-// SuggestedFix is one machine-applicable remediation for a diagnostic.
-// Edits must not overlap; the applier runs the result through gofmt,
-// so edits may be loose about whitespace.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
 }
 
 // String formats the diagnostic in the canonical CLI form.
@@ -104,14 +83,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Report records a pre-built diagnostic (used by analyzers that attach
-// suggested fixes). The Check field is stamped with the running
-// analyzer's name.
-func (p *Pass) Report(d Diagnostic) {
-	d.Check = p.check
-	p.report(d)
-}
-
 // IsTestFile reports whether the file containing pos is a _test.go
 // file. Several checks apply only inside or only outside tests.
 func (p *Pass) IsTestFile(pos token.Pos) bool {
@@ -127,7 +98,6 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 func All() []*Analyzer {
 	return []*Analyzer{
 		AnalyzerFloatCmp,
-		AnalyzerUnits,
 		AnalyzerGlobalRand,
 		AnalyzerErrCheck,
 		AnalyzerLockSleep,

@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -1125,9 +1124,8 @@ func lockSiteLess(a, b LockSite) bool {
 
 // --- textual summary format ----------------------------------------------
 
-// The line-based encoding below is the summaries' interchange format:
-// `acsel-lint -summaries` dumps it, FuzzSummaryRoundTrip holds it
-// canonical (decode ∘ encode ∘ decode is the identity on valid input).
+// The line-based encoding below is what `acsel-lint -summaries` dumps:
+// one sorted line per fact, so two dumps of the same tree diff cleanly.
 
 // EncodeSummary renders s in the canonical line format. Positions are
 // raw token.Pos offsets: stable within one FileSet, opaque otherwise.
@@ -1209,187 +1207,4 @@ func joinClasses(cs []LockClass) string {
 		ss[i] = string(c)
 	}
 	return strings.Join(ss, ",")
-}
-
-func splitClasses(s string) ([]LockClass, error) {
-	if s == "-" {
-		return nil, nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]LockClass, 0, len(parts))
-	for _, p := range parts {
-		if p == "" || p == "-" {
-			return nil, fmt.Errorf("lint: empty lock class in %q", s)
-		}
-		out = append(out, LockClass(p))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-// DecodeSummary parses the canonical format back into a Summary,
-// canonicalizing section order as it goes. Derived trans/entry lines
-// are restored as facts (with empty witness paths).
-func DecodeSummary(text string) (*Summary, error) {
-	lines := strings.Split(text, "\n")
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("lint: empty summary")
-	}
-	header := lines[0]
-	id, ok := strings.CutPrefix(header, "summary ")
-	if !ok || id == "" || strings.ContainsAny(id, " \t") {
-		return nil, fmt.Errorf("lint: bad summary header %q", header)
-	}
-	s := &Summary{ID: FuncID(id), TransAcquires: make(map[LockClass]*acqTrace)}
-	parsePos := func(tok string) (token.Pos, error) {
-		v, err := strconv.Atoi(tok)
-		if err != nil || v < 0 {
-			return token.NoPos, fmt.Errorf("lint: bad position %q", tok)
-		}
-		return token.Pos(v), nil
-	}
-	for _, line := range lines[1:] {
-		if line == "" {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			return nil, fmt.Errorf("lint: blank summary line")
-		}
-		switch fields[0] {
-		case "acquire":
-			if len(fields) != 5 || !strings.HasPrefix(fields[4], "held=") {
-				return nil, fmt.Errorf("lint: bad acquire line %q", line)
-			}
-			pos, err := parsePos(fields[2])
-			if err != nil {
-				return nil, err
-			}
-			if fields[3] != "r" && fields[3] != "w" {
-				return nil, fmt.Errorf("lint: bad rw flag %q", fields[3])
-			}
-			held, err := splitClasses(strings.TrimPrefix(fields[4], "held="))
-			if err != nil {
-				return nil, err
-			}
-			s.Acquires = append(s.Acquires, LockSite{Class: LockClass(fields[1]), Pos: pos, Read: fields[3] == "r", HeldMay: held})
-		case "release":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("lint: bad release line %q", line)
-			}
-			pos, err := parsePos(fields[2])
-			if err != nil {
-				return nil, err
-			}
-			if fields[3] != "r" && fields[3] != "w" {
-				return nil, fmt.Errorf("lint: bad rw flag %q", fields[3])
-			}
-			s.Releases = append(s.Releases, LockSite{Class: LockClass(fields[1]), Pos: pos, Read: fields[3] == "r"})
-		case "field":
-			if len(fields) != 6 || !strings.HasPrefix(fields[4], "must=") || !strings.HasPrefix(fields[5], "may=") {
-				return nil, fmt.Errorf("lint: bad field line %q", line)
-			}
-			pos, err := parsePos(fields[2])
-			if err != nil {
-				return nil, err
-			}
-			flags := fields[3]
-			if len(flags) == 0 || (flags[0] != 'r' && flags[0] != 'w') {
-				return nil, fmt.Errorf("lint: bad access flags %q", flags)
-			}
-			for _, c := range flags[1:] {
-				if c != 'a' && c != 'f' {
-					return nil, fmt.Errorf("lint: bad access flags %q", flags)
-				}
-			}
-			must, err := splitClasses(strings.TrimPrefix(fields[4], "must="))
-			if err != nil {
-				return nil, err
-			}
-			may, err := splitClasses(strings.TrimPrefix(fields[5], "may="))
-			if err != nil {
-				return nil, err
-			}
-			cls := fields[1]
-			dot := strings.LastIndex(cls, ".")
-			if dot <= 0 {
-				return nil, fmt.Errorf("lint: bad field class %q", cls)
-			}
-			s.Fields = append(s.Fields, FieldAccess{
-				Class:    cls,
-				Struct:   cls[:dot],
-				Pos:      pos,
-				Write:    flags[0] == 'w',
-				Atomic:   strings.ContainsRune(flags, 'a'),
-				Fresh:    strings.ContainsRune(flags, 'f'),
-				HeldMust: must,
-				HeldMay:  may,
-			})
-		case "nondet":
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("lint: bad nondet line %q", line)
-			}
-			switch fields[1] {
-			case "walltime", "globalrand", "maporder":
-			default:
-				return nil, fmt.Errorf("lint: bad nondet kind %q", fields[1])
-			}
-			pos, err := parsePos(fields[2])
-			if err != nil {
-				return nil, err
-			}
-			detail := ""
-			if len(fields) > 3 {
-				detail = strings.Join(fields[3:], " ")
-			}
-			s.Nondet = append(s.Nondet, NondetSite{Kind: fields[1], Pos: pos, Detail: detail})
-		case "unknown":
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("lint: bad unknown line %q", line)
-			}
-			pos, err := parsePos(fields[1])
-			if err != nil {
-				return nil, err
-			}
-			desc := ""
-			if len(fields) > 2 {
-				desc = strings.Join(fields[2:], " ")
-			}
-			s.Unknown = append(s.Unknown, UnknownCall{Pos: pos, Desc: desc})
-		case "spawn":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("lint: bad spawn line %q", line)
-			}
-			pos, err := parsePos(fields[1])
-			if err != nil {
-				return nil, err
-			}
-			s.Spawns = append(s.Spawns, pos)
-		case "trans":
-			if len(fields) != 3 {
-				return nil, fmt.Errorf("lint: bad trans line %q", line)
-			}
-			pos, err := parsePos(fields[2])
-			if err != nil {
-				return nil, err
-			}
-			s.TransAcquires[LockClass(fields[1])] = &acqTrace{Pos: pos}
-		case "entry":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("lint: bad entry line %q", line)
-			}
-			entry, err := splitClasses(fields[1])
-			if err != nil {
-				return nil, err
-			}
-			if entry == nil {
-				return nil, fmt.Errorf("lint: empty entry line %q", line)
-			}
-			s.EntryMust = entry
-		default:
-			return nil, fmt.Errorf("lint: unknown summary line kind %q", fields[0])
-		}
-	}
-	sortSummary(s)
-	return s, nil
 }

@@ -604,13 +604,21 @@ func TestDumpFile(t *testing.T) {
 	}
 }
 
+// wrapperSmokeDerived is registered once per process: a derived
+// counter cannot be registered twice, and TestDefaultRegistryWrappers
+// must pass when it runs more than once (go test -count=2).
+var wrapperSmokeDerived = NewCounterFunc("wrapper_smoke_derived_total", "wrapper test",
+	NewCounter("wrapper_smoke_total", "wrapper test").Value)
+
 func TestDefaultRegistryWrappers(t *testing.T) {
 	// The package-level constructors must register into Default; names
 	// are prefixed to avoid colliding with real instrumented families.
 	c := NewCounter("wrapper_smoke_total", "wrapper test")
 	c.Inc()
 	NewCounterVec("wrapper_smoke_site_total", "wrapper test", "site").With("x").Inc()
-	NewCounterFunc("wrapper_smoke_derived_total", "wrapper test", c.Value)
+	if got, want := wrapperSmokeDerived.Value(), c.Value(); got != want {
+		t.Errorf("derived counter = %v, want %v", got, want)
+	}
 	NewGauge("wrapper_smoke_ratio", "wrapper test").Set(1)
 	NewGaugeVec("wrapper_smoke_depth_ratio", "wrapper test", "site").With("x").Set(2)
 	NewHistogram("wrapper_smoke_seconds", "wrapper test", TimeBuckets).Observe(0.01)

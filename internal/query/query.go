@@ -510,6 +510,13 @@ func (s *Service) slowShard(ctx context.Context, kernel string) error {
 			if d > maxSlowShardDelay {
 				d = maxSlowShardDelay
 			}
+			// A deadline that falls inside the delay fails the request:
+			// wait for the context alone, because the delay's timer can
+			// fire before the context's own timer has cancelled it.
+			if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d {
+				<-ctx.Done()
+				return ctx.Err()
+			}
 			t := time.NewTimer(d)
 			select {
 			case <-t.C:
