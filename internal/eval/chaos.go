@@ -53,81 +53,51 @@ func (ev *Evaluation) RunChaos(scenarios []fault.Scenario, seed int64, methods [
 	rep := &ChaosReport{Clean: ev, Seed: seed}
 	for _, sc := range scenarios {
 		inj := fault.NewInjector(sc, seed)
-		res := ChaosScenarioResult{Scenario: sc, Seed: seed}
-		naive := &Evaluation{}
-		hardened := &Evaluation{}
+		naive, hardened := faulty{inj, false}, faulty{inj, true}
+		res := ChaosScenarioResult{Scenario: sc, Seed: seed, Naive: &Evaluation{}, Hardened: &Evaluation{}}
 		for _, kp := range ev.Profiles {
 			model, ok := ev.FoldModels[kp.Benchmark]
 			if !ok {
 				return nil, fmt.Errorf("eval: no fold model for %s", kp.Benchmark)
 			}
 			runner := &sched.Runner{Space: model.Space, Model: model}
-			nc, hc, err := evaluateKernelChaos(runner, kp, methods, inj)
+			cases, err := evaluateKernel(runner, kp, methods, naive, hardened)
 			if err != nil {
 				return nil, fmt.Errorf("eval: chaos %s on %s: %w", sc.Name, kp.KernelID, err)
 			}
-			naive.Cases = append(naive.Cases, nc...)
-			hardened.Cases = append(hardened.Cases, hc...)
+			res.Naive.Cases = append(res.Naive.Cases, cases[0]...)
+			res.Hardened.Cases = append(res.Hardened.Cases, cases[1]...)
 		}
-		naive.aggregate(methods)
-		hardened.aggregate(methods)
-		res.Naive = naive
-		res.Hardened = hardened
+		res.Naive.aggregate(methods)
+		res.Hardened.aggregate(methods)
 		rep.Scenarios = append(rep.Scenarios, res)
 	}
 	return rep, nil
 }
 
-// evaluateKernelChaos mirrors evaluateKernel with sensor-mediated
-// decisions. Each (kernel, cap, method, posture) consumer gets its own
-// reading key, so decision processes draw independent deterministic
-// fault streams.
-func evaluateKernelChaos(r *sched.Runner, kp *core.KernelProfile, methods []sched.Method, inj *fault.Injector) (naive, hardened []Case, err error) {
-	truth := sched.ProfileTruth{Profile: kp}
-	preds, err := predictKernel(r, kp)
-	if err != nil {
-		return nil, nil, err
-	}
-	combo := comboLabel(kp)
-	for capIdx, pt := range kp.Frontier.Points() {
-		capW := pt.Power
-		oracle := r.Oracle(truth, capW)
-		for _, m := range methods {
-			mk := func(posture string) sched.FaultyReadings {
-				return sched.FaultyReadings{
-					Truth:  truth,
-					Faults: inj,
-					Key:    fmt.Sprintf("%s|c%d|%s|%s", kp.KernelID, capIdx, m, posture),
-				}
-			}
-			nd, derr := r.DecideNaive(m, truth, mk("naive"), preds, capW)
-			if derr != nil {
-				return nil, nil, derr
-			}
-			hd, derr := r.DecideHardened(m, truth, mk("hard"), preds, capW)
-			if derr != nil {
-				return nil, nil, derr
-			}
-			naive = append(naive, chaosCase(kp, combo, m, capW, nd, oracle))
-			hardened = append(hardened, chaosCase(kp, combo, m, capW, hd, oracle))
-		}
-	}
-	return naive, hardened, nil
+// faulty decides with the sensor distorted by inj, in the naive or the
+// hardened posture. Each (kernel, cap, method, posture) consumer gets
+// its own reading key, so decision processes draw independent
+// deterministic fault streams.
+type faulty struct {
+	inj      *fault.Injector
+	hardened bool
 }
 
-func chaosCase(kp *core.KernelProfile, combo string, m sched.Method, capW float64, d, oracle sched.Decision) Case {
-	return Case{
-		KernelID:   kp.KernelID,
-		Combo:      combo,
-		Method:     m,
-		CapW:       capW,
-		Decision:   d,
-		Oracle:     oracle,
-		Under:      d.MeetsCap(capW),
-		PerfRatio:  d.TruePerf / oracle.TruePerf,
-		PowerRatio: d.TruePower / oracle.TruePower,
-		Weight:     kp.TimeShare,
+func (f faulty) decide(r *sched.Runner, m sched.Method, truth sched.ProfileTruth, preds core.Predictions, capIdx int, capW float64) (sched.Decision, error) {
+	posture := "naive"
+	if f.hardened {
+		posture = "hard"
 	}
+	readings := sched.FaultyReadings{
+		Truth:  truth,
+		Faults: f.inj,
+		Key:    fmt.Sprintf("%s|c%d|%s|%s", truth.Profile.KernelID, capIdx, m, posture),
+	}
+	if f.hardened {
+		return r.DecideHardened(m, truth, readings, preds, capW)
+	}
+	return r.DecideNaive(m, truth, readings, preds, capW)
 }
 
 // PctUnderCases returns the unweighted fraction of an evaluation's

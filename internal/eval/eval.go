@@ -37,8 +37,8 @@ type Case struct {
 	// own selection violates it. Oracle-relative ratios are meaningless
 	// there, so the case is flagged, its ratios are guarded, and
 	// aggregation skips it rather than letting it poison the weighted
-	// sums. Never set on clean runs, where every cap comes from the
-	// kernel's own measured frontier.
+	// sums. Never set by Harness.Run or RunChaos, where every cap comes
+	// from the kernel's own measured frontier.
 	Infeasible bool
 }
 
@@ -264,26 +264,40 @@ func (h *Harness) runFold(profiles []*core.KernelProfile, bench string, fullDis 
 	runner := &sched.Runner{Space: h.Profiler.Space, Model: model, VarAwareZ: h.varAwareZ}
 	var out []Case
 	for _, kp := range test {
-		cases, err := evaluateKernel(runner, kp, methods)
+		cases, err := evaluateKernel(runner, kp, methods, clean{})
 		if err != nil {
 			return nil, nil, fmt.Errorf("kernel %s: %w", kp.KernelID, err)
 		}
-		out = append(out, cases...)
+		out = append(out, cases[0]...)
 	}
 	return model, out, nil
 }
 
+// decider makes method m's decision for a kernel at capW, the capIdx-th
+// power level of its oracle frontier.
+type decider interface {
+	decide(r *sched.Runner, m sched.Method, truth sched.ProfileTruth, preds core.Predictions, capIdx int, capW float64) (sched.Decision, error)
+}
+
+// clean decides with the limiter reading exact true power.
+type clean struct{}
+
+func (clean) decide(r *sched.Runner, m sched.Method, truth sched.ProfileTruth, preds core.Predictions, _ int, capW float64) (sched.Decision, error) {
+	return r.Decide(m, truth, preds, capW)
+}
+
 // evaluateKernel runs every method at every oracle-frontier power level
-// of one kernel.
-func evaluateKernel(r *sched.Runner, kp *core.KernelProfile, methods []sched.Method) ([]Case, error) {
+// of one kernel, once per decider, and returns one case list per
+// decider. The oracle decides once per cap for all of them.
+func evaluateKernel(r *sched.Runner, kp *core.KernelProfile, methods []sched.Method, deciders ...decider) ([][]Case, error) {
 	truth := sched.ProfileTruth{Profile: kp}
 	preds, err := predictKernel(r, kp)
 	if err != nil {
 		return nil, err
 	}
 	combo := comboLabel(kp)
-	var out []Case
-	for _, pt := range kp.Frontier.Points() {
+	out := make([][]Case, len(deciders))
+	for capIdx, pt := range kp.Frontier.Points() {
 		capW := pt.Power
 		oracle := r.Oracle(truth, capW)
 		// An oracle that cannot meet the cap itself means the cap is
@@ -294,23 +308,25 @@ func evaluateKernel(r *sched.Runner, kp *core.KernelProfile, methods []sched.Met
 			mInfeasibleCases.Inc()
 		}
 		for _, m := range methods {
-			d, err := r.Decide(m, truth, preds, capW)
-			if err != nil {
-				return nil, err
+			for i, dc := range deciders {
+				d, err := dc.decide(r, m, truth, preds, capIdx, capW)
+				if err != nil {
+					return nil, err
+				}
+				out[i] = append(out[i], Case{
+					KernelID:   kp.KernelID,
+					Combo:      combo,
+					Method:     m,
+					CapW:       capW,
+					Decision:   d,
+					Oracle:     oracle,
+					Under:      d.MeetsCap(capW),
+					PerfRatio:  safeRatio(d.TruePerf, oracle.TruePerf),
+					PowerRatio: safeRatio(d.TruePower, oracle.TruePower),
+					Weight:     kp.TimeShare,
+					Infeasible: infeasible,
+				})
 			}
-			out = append(out, Case{
-				KernelID:   kp.KernelID,
-				Combo:      combo,
-				Method:     m,
-				CapW:       capW,
-				Decision:   d,
-				Oracle:     oracle,
-				Under:      d.MeetsCap(capW),
-				PerfRatio:  safeRatio(d.TruePerf, oracle.TruePerf),
-				PowerRatio: safeRatio(d.TruePower, oracle.TruePower),
-				Weight:     kp.TimeShare,
-				Infeasible: infeasible,
-			})
 		}
 	}
 	return out, nil

@@ -435,10 +435,11 @@ func TestInfeasibleCapsFlaggedAndGuarded(t *testing.T) {
 		doctored.Stats[i].MeanPerf = 0
 	}
 
-	cases, err := evaluateKernel(runner, &doctored, sched.Methods())
+	perDecider, err := evaluateKernel(runner, &doctored, sched.Methods(), clean{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cases := perDecider[0]
 	if len(cases) == 0 {
 		t.Fatal("no cases produced")
 	}

@@ -61,12 +61,16 @@ type SMU struct {
 	MaxPlausibleW float64
 }
 
+// DefaultMaxPlausibleW is DefaultSMU's plausibility ceiling, and the
+// ceiling of the scheduler's sanity gate on limiter readings.
+const DefaultMaxPlausibleW = 120
+
 // DefaultSMU returns an SMU matching the paper's setup: 1 kHz sampling
 // with a realistic estimator noise and 1/8 W quantization. The
 // plausibility ceiling sits well above the machine's ~55 W peak but
 // below any spiking sensor's output.
 func DefaultSMU() *SMU {
-	return &SMU{SampleHz: 1000, NoiseStd: 0.01, QuantumW: 0.125, MaxPlausibleW: 120}
+	return &SMU{SampleHz: 1000, NoiseStd: 0.01, QuantumW: 0.125, MaxPlausibleW: DefaultMaxPlausibleW}
 }
 
 // Measurement is the integrated result of sampling one kernel

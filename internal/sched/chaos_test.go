@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"acsel/internal/apu"
+	"acsel/internal/core"
 	"acsel/internal/fault"
 	"acsel/internal/power"
 )
@@ -199,8 +200,10 @@ func TestNaiveDropoutCausesSilentViolation(t *testing.T) {
 	space, _, profs := setup(t)
 	r := &Runner{Space: space}
 	truth := ProfileTruth{Profile: profs[0]}
-	read := func(_, _ int) float64 { return 0 } // every read claims 0 W
-	d := r.limitNaive(MethodCPUFL, truth, read, 15)
+	d, err := r.DecideNaive(MethodCPUFL, truth, deadReadings{}, core.Predictions{}, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d.FLSteps != 0 {
 		t.Errorf("naive limiter stepped %d times on a dead sensor", d.FLSteps)
 	}
@@ -215,15 +218,39 @@ func TestHardenedDeadSensorFallsToFloor(t *testing.T) {
 	space, _, profs := setup(t)
 	r := &Runner{Space: space}
 	truth := ProfileTruth{Profile: profs[0]}
-	start := apu.Config{
-		Device:     apu.CPUDevice,
-		CPUFreqGHz: apu.MaxCPUFreq(),
-		Threads:    apu.NumCores,
-		GPUFreqGHz: apu.MinGPUFreq(),
+	d, err := r.DecideHardened(MethodCPUFL, truth, deadReadings{}, core.Predictions{}, 15)
+	if err != nil {
+		t.Fatal(err)
 	}
-	d := r.limitHardened(MethodCPUFL, truth, deadReadings{}, start, 15, -1)
 	if d.Config.CPUFreqGHz != apu.MinCPUFreq() { //lint:ignore floatcmp discrete frequency line
 		t.Errorf("dead sensor left CPU+FL at %v GHz", d.Config.CPUFreqGHz)
+	}
+}
+
+// TestHardenedModelFLFloorSkipsNaNPower: on a dead sensor, hardened
+// Model+FL floors at the minimum-predicted-power configuration by the
+// runtime's min-power rule (SelectAmong at cap −Inf), which skips a
+// NaN predicted power instead of seeding its minimum with it.
+func TestHardenedModelFLFloorSkipsNaNPower(t *testing.T) {
+	space, model, profs := setup(t)
+	r := &Runner{Space: space, Model: model}
+	kp := profs[0]
+	truth := ProfileTruth{Profile: kp}
+	preds := predsOf(t, model, kp)
+	preds.Preds = append([]core.Prediction(nil), preds.Preds...)
+	preds.Preds[0].PowerW = math.NaN()
+	minID := -1
+	for _, p := range preds.Preds {
+		if !math.IsNaN(p.PowerW) && (minID < 0 || p.PowerW < preds.Preds[minID].PowerW) {
+			minID = p.ConfigID
+		}
+	}
+	d, err := r.DecideHardened(MethodModelFL, truth, deadReadings{}, preds, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.ConfigID != minID {
+		t.Errorf("dead-sensor floor = config %d, want minimum-predicted-power config %d", d.ConfigID, minID)
 	}
 }
 

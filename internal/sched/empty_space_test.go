@@ -11,21 +11,35 @@ import (
 // TestDecideEmptySpace is the regression test for the empty-space
 // panic: Oracle's fallback ID stays -1 over zero configurations and
 // the FL baselines' IDOf lookups miss, so every policy used to index
-// Space.Configs[-1] and panic. Decide must return ErrEmptySpace
-// instead — for a nil space too.
+// Space.Configs[-1] and panic. Decide, DecideNaive and DecideHardened
+// must return ErrEmptySpace instead — for a nil space too.
 func TestDecideEmptySpace(t *testing.T) {
 	truth := ProfileTruth{Profile: &core.KernelProfile{}}
+	readings := TrueReadings{Truth: truth}
 	for _, r := range []*Runner{
 		{Space: &apu.Space{}},
 		{Space: nil},
 	} {
-		for _, m := range append(Methods(), MethodOracle) {
-			d, err := r.Decide(m, truth, core.Predictions{}, 24)
-			if err == nil {
-				t.Fatalf("%s over an empty space: got decision %+v, want error", m, d)
-			}
-			if !errors.Is(err, ErrEmptySpace) {
-				t.Fatalf("%s over an empty space: error %v is not ErrEmptySpace", m, err)
+		entries := map[string]func(Method) (Decision, error){
+			"Decide": func(m Method) (Decision, error) {
+				return r.Decide(m, truth, core.Predictions{}, 24)
+			},
+			"DecideNaive": func(m Method) (Decision, error) {
+				return r.DecideNaive(m, truth, readings, core.Predictions{}, 24)
+			},
+			"DecideHardened": func(m Method) (Decision, error) {
+				return r.DecideHardened(m, truth, readings, core.Predictions{}, 24)
+			},
+		}
+		for name, decide := range entries {
+			for _, m := range append(Methods(), MethodOracle) {
+				d, err := decide(m)
+				if err == nil {
+					t.Fatalf("%s %s over an empty space: got decision %+v, want error", name, m, d)
+				}
+				if !errors.Is(err, ErrEmptySpace) {
+					t.Fatalf("%s %s over an empty space: error %v is not ErrEmptySpace", name, m, err)
+				}
 			}
 		}
 	}

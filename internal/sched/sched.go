@@ -4,9 +4,13 @@
 // and GPU+FL, the model-driven selector, and the combination Model+FL.
 //
 // All policies consume a kernel's true measured behaviour through the
-// Truth interface; the frequency limiter iteratively "measures" the
-// power of its current configuration and steps P-states, exactly like
-// the hardware limiter the paper simulates.
+// Truth interface. The three FL policies share one limiter loop, which
+// reads the power of its current configuration and steps P-states,
+// like the hardware limiter the paper simulates. It reads power through
+// one of three readers: the exact truth (Decide), a sensor believed at
+// face value (DecideNaive) or a sensor behind a sanity gate and
+// redundant reads (DecideHardened). All three entry points dispatch
+// through one method switch.
 package sched
 
 import (
@@ -123,8 +127,27 @@ var ErrEmptySpace = errors.New("sched: empty configuration space")
 // behaviour comes from truth, and the model-based policies select among
 // preds, the kernel's predictions from Model.PredictAll. A caller
 // predicts once per kernel and reuses preds at every cap; the other
-// policies ignore it, so they may pass the zero value.
+// policies ignore it, so they may pass the zero value. The frequency
+// limiter reads the exact true power.
 func (r *Runner) Decide(m Method, truth Truth, preds core.Predictions, capW float64) (Decision, error) {
+	return r.decide(m, truth, preds, capW, exact{truth}, true)
+}
+
+// reader is how the frequency limiter reads power.
+type reader interface {
+	// read returns the power of configuration id at limiter step step,
+	// and whether the limiter may trust it.
+	read(id, step int) (w float64, trusted bool)
+}
+
+// exact reads the true power: every reading is trusted.
+type exact struct{ truth Truth }
+
+func (e exact) read(id, _ int) (float64, bool) { return e.truth.PowerAt(id), true }
+
+// decide runs method m with the frequency limiter reading power through
+// rd. raise enables GPU+FL's raise-CPU-into-headroom phase.
+func (r *Runner) decide(m Method, truth Truth, preds core.Predictions, capW float64, rd reader, raise bool) (Decision, error) {
 	if r.Space == nil || r.Space.Len() == 0 {
 		return Decision{}, fmt.Errorf("%w: cannot run %s", ErrEmptySpace, m)
 	}
@@ -132,13 +155,42 @@ func (r *Runner) Decide(m Method, truth Truth, preds core.Predictions, capW floa
 	case MethodOracle:
 		return r.Oracle(truth, capW), nil
 	case MethodCPUFL:
-		return r.CPUFL(truth, capW), nil
+		// All cores, GPU parked, CPU P-state stepped down from maximum.
+		start := apu.Config{
+			Device:     apu.CPUDevice,
+			CPUFreqGHz: apu.MaxCPUFreq(),
+			Threads:    apu.NumCores,
+			GPUFreqGHz: apu.MinGPUFreq(),
+		}
+		return r.limit(m, truth, preds, rd, start, capW, false), nil
 	case MethodGPUFL:
-		return r.GPUFL(truth, capW), nil
-	case MethodModel:
-		return r.ModelOnly(truth, preds, capW)
-	case MethodModelFL:
-		return r.ModelFL(truth, preds, capW)
+		// GPU at maximum, CPU at minimum: the GPU P-state steps down,
+		// then the CPU frequency rises into any remaining headroom.
+		start := apu.Config{
+			Device:     apu.GPUDevice,
+			CPUFreqGHz: apu.MinCPUFreq(),
+			Threads:    1,
+			GPUFreqGHz: apu.MaxGPUFreq(),
+		}
+		return r.limit(m, truth, preds, rd, start, capW, raise), nil
+	case MethodModel, MethodModelFL:
+		if r.Model == nil {
+			return Decision{}, ErrNeedModel
+		}
+		sel, err := core.SelectAmong(preds.Preds, preds.Cluster, capW, r.VarAwareZ)
+		if err != nil {
+			return Decision{}, err
+		}
+		if !sel.MeetsCapPredicted {
+			mFallback.With(m.String()).Inc()
+		}
+		if m == MethodModel {
+			// The model's prediction applied directly, with no feedback.
+			return r.finish(m, truth, sel.ConfigID, 0), nil
+		}
+		// The model picks the device and thread count, the structural
+		// choices the limiter cannot make; the limiter sets frequencies.
+		return r.limit(m, truth, preds, rd, sel.Config, capW, false), nil
 	}
 	return Decision{}, fmt.Errorf("sched: unknown method %d", int(m))
 }
@@ -181,113 +233,25 @@ func (r *Runner) finish(m Method, truth Truth, id, flSteps int) Decision {
 	}
 }
 
-// CPUFL is the CPU-focused frequency limiter: all cores enabled, GPU
-// parked at minimum frequency, CPU P-state stepped down from maximum
-// until measured power fits the cap (or the minimum P-state is hit).
-func (r *Runner) CPUFL(truth Truth, capW float64) Decision {
-	cfg := apu.Config{
-		Device:     apu.CPUDevice,
-		CPUFreqGHz: apu.MaxCPUFreq(),
-		Threads:    apu.NumCores,
-		GPUFreqGHz: apu.MinGPUFreq(),
-	}
-	steps := 0
+// limit is the frequency limiter of CPU+FL, GPU+FL and Model+FL. From
+// cfg it reads power through rd and, while a reading is over the cap
+// or untrusted, steps a P-state down: the GPU first on GPU
+// configurations, then the CPU. After hardenedMaxDistrust untrusted
+// readings it abandons feedback and takes the method's floor. With
+// raise, a configuration that fits then raises the CPU frequency while
+// the cap still holds (§V-A).
+func (r *Runner) limit(m Method, truth Truth, preds core.Predictions, rd reader, cfg apu.Config, capW float64, raise bool) Decision {
+	steps, distrust := 0, 0
 	for {
 		id := r.Space.IDOf(cfg)
-		if truth.PowerAt(id) <= capW+capSlack {
-			return r.finish(MethodCPUFL, truth, id, steps)
-		}
-		next, ok := apu.StepDownCPU(cfg.CPUFreqGHz)
-		if !ok {
-			return r.finish(MethodCPUFL, truth, id, steps)
-		}
-		cfg.CPUFreqGHz = next
-		steps++
-	}
-}
-
-// GPUFL is the GPU-focused frequency limiter: GPU at maximum frequency
-// with the CPU at minimum; the limiter steps the GPU P-state down until
-// the cap is met, then raises the CPU frequency into any remaining
-// headroom (§V-A).
-func (r *Runner) GPUFL(truth Truth, capW float64) Decision {
-	cfg := apu.Config{
-		Device:     apu.GPUDevice,
-		CPUFreqGHz: apu.MinCPUFreq(),
-		Threads:    1,
-		GPUFreqGHz: apu.MaxGPUFreq(),
-	}
-	steps := 0
-	for {
-		id := r.Space.IDOf(cfg)
-		if truth.PowerAt(id) <= capW+capSlack {
+		w, trusted := rd.read(id, steps)
+		if trusted && w <= capW+capSlack {
 			break
 		}
-		next, ok := apu.StepDownGPU(cfg.GPUFreqGHz)
-		if !ok {
-			return r.finish(MethodGPUFL, truth, id, steps)
-		}
-		cfg.GPUFreqGHz = next
-		steps++
-	}
-	// Raise CPU frequency while the cap still holds.
-	for {
-		next, ok := apu.StepUpCPU(cfg.CPUFreqGHz)
-		if !ok {
-			break
-		}
-		trial := cfg
-		trial.CPUFreqGHz = next
-		if truth.PowerAt(r.Space.IDOf(trial)) > capW+capSlack {
-			break
-		}
-		cfg = trial
-		steps++
-	}
-	return r.finish(MethodGPUFL, truth, r.Space.IDOf(cfg), steps)
-}
-
-// ModelOnly applies the model's prediction directly: the configuration
-// predicted to maximize performance under the cap, with no feedback.
-func (r *Runner) ModelOnly(truth Truth, preds core.Predictions, capW float64) (Decision, error) {
-	sel, err := r.selectModel(preds, capW)
-	if err != nil {
-		return Decision{}, err
-	}
-	if !sel.MeetsCapPredicted {
-		mFallback.With(MethodModel.String()).Inc()
-	}
-	return r.finish(MethodModel, truth, sel.ConfigID, 0), nil
-}
-
-// selectModel picks among the kernel's predictions under the cap with
-// the runner's variance-aware margin.
-func (r *Runner) selectModel(preds core.Predictions, capW float64) (core.Selection, error) {
-	if r.Model == nil {
-		return core.Selection{}, ErrNeedModel
-	}
-	return core.SelectAmong(preds.Preds, preds.Cluster, capW, r.VarAwareZ)
-}
-
-// ModelFL combines the model with frequency limiting: the model picks
-// the device and thread count (its structural choices the limiter
-// cannot make), then the limiter steps the chosen device's frequency —
-// GPU first on GPU configurations, then the host CPU — while measured
-// power exceeds the cap.
-func (r *Runner) ModelFL(truth Truth, preds core.Predictions, capW float64) (Decision, error) {
-	sel, err := r.selectModel(preds, capW)
-	if err != nil {
-		return Decision{}, err
-	}
-	if !sel.MeetsCapPredicted {
-		mFallback.With(MethodModelFL.String()).Inc()
-	}
-	cfg := sel.Config
-	steps := 0
-	for {
-		id := r.Space.IDOf(cfg)
-		if truth.PowerAt(id) <= capW+capSlack {
-			return r.finish(MethodModelFL, truth, id, steps), nil
+		if !trusted {
+			if distrust++; distrust >= hardenedMaxDistrust {
+				return r.finish(m, truth, r.floor(m, preds, cfg), steps)
+			}
 		}
 		if cfg.Device == apu.GPUDevice {
 			if next, ok := apu.StepDownGPU(cfg.GPUFreqGHz); ok {
@@ -298,9 +262,41 @@ func (r *Runner) ModelFL(truth Truth, preds core.Predictions, capW float64) (Dec
 		}
 		next, ok := apu.StepDownCPU(cfg.CPUFreqGHz)
 		if !ok {
-			return r.finish(MethodModelFL, truth, id, steps), nil
+			return r.finish(m, truth, id, steps)
 		}
 		cfg.CPUFreqGHz = next
 		steps++
 	}
+	for raise {
+		next, ok := apu.StepUpCPU(cfg.CPUFreqGHz)
+		if !ok {
+			break
+		}
+		trial := cfg
+		trial.CPUFreqGHz = next
+		if w, trusted := rd.read(r.Space.IDOf(trial), steps); !trusted || w > capW+capSlack {
+			break
+		}
+		cfg = trial
+		steps++
+	}
+	return r.finish(m, truth, r.Space.IDOf(cfg), steps)
+}
+
+// floor is the configuration a limiter that cannot trust its sensor
+// falls to. For Model+FL it is the model's minimum-predicted-power
+// configuration, by the rule of the runtime's min-power rung:
+// SelectAmong at cap −Inf with z = 0. Otherwise it is cfg with every
+// steppable frequency at its minimum, the bottom of the limiter's line.
+func (r *Runner) floor(m Method, preds core.Predictions, cfg apu.Config) int {
+	if m == MethodModelFL {
+		if sel, err := core.SelectAmong(preds.Preds, preds.Cluster, math.Inf(-1), 0); err == nil {
+			return sel.ConfigID
+		}
+	}
+	cfg.CPUFreqGHz = apu.MinCPUFreq()
+	if cfg.Device == apu.GPUDevice {
+		cfg.GPUFreqGHz = apu.MinGPUFreq()
+	}
+	return r.Space.IDOf(cfg)
 }

@@ -59,6 +59,16 @@ func predsOf(t *testing.T, m *core.Model, kp *core.KernelProfile) core.Predictio
 	return core.Predictions{Preds: preds, Cluster: cluster}
 }
 
+// mustDecide runs a policy that needs no predictions through Decide.
+func mustDecide(t *testing.T, r *Runner, m Method, truth Truth, capW float64) Decision {
+	t.Helper()
+	d, err := r.Decide(m, truth, core.Predictions{}, capW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestMethodStrings(t *testing.T) {
 	want := map[Method]string{
 		MethodOracle: "Oracle", MethodModel: "Model", MethodModelFL: "Model+FL",
@@ -111,7 +121,7 @@ func TestCPUFLUsesAllCoresAndParksGPU(t *testing.T) {
 	space, _, profs := setup(t)
 	r := &Runner{Space: space}
 	truth := ProfileTruth{profs[0]}
-	d := r.CPUFL(truth, 25)
+	d := mustDecide(t, r, MethodCPUFL, truth, 25)
 	if d.Config.Device != apu.CPUDevice || d.Config.Threads != apu.NumCores {
 		t.Errorf("CPU+FL config = %v", d.Config)
 	}
@@ -124,8 +134,8 @@ func TestCPUFLStepsDownUnderTightCap(t *testing.T) {
 	space, _, profs := setup(t)
 	r := &Runner{Space: space}
 	truth := ProfileTruth{profs[0]}
-	loose := r.CPUFL(truth, 100)
-	tight := r.CPUFL(truth, 18)
+	loose := mustDecide(t, r, MethodCPUFL, truth, 100)
+	tight := mustDecide(t, r, MethodCPUFL, truth, 18)
 	if loose.Config.CPUFreqGHz != apu.MaxCPUFreq() {
 		t.Errorf("loose cap should keep max frequency, got %v", loose.Config)
 	}
@@ -144,7 +154,7 @@ func TestCPUFLCannotDropThreads(t *testing.T) {
 	space, _, profs := setup(t)
 	r := &Runner{Space: space}
 	truth := ProfileTruth{profs[0]}
-	d := r.CPUFL(truth, 5)
+	d := mustDecide(t, r, MethodCPUFL, truth, 5)
 	if d.Config.Threads != apu.NumCores || d.Config.CPUFreqGHz != apu.MinCPUFreq() {
 		t.Errorf("config = %v", d.Config)
 	}
@@ -157,7 +167,7 @@ func TestGPUFLStructure(t *testing.T) {
 	space, _, profs := setup(t)
 	r := &Runner{Space: space}
 	truth := ProfileTruth{profs[0]}
-	d := r.GPUFL(truth, 100)
+	d := mustDecide(t, r, MethodGPUFL, truth, 100)
 	if d.Config.Device != apu.GPUDevice {
 		t.Errorf("GPU+FL device = %v", d.Config.Device)
 	}
@@ -182,8 +192,8 @@ func TestGPUFLStepsDownAndRaisesCPU(t *testing.T) {
 		t.Fatal("missing LU Large")
 	}
 	truth := ProfileTruth{kp}
-	full := r.GPUFL(truth, 1000)
-	mid := r.GPUFL(truth, full.TruePower*0.8)
+	full := mustDecide(t, r, MethodGPUFL, truth, 1000)
+	mid := mustDecide(t, r, MethodGPUFL, truth, full.TruePower*0.8)
 	if mid.Config.GPUFreqGHz >= full.Config.GPUFreqGHz && mid.TruePower > full.TruePower*0.8+capSlack {
 		t.Errorf("GPU+FL did not step down: %v (%.1f W)", mid.Config, mid.TruePower)
 	}
@@ -200,7 +210,7 @@ func TestGPUFLCannotLeaveGPU(t *testing.T) {
 	space, _, profs := setup(t)
 	r := &Runner{Space: space}
 	truth := ProfileTruth{profs[0]}
-	d := r.GPUFL(truth, 10)
+	d := mustDecide(t, r, MethodGPUFL, truth, 10)
 	if d.Config.Device != apu.GPUDevice {
 		t.Error("GPU+FL must stay on the GPU")
 	}
@@ -249,11 +259,11 @@ func TestModelFLNeverWorseThanModelOnPower(t *testing.T) {
 		truth := ProfileTruth{kp}
 		preds := predsOf(t, model, kp)
 		for _, cap := range []float64{16, 22, 30} {
-			dm, err := r.ModelOnly(truth, preds, cap)
+			dm, err := r.Decide(MethodModel, truth, preds, cap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			df, err := r.ModelFL(truth, preds, cap)
+			df, err := r.Decide(MethodModelFL, truth, preds, cap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,11 +289,11 @@ func TestModelFLMeetsCapsMoreOftenThanModel(t *testing.T) {
 		preds := predsOf(t, model, kp)
 		for _, pt := range kp.Frontier.Points() {
 			cap := pt.Power
-			dm, err := r.ModelOnly(truth, preds, cap)
+			dm, err := r.Decide(MethodModel, truth, preds, cap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			df, err := r.ModelFL(truth, preds, cap)
+			df, err := r.Decide(MethodModelFL, truth, preds, cap)
 			if err != nil {
 				t.Fatal(err)
 			}
