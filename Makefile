@@ -128,9 +128,10 @@ fuzz:
 
 # CI-sized fuzz pass: 10 seconds per target across every fuzzed package
 # (rank correlation, regression fitting, frontier shared order, the
-# compiled selector against SelectAmong, pragma preprocessing,
-# checkpoint decoding, the shared strict wire decoder, select-request
-# wire decoding, the selection cache against a naive model).
+# compiled selector against SelectAmong and its predicted frontier
+# against its own selections, pragma preprocessing, checkpoint
+# decoding, the shared strict wire decoder, select-request wire
+# decoding, the selection cache against a naive model).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKendallTauRanks -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzFitRegression -fuzztime 10s ./internal/stats

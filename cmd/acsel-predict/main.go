@@ -97,14 +97,13 @@ func run(modelPath, kernelID string, capW, z float64, showFrontier bool, remote 
 		cpuRun.TimeSec, cpuRun.TotalPowerW(), gpuRun.TimeSec, gpuRun.TotalPowerW())
 
 	if showFrontier {
-		frontier, _, err := model.PredictedFrontier(sr)
+		sel, err := model.PredictedFrontier(sr)
 		if err != nil {
 			return err
 		}
 		fmt.Println("predicted Pareto frontier (power W -> perf 1/s):")
-		for _, pt := range frontier.Points() {
-			cfg := model.Space.Configs[pt.ID]
-			fmt.Printf("  %6.1f W  %10.2f /s  %v\n", pt.Power, pt.Perf, cfg)
+		for _, p := range sel.Frontier(0) {
+			fmt.Printf("  %6.1f W  %10.2f /s  %v\n", p.PowerW, p.Perf, p.Config)
 		}
 	}
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"acsel/internal/core"
+	"acsel/internal/golden"
 	"acsel/internal/kernels"
 	"acsel/internal/profiler"
 	"acsel/internal/query"
@@ -61,6 +62,21 @@ func TestPredictEndToEnd(t *testing.T) {
 	if err := run(model, "LU/Small/lud", 20, 1.5, false, ""); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestStdoutGolden pins what the local path prints, predicted frontier
+// included, at no margin and at z = 1.5, byte for byte against
+// testdata/stdout.golden. Regenerate the golden only for a change that
+// means to move the model's predictions or selections.
+func TestStdoutGolden(t *testing.T) {
+	model := writeModel(t)
+	golden.Stdout(t, "testdata/stdout.golden", func() {
+		for _, z := range []float64{0, 1.5} {
+			if err := run(model, "LU/Small/lud", 20, z, true, ""); err != nil {
+				t.Error(err)
+			}
+		}
+	})
 }
 
 func TestPredictErrors(t *testing.T) {

@@ -99,7 +99,7 @@ func main() {
 	baseline := func(m sched.Method) (time, energy float64, violations int) {
 		for _, kp := range appProfiles {
 			truth := sched.ProfileTruth{Profile: kp}
-			d, err := runner.Decide(m, truth, core.Predictions{}, capW)
+			d, err := runner.Decide(m, truth, nil, capW)
 			if err != nil {
 				log.Fatal(err)
 			}

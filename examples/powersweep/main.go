@@ -59,11 +59,10 @@ func main() {
 	truth := sched.ProfileTruth{Profile: kp}
 	// Predict the kernel's 42 configurations once from its two sample
 	// runs; the model-based policies select among them at every cap.
-	preds, cluster, err := model.PredictAll(core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
+	kpreds, err := model.PredictedFrontier(core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
 	if err != nil {
 		log.Fatal(err)
 	}
-	kpreds := core.Predictions{Preds: preds, Cluster: cluster}
 	runner := &sched.Runner{Space: prof.Space, Model: model}
 
 	fmt.Printf("power-cap sweep for %s (oracle-normalized performance; * = cap violated)\n\n", target)

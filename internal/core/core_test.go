@@ -8,6 +8,7 @@ import (
 
 	"acsel/internal/apu"
 	"acsel/internal/kernels"
+	"acsel/internal/pareto"
 	"acsel/internal/profiler"
 	"acsel/internal/stats"
 )
@@ -330,12 +331,17 @@ func median(xs []float64) float64 {
 func TestPredictedFrontier(t *testing.T) {
 	profs, m, _ := trained(t)
 	kp := profs[0]
-	f, preds, err := m.PredictedFrontier(SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
+	sr := SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample}
+	s, err := m.PredictedFrontier(sr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Len() < 2 {
-		t.Errorf("predicted frontier has %d points", f.Len())
+	if f := s.Frontier(0); len(f) < 2 {
+		t.Errorf("predicted frontier has %d points", len(f))
+	}
+	preds, _, err := m.PredictAll(sr)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(preds) != cachedSpace.Len() {
 		t.Errorf("preds = %d", len(preds))
@@ -499,13 +505,18 @@ func BenchmarkOnlineSelection(b *testing.B) {
 	}
 }
 
-// Property: the predicted frontier is a subset of the prediction set
-// and is internally non-dominated, for every profiled kernel.
+// Property: the predicted frontier is a subset of the prediction set,
+// is internally non-dominated and is the Pareto frontier pareto.New
+// derives from the same predictions, for every profiled kernel.
 func TestPropertyPredictedFrontierConsistent(t *testing.T) {
 	profs, m, _ := trained(t)
 	for _, kp := range profs {
 		sr := SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample}
-		frontier, preds, err := m.PredictedFrontier(sr)
+		frontier, err := m.PredictedFrontier(sr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds, _, err := m.PredictAll(sr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,17 +524,31 @@ func TestPropertyPredictedFrontierConsistent(t *testing.T) {
 		for _, p := range preds {
 			byID[p.ConfigID] = p
 		}
-		pts := frontier.Points()
+		pts := frontier.Frontier(0)
 		for i, pt := range pts {
-			p, ok := byID[pt.ID]
+			p, ok := byID[pt.ConfigID]
 			if !ok {
-				t.Fatalf("%s: frontier point %d not in predictions", kp.KernelID, pt.ID)
+				t.Fatalf("%s: frontier point %d not in predictions", kp.KernelID, pt.ConfigID)
 			}
-			if p.Perf != pt.Perf || p.PowerW != pt.Power {
+			if p.Perf != pt.Perf || p.PowerW != pt.PowerW {
 				t.Fatalf("%s: frontier point disagrees with prediction", kp.KernelID)
 			}
-			if i > 0 && (pt.Power <= pts[i-1].Power || pt.Perf <= pts[i-1].Perf) {
+			if i > 0 && (pt.PowerW <= pts[i-1].PowerW || pt.Perf <= pts[i-1].Perf) {
 				t.Fatalf("%s: frontier not strictly increasing", kp.KernelID)
+			}
+		}
+		// On real predictions the walk finds pareto.New's frontier.
+		all := make([]pareto.Point, len(preds))
+		for i, p := range preds {
+			all[i] = pareto.Point{ID: p.ConfigID, Power: p.PowerW, Perf: p.Perf}
+		}
+		want := pareto.New(all).Points()
+		if len(want) != len(pts) {
+			t.Fatalf("%s: %d frontier points, pareto.New finds %d", kp.KernelID, len(pts), len(want))
+		}
+		for i, w := range want {
+			if pts[i].ConfigID != w.ID {
+				t.Fatalf("%s: frontier point %d is config %d, pareto.New's is %d", kp.KernelID, i, pts[i].ConfigID, w.ID)
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"acsel/internal/apu"
 	"acsel/internal/counters"
-	"acsel/internal/pareto"
 	"acsel/internal/profiler"
 	"acsel/internal/stats"
 	"acsel/internal/tree"
@@ -68,16 +67,6 @@ type Prediction struct {
 	// used by the variance-aware selection extension (§VI).
 	PerfStd  float64
 	PowerStd float64
-}
-
-// Predictions is one kernel's PredictAll output: a prediction for every
-// configuration, indexed by configuration ID, and the cluster the
-// classifier assigned. A scheduler predicts once per kernel from its
-// two sample runs and then selects among these under each cap
-// (§III-C), without re-classifying.
-type Predictions struct {
-	Preds   []Prediction
-	Cluster int
 }
 
 // ErrNoModel is returned when the model lacks a required component.
@@ -163,19 +152,16 @@ func (m *Model) PredictAll(sr SampleRuns) ([]Prediction, int, error) {
 	return out, c, nil
 }
 
-// PredictedFrontier derives the predicted Pareto frontier for a new
-// kernel (§III-C): the object a scheduler consults as power constraints
-// change, without re-examining every configuration.
-func (m *Model) PredictedFrontier(sr SampleRuns) (*pareto.Frontier, []Prediction, error) {
-	preds, _, err := m.PredictAll(sr)
+// PredictedFrontier compiles a new kernel's predictions into the object
+// a scheduler consults as power constraints change (§III-C): its
+// Frontier is the predicted Pareto frontier, and Select picks the best
+// point on it under a cap without re-examining every configuration.
+func (m *Model) PredictedFrontier(sr SampleRuns) (*Selector, error) {
+	preds, c, err := m.PredictAll(sr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	pts := make([]pareto.Point, len(preds))
-	for i, p := range preds {
-		pts[i] = pareto.Point{ID: p.ConfigID, Power: p.PowerW, Perf: p.Perf}
-	}
-	return pareto.New(pts), preds, nil
+	return NewSelector(preds, c), nil
 }
 
 // Selection is the outcome of an online configuration choice.
@@ -219,9 +205,8 @@ func (m *Model) selectUnderCap(sr SampleRuns, capW, z float64) (Selection, error
 // SelectAmong runs the cap-selection sweep over already-computed
 // predictions (as produced by PredictAll: indexed by configuration ID)
 // without copying them. It is the selection rule behind SelectUnderCap
-// and the scheduler's model-based policies, and the reference for
-// Selector, its compiled form, which the runtime and the query service
-// select through; the two return bitwise-identical Selections.
+// and the reference for Selector, its compiled form, which every other
+// caller selects through; the two return bitwise-identical Selections.
 //
 //lint:deterministic
 func SelectAmong(preds []Prediction, cluster int, capW, z float64) (Selection, error) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -62,14 +63,16 @@ func TestSelectorMatchesSelectAmong(t *testing.T) {
 	}
 }
 
-// TestSelectorUncompiledVectors covers the vectors the selector hands
-// to SelectAmong: an empty one (an error) and one too long to index
-// with a byte.
+// TestSelectorUncompiledVectors covers the vectors the selector once
+// handed to SelectAmong instead of compiling: an empty one (an error)
+// and one too long to index with a byte.
 func TestSelectorUncompiledVectors(t *testing.T) {
 	if _, err := NewSelector(nil, 0).Select(20, 0); err == nil {
 		t.Fatal("empty predictions accepted")
 	}
-	preds := make([]Prediction, maxSelectorPreds+3)
+	checkSelector(t, NewSelector(nil, 0), nil, 0, 20, 0)
+	checkSelector(t, nil, nil, 0, 20, 0)
+	preds := make([]Prediction, 259)
 	for i := range preds {
 		preds[i] = Prediction{ConfigID: i, Perf: float64(i % 17), PowerW: float64(5 + i%40), PowerStd: 0.5}
 	}
@@ -77,6 +80,7 @@ func TestSelectorUncompiledVectors(t *testing.T) {
 	for capW := 0.0; capW <= 50; capW += 0.5 {
 		checkSelector(t, s, preds, 2, capW, 1)
 	}
+	checkFrontier(t, s, preds, 1, []float64{0, 25, 50})
 }
 
 // fuzzValues are the floats fuzzed predictions are built from: the
@@ -108,16 +112,56 @@ func fuzzPreds(data []byte) []Prediction {
 	return preds
 }
 
+// checkFrontier checks Frontier(z) against Select(·, z): bounds and
+// Perf ascend, bounds strictly; at each point's own bound Select picks
+// that point; and at every cap in caps Select's answer is the step
+// function the frontier describes, the last point whose bound fits
+// (or the fallback where none fits, or where that point's negative
+// ConfigID makes Select fall back).
+func checkFrontier(t *testing.T, s *Selector, preds []Prediction, z float64, caps []float64) {
+	t.Helper()
+	caps = slices.Clip(caps)
+	front := s.Frontier(z)
+	bound := func(p Prediction) float64 { return p.PowerW + z*p.PowerStd }
+	for i, p := range front {
+		if i > 0 && (!(bound(p) > bound(front[i-1])) || !(p.Perf >= front[i-1].Perf)) {
+			t.Fatalf("z=%v: frontier point %d (%+v) does not ascend from %+v", z, i, p, front[i-1])
+		}
+		caps = append(caps, bound(p))
+	}
+	for _, c := range caps {
+		sel, err := s.Select(c, z)
+		var on *Prediction // the frontier's answer at c
+		for i := range front {
+			if bound(front[i]) <= c {
+				on = &front[i]
+			}
+		}
+		switch {
+		case on != nil && on.ConfigID >= 0 && on.ConfigID < len(preds):
+			if err != nil || !sel.MeetsCapPredicted || sel.ConfigID != on.ConfigID {
+				t.Fatalf("z=%v cap=%v: Select %+v (%v), frontier point %+v", z, c, sel, err, *on)
+			}
+		case err == nil && sel.MeetsCapPredicted:
+			t.Fatalf("z=%v cap=%v: Select's winner %+v is not on the frontier %+v", z, c, sel, front)
+		}
+	}
+}
+
 // FuzzSelectorMatchesSelectAmong checks that the compiled selector
 // returns exactly SelectAmong's result, error wording included, over
 // predictions with NaN and ±Inf in every field, ties, bad ConfigIDs,
-// non-finite caps and margins both zero and positive.
+// non-finite caps and margins both zero and positive; and that its
+// Frontier is exactly the set of winners Select returns (checkFrontier).
 func FuzzSelectorMatchesSelectAmong(f *testing.F) {
 	f.Add([]byte{}, 20.0, 0.0)
 	f.Add([]byte{5, 9, 6, 1, 5, 8, 6, 1, 11, 12, 7, 1}, 10.0, 0.0)
 	f.Add([]byte{0, 9, 6, 1, 2, 8, 0, 1, 1, 0, 1, 1, 9, 7, 5, 4}, 20.0, 1.0)
 	f.Add([]byte{9, 8, 6, 0x80, 9, 8, 6, 1, 13, 3, 3, 0x7c}, math.Inf(1), 0.5)
 	f.Add([]byte{2, 0, 0, 1, 1, 1, 1, 1}, math.NaN(), 2.0)
+	// Equal Perf, the earlier prediction costlier: both are winners, so
+	// the frontier keeps both and its Perf does not strictly rise.
+	f.Add([]byte{9, 11, 3, 1, 9, 10, 3, 1}, 20.0, 0.0)
 	f.Fuzz(func(t *testing.T, data []byte, capW, z float64) {
 		preds := fuzzPreds(data)
 		s := NewSelector(preds, 3)
@@ -129,6 +173,7 @@ func FuzzSelectorMatchesSelectAmong(f *testing.F) {
 			for _, c := range caps {
 				checkSelector(t, s, preds, 3, c, zz)
 			}
+			checkFrontier(t, s, preds, zz, caps)
 		}
 	})
 }

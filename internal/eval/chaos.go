@@ -84,7 +84,7 @@ type faulty struct {
 	hardened bool
 }
 
-func (f faulty) decide(r *sched.Runner, m sched.Method, truth sched.ProfileTruth, preds core.Predictions, capIdx int, capW float64) (sched.Decision, error) {
+func (f faulty) decide(r *sched.Runner, m sched.Method, truth sched.ProfileTruth, preds *core.Selector, capIdx int, capW float64) (sched.Decision, error) {
 	posture := "naive"
 	if f.hardened {
 		posture = "hard"

@@ -276,13 +276,13 @@ func (h *Harness) runFold(profiles []*core.KernelProfile, bench string, fullDis 
 // decider makes method m's decision for a kernel at capW, the capIdx-th
 // power level of its oracle frontier.
 type decider interface {
-	decide(r *sched.Runner, m sched.Method, truth sched.ProfileTruth, preds core.Predictions, capIdx int, capW float64) (sched.Decision, error)
+	decide(r *sched.Runner, m sched.Method, truth sched.ProfileTruth, preds *core.Selector, capIdx int, capW float64) (sched.Decision, error)
 }
 
 // clean decides with the limiter reading exact true power.
 type clean struct{}
 
-func (clean) decide(r *sched.Runner, m sched.Method, truth sched.ProfileTruth, preds core.Predictions, _ int, capW float64) (sched.Decision, error) {
+func (clean) decide(r *sched.Runner, m sched.Method, truth sched.ProfileTruth, preds *core.Selector, _ int, capW float64) (sched.Decision, error) {
 	return r.Decide(m, truth, preds, capW)
 }
 
@@ -304,14 +304,14 @@ func evaluateKernel(r *sched.Runner, kp *core.KernelProfile, methods []sched.Met
 		// infeasible for every configuration; comparisons against it
 		// are flagged instead of silently producing NaN/Inf ratios.
 		infeasible := !oracle.MeetsCap(capW)
-		if infeasible {
-			mInfeasibleCases.Inc()
-		}
 		for _, m := range methods {
 			for i, dc := range deciders {
 				d, err := dc.decide(r, m, truth, preds, capIdx, capW)
 				if err != nil {
 					return nil, err
+				}
+				if infeasible {
+					mInfeasibleCases.Inc()
 				}
 				out[i] = append(out[i], Case{
 					KernelID:   kp.KernelID,
@@ -333,18 +333,14 @@ func evaluateKernel(r *sched.Runner, kp *core.KernelProfile, methods []sched.Met
 }
 
 // predictKernel predicts every configuration of kp once, from its two
-// sample runs, for the runner's model-based policies to select among at
-// each cap. A runner without a model gets the zero value; its
-// model-based policies then fail with sched.ErrNeedModel.
-func predictKernel(r *sched.Runner, kp *core.KernelProfile) (core.Predictions, error) {
+// sample runs, and compiles them for the runner's model-based policies
+// to select through at each cap. A runner without a model gets nil;
+// its model-based policies then fail with sched.ErrNeedModel.
+func predictKernel(r *sched.Runner, kp *core.KernelProfile) (*core.Selector, error) {
 	if r.Model == nil {
-		return core.Predictions{}, nil
+		return nil, nil
 	}
-	preds, cluster, err := r.Model.PredictAll(core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
-	if err != nil {
-		return core.Predictions{}, err
-	}
-	return core.Predictions{Preds: preds, Cluster: cluster}, nil
+	return r.Model.PredictedFrontier(core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
 }
 
 func comboLabel(kp *core.KernelProfile) string {

@@ -435,6 +435,7 @@ func TestInfeasibleCapsFlaggedAndGuarded(t *testing.T) {
 		doctored.Stats[i].MeanPerf = 0
 	}
 
+	before := mInfeasibleCases.Value()
 	perDecider, err := evaluateKernel(runner, &doctored, sched.Methods(), clean{})
 	if err != nil {
 		t.Fatal(err)
@@ -442,6 +443,9 @@ func TestInfeasibleCapsFlaggedAndGuarded(t *testing.T) {
 	cases := perDecider[0]
 	if len(cases) == 0 {
 		t.Fatal("no cases produced")
+	}
+	if got := mInfeasibleCases.Value() - before; got != float64(len(cases)) {
+		t.Errorf("acsel_eval_infeasible_cases_total moved by %v over %d infeasible cases", got, len(cases))
 	}
 	for _, c := range cases {
 		if !c.Infeasible {

@@ -49,7 +49,8 @@ func RunExtensionStudy(iterations int) ([]ExtensionResult, error) {
 		h.Opts.Iterations = iterations
 		h.Opts.LogTargets = v.LogTargets
 		h.MethodsUnderTest = []sched.Method{sched.MethodModel, sched.MethodModelFL}
-		ev, err := runWithVarAware(h, v.VarAwareZ)
+		h.varAwareZ = v.VarAwareZ
+		ev, err := h.Run()
 		if err != nil {
 			return nil, fmt.Errorf("eval: variant %q: %w", v.Name, err)
 		}
@@ -62,14 +63,6 @@ func RunExtensionStudy(iterations int) ([]ExtensionResult, error) {
 		})
 	}
 	return out, nil
-}
-
-// runWithVarAware is Harness.Run with the variance-aware margin
-// threaded into each fold's runner, sharing the incremental pipeline
-// (one dissimilarity matrix, parallel folds) with the base evaluation.
-func runWithVarAware(h *Harness, z float64) (*Evaluation, error) {
-	h.varAwareZ = z
-	return h.Run()
 }
 
 // ReportExtensionStudy renders the study as a table.

@@ -224,6 +224,78 @@ func TestCurveMatchesOracleOnRuntimes(t *testing.T) {
 	check("restored")
 }
 
+// TestCurveFollowsVarAwareRuntime: a runtime that selects with a
+// variance-aware margin z = 1 only runs a configuration whose
+// PowerW + PowerStd fits under its cap, so its curve promises at each
+// cap exactly the performance of the configuration SelectAmong picks
+// there with that margin, not the best bare PowerW would allow.
+func TestCurveFollowsVarAwareRuntime(t *testing.T) {
+	m, apps := sharedModel(t)
+	const z = 1.0
+	rt, err := rts.New(m, rts.Options{CapW: 28, VarAwareZ: z})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := &Node{Name: "n0", Runtime: rt, App: apps["lulesh"]}
+	for i := 0; i < 2; i++ {
+		for _, k := range n.App {
+			if _, err := rt.RunKernel(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	shareOf := map[string]float64{}
+	for _, k := range n.App {
+		shareOf[k.ID()] = k.TimeShare
+	}
+	type kernelPreds struct {
+		weight  float64
+		preds   []core.Prediction
+		maxPerf float64
+	}
+	var ks []kernelPreds
+	var bounds []float64
+	for _, key := range rt.AdaptedKernels() {
+		preds, _ := rt.PredictionsFor(key)
+		kp := kernelPreds{weight: shareOf[key], preds: preds}
+		if stats.AlmostZero(kp.weight) {
+			kp.weight = 1.0 / float64(len(n.App))
+		}
+		for _, p := range preds {
+			kp.maxPerf = max(kp.maxPerf, p.Perf)
+			bounds = append(bounds, p.PowerW, p.PowerW+z*p.PowerStd)
+		}
+		ks = append(ks, kp)
+	}
+	if len(ks) == 0 {
+		t.Fatal("no kernel adapted")
+	}
+	sort.Float64s(bounds)
+	c, _ := n.UtilityCurve()
+	differs := false
+	for _, capW := range probeCaps(bounds) {
+		want := 0.0
+		for _, kp := range ks {
+			sel, err := core.SelectAmong(kp.preds, 0, capW, z)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best := 0.0
+			if sel.MeetsCapPredicted {
+				best = max(0, sel.Predicted.Perf)
+			}
+			want += kp.weight * best / kp.maxPerf
+		}
+		if got := c.At(capW); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("At(%v) = %v, selection with z = %v gives %v", capW, got, z, want)
+		}
+		differs = differs || nodeUtilityCurve(n)(capW) != want
+	}
+	if !differs {
+		t.Fatal("the z = 1 curve equals the bare-power curve at every probe cap")
+	}
+}
+
 // TestCurveRebuiltAfterAdaptation checks the cache: pinned iterations
 // leave the runtime's generation, and so the cached curve itself, in
 // place; a kernel adapting moves the generation and the next view sees
@@ -325,7 +397,11 @@ func TestSweepCurveMatchesOracleOnSyntheticPredictions(t *testing.T) {
 			}
 			preds = append(preds, ps)
 		}
-		c := sweepCurve(weights, preds)
+		sels := make([]*core.Selector, len(preds))
+		for k, ps := range preds {
+			sels[k] = core.NewSelector(ps, 0)
+		}
+		c := sweepCurve(weights, sels, 0)
 		oracle := func(capW float64) float64 {
 			total := 0.0
 			for k, ps := range preds {
@@ -368,5 +444,26 @@ func TestCurveAtNaNCap(t *testing.T) {
 	}
 	if got := (Curve{}).At(50); got != 0 {
 		t.Fatalf("empty curve At(50) = %v, want 0", got)
+	}
+}
+
+// BenchmarkSweepCurve measures one rebuild of a node's utility curve,
+// the work done once per adaptation: the adapted kernels' predictions
+// of a LULESH node (the largest application mix) swept into one Curve.
+func BenchmarkSweepCurve(b *testing.B) {
+	_, apps := sharedModel(b)
+	n := newNode(b, "n0", apps["lulesh"], 28)
+	for i := 0; i < 3; i++ {
+		for _, k := range n.App {
+			if _, err := n.Runtime.RunKernel(k); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if c, _ := buildCurve(n); len(c.Breakpoints) == 0 {
+			b.Fatal("empty curve")
+		}
 	}
 }

@@ -177,7 +177,8 @@ func (n *Node) UtilityCurve() (Curve, int) {
 }
 
 // buildCurve weighs each adapted kernel by its time share in the
-// application and sweeps their predictions into one curve.
+// application and merges their predicted frontiers, from the selectors
+// and at the margin the runtime selects with, into one curve.
 func buildCurve(n *Node) (Curve, int) {
 	shareOf := make(map[string]float64, len(n.App))
 	for _, k := range n.App {
@@ -185,9 +186,9 @@ func buildCurve(n *Node) (Curve, int) {
 	}
 	keys := n.Runtime.AdaptedKernels()
 	weights := make([]float64, 0, len(keys))
-	preds := make([][]core.Prediction, 0, len(keys))
+	sels := make([]*core.Selector, 0, len(keys))
 	for _, key := range keys {
-		ps, ok := n.Runtime.PredictionsFor(key)
+		sel, ok := n.Runtime.SelectorFor(key)
 		if !ok {
 			continue
 		}
@@ -198,61 +199,48 @@ func buildCurve(n *Node) (Curve, int) {
 			weight = 1.0 / float64(len(n.App))
 		}
 		weights = append(weights, weight)
-		preds = append(preds, ps)
+		sels = append(sels, sel)
 	}
-	return sweepCurve(weights, preds), len(keys)
+	return sweepCurve(weights, sels, n.Runtime.VarAwareZ()), len(keys)
 }
 
 // sweepCurve builds the utility curve of kernels with the given
-// weights and per-configuration predictions in one pass over the
-// breakpoints — the kernels' distinct predicted powers, where some
-// configuration becomes affordable. For each kernel in order it takes
-// the running best predicted performance over the breakpoints and adds
-// weight·best/maxPerf to each breakpoint's total: at every cap, the
-// same terms in the same order as summing each kernel's best
-// affordable performance directly, so the totals are bit-identical to
-// that evaluation. A kernel without a positive predicted performance
+// weights by merging their predicted frontiers at margin z. A kernel's
+// best affordable performance at a cap is the Perf of the last point
+// of its Frontier(z) whose bound PowerW + z·PowerStd fits, the point
+// Select picks there, so the breakpoints are the frontiers' merged
+// bounds. At each, every kernel in order adds weight·best/maxPerf,
+// with best floored at 0 and maxPerf its frontier's top Perf: the same
+// terms in the same order as summing each kernel's best affordable
+// performance directly, so the totals are bit-identical to that
+// evaluation. A kernel whose frontier reaches no positive performance
 // contributes nothing. Only breakpoints where the total rises are
 // kept.
-func sweepCurve(weights []float64, preds [][]core.Prediction) Curve {
+func sweepCurve(weights []float64, sels []*core.Selector, z float64) Curve {
+	fronts := make([][]core.Prediction, len(sels))
 	var bps []float64
-	for _, ps := range preds {
-		for _, p := range ps {
-			if !math.IsNaN(p.PowerW) { // a NaN power is never affordable
-				bps = append(bps, p.PowerW)
-			}
+	for k, s := range sels {
+		fronts[k] = s.Frontier(z)
+		for _, p := range fronts[k] {
+			bps = append(bps, p.PowerW+z*p.PowerStd)
 		}
 	}
 	sort.Float64s(bps)
 	bps = slices.Compact(bps)
 	total := make([]float64, len(bps))
-	best := make([]float64, len(bps)) // a kernel's best perf at exactly each breakpoint
-	for k, ps := range preds {
-		maxPerf := 0.0
-		for _, p := range ps {
-			if p.Perf > maxPerf {
-				maxPerf = p.Perf
-			}
-		}
-		if !(maxPerf > 0) {
+	for k, front := range fronts {
+		if len(front) == 0 || !(front[len(front)-1].Perf > 0) {
 			continue
 		}
-		clear(best)
-		for _, p := range ps {
-			if math.IsNaN(p.PowerW) {
-				continue
+		maxPerf := front[len(front)-1].Perf
+		i, best := 0, 0.0
+		for j, bp := range bps {
+			for ; i < len(front) && front[i].PowerW+z*front[i].PowerStd <= bp; i++ {
+				if front[i].Perf > best {
+					best = front[i].Perf
+				}
 			}
-			j := sort.SearchFloat64s(bps, p.PowerW)
-			if p.Perf > best[j] {
-				best[j] = p.Perf
-			}
-		}
-		run := 0.0
-		for j := range bps {
-			if best[j] > run {
-				run = best[j]
-			}
-			total[j] += weights[k] * run / maxPerf
+			total[j] += weights[k] * best / maxPerf
 		}
 	}
 	var c Curve

@@ -1,13 +1,15 @@
-// Package pareto derives power–performance Pareto frontiers, the core
-// geometric object of the paper's modeling process (§III-B, Fig 2).
-// A point is on the frontier when no other point offers greater-or-equal
-// performance at lower-or-equal power with at least one strict
-// improvement. Frontiers are kept sorted by ascending power, which is
-// the configuration ordering compared across kernels via Kendall tau.
+// Package pareto derives measured power–performance Pareto frontiers,
+// the core geometric object of the paper's offline modeling process
+// (§III-B, Fig 2). A point is on the frontier when no other point
+// offers greater-or-equal performance at lower-or-equal power with at
+// least one strict improvement. Frontiers are kept sorted by ascending
+// power, which is the configuration ordering compared across kernels
+// via Kendall tau. The package is offline only: the online stage's
+// predicted frontier is core.Selector's Frontier, and selection under a
+// cap is its Select.
 package pareto
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
@@ -19,9 +21,6 @@ type Point struct {
 	Power float64 // watts (lower is better)
 	Perf  float64 // throughput, higher is better
 }
-
-// ErrEmpty is returned by queries on an empty frontier.
-var ErrEmpty = errors.New("pareto: empty frontier")
 
 // Dominates reports whether a dominates b: a is no worse in both
 // dimensions and strictly better in at least one.
@@ -88,59 +87,6 @@ func (f *Frontier) Points() []Point {
 // Len returns the number of frontier points.
 func (f *Frontier) Len() int { return len(f.pts) }
 
-// IDs returns the configuration IDs along the frontier in
-// ascending-power order — the ranking compared across kernels.
-func (f *Frontier) IDs() []int {
-	ids := make([]int, len(f.pts))
-	for i, p := range f.pts {
-		ids[i] = p.ID
-	}
-	return ids
-}
-
-// PositionOf returns the index of configuration id along the frontier,
-// or -1 if the configuration is not on the frontier.
-func (f *Frontier) PositionOf(id int) int {
-	for i, p := range f.pts {
-		if p.ID == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// BestUnderCap returns the highest-performance point with Power <= cap.
-// ok is false when no frontier point fits under the cap.
-func (f *Frontier) BestUnderCap(cap float64) (Point, bool) {
-	// Points are sorted by ascending power and ascending perf, so the
-	// last point under the cap is the best.
-	best, ok := Point{}, false
-	for _, p := range f.pts {
-		if p.Power <= cap {
-			best, ok = p, true
-		} else {
-			break
-		}
-	}
-	return best, ok
-}
-
-// MinPower returns the lowest-power point on the frontier.
-func (f *Frontier) MinPower() (Point, error) {
-	if len(f.pts) == 0 {
-		return Point{}, ErrEmpty
-	}
-	return f.pts[0], nil
-}
-
-// MaxPerf returns the highest-performance point on the frontier.
-func (f *Frontier) MaxPerf() (Point, error) {
-	if len(f.pts) == 0 {
-		return Point{}, ErrEmpty
-	}
-	return f.pts[len(f.pts)-1], nil
-}
-
 // SharedOrder extracts, for two frontiers, the positions of the
 // configurations present on both, in the order they appear along each
 // frontier. The two returned rank lists are parallel: entry i of both
@@ -159,22 +105,4 @@ func SharedOrder(a, b *Frontier) (ranksA, ranksB []int, ids []int) {
 		}
 	}
 	return ranksA, ranksB, ids
-}
-
-// Normalize returns a copy of the frontier with performance scaled so
-// the maximum equals 1, matching the paper's per-kernel normalization
-// in Table I and Figure 2. An empty frontier is returned unchanged.
-func (f *Frontier) Normalize() *Frontier {
-	if len(f.pts) == 0 {
-		return &Frontier{}
-	}
-	maxPerf := f.pts[len(f.pts)-1].Perf
-	if maxPerf <= 0 {
-		return &Frontier{pts: append([]Point(nil), f.pts...)}
-	}
-	out := make([]Point, len(f.pts))
-	for i, p := range f.pts {
-		out[i] = Point{ID: p.ID, Power: p.Power, Perf: p.Perf / maxPerf}
-	}
-	return &Frontier{pts: out}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestDominates(t *testing.T) {
@@ -37,8 +36,10 @@ func TestNewExtractsFrontier(t *testing.T) {
 		{4, 20, 1.0},
 		{5, 10, 0.1}, // dominated by 0
 	}
-	f := New(pts)
-	ids := f.IDs()
+	var ids []int
+	for _, p := range New(pts).Points() {
+		ids = append(ids, p.ID)
+	}
 	want := []int{0, 2, 1, 4}
 	if len(ids) != len(want) {
 		t.Fatalf("frontier IDs = %v, want %v", ids, want)
@@ -52,24 +53,15 @@ func TestNewExtractsFrontier(t *testing.T) {
 
 func TestNewDropsNaN(t *testing.T) {
 	f := New([]Point{{0, math.NaN(), 1}, {1, 1, math.NaN()}, {2, 5, 0.5}})
-	if f.Len() != 1 || f.IDs()[0] != 2 {
+	if f.Len() != 1 || f.Points()[0].ID != 2 {
 		t.Errorf("frontier = %v", f.Points())
 	}
 }
 
 func TestNewEmpty(t *testing.T) {
 	f := New(nil)
-	if f.Len() != 0 {
+	if f.Len() != 0 || len(f.Points()) != 0 {
 		t.Error("empty input should give empty frontier")
-	}
-	if _, err := f.MinPower(); err == nil {
-		t.Error("expected ErrEmpty")
-	}
-	if _, err := f.MaxPerf(); err == nil {
-		t.Error("expected ErrEmpty")
-	}
-	if _, ok := f.BestUnderCap(100); ok {
-		t.Error("BestUnderCap on empty should be !ok")
 	}
 }
 
@@ -86,47 +78,6 @@ func TestFrontierSortedAscending(t *testing.T) {
 			t.Fatalf("frontier not strictly increasing: %v then %v", prev, p)
 		}
 		prev = p
-	}
-}
-
-func TestBestUnderCap(t *testing.T) {
-	f := New([]Point{{0, 10, 0.2}, {1, 20, 0.6}, {2, 30, 1.0}})
-	p, ok := f.BestUnderCap(25)
-	if !ok || p.ID != 1 {
-		t.Errorf("BestUnderCap(25) = %v, %v", p, ok)
-	}
-	p, ok = f.BestUnderCap(10)
-	if !ok || p.ID != 0 {
-		t.Errorf("BestUnderCap(10) = %v, %v", p, ok)
-	}
-	if _, ok := f.BestUnderCap(9.99); ok {
-		t.Error("cap below min power must be !ok")
-	}
-	p, ok = f.BestUnderCap(1000)
-	if !ok || p.ID != 2 {
-		t.Errorf("BestUnderCap(1000) = %v, %v", p, ok)
-	}
-}
-
-func TestMinPowerMaxPerf(t *testing.T) {
-	f := New([]Point{{0, 10, 0.2}, {1, 20, 0.6}, {2, 30, 1.0}})
-	mn, err := f.MinPower()
-	if err != nil || mn.ID != 0 {
-		t.Errorf("MinPower = %v, %v", mn, err)
-	}
-	mx, err := f.MaxPerf()
-	if err != nil || mx.ID != 2 {
-		t.Errorf("MaxPerf = %v, %v", mx, err)
-	}
-}
-
-func TestPositionOf(t *testing.T) {
-	f := New([]Point{{7, 10, 0.2}, {3, 20, 0.6}})
-	if p := f.PositionOf(3); p != 1 {
-		t.Errorf("PositionOf(3) = %d", p)
-	}
-	if p := f.PositionOf(99); p != -1 {
-		t.Errorf("PositionOf(99) = %d", p)
 	}
 }
 
@@ -156,30 +107,6 @@ func TestSharedOrderDisjoint(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	f := New([]Point{{0, 10, 2}, {1, 20, 8}})
-	n := f.Normalize()
-	pts := n.Points()
-	if pts[1].Perf != 1 {
-		t.Errorf("max perf after normalize = %v", pts[1].Perf)
-	}
-	if math.Abs(pts[0].Perf-0.25) > 1e-12 {
-		t.Errorf("normalized first perf = %v", pts[0].Perf)
-	}
-	// Original untouched.
-	if f.Points()[1].Perf != 8 {
-		t.Error("Normalize mutated the original")
-	}
-}
-
-func TestNormalizeEmpty(t *testing.T) {
-	if New(nil).Normalize().Len() != 0 {
-		t.Error("normalize of empty should be empty")
-	}
-}
-
-// Property: every input point is either on the frontier or dominated by
-// some frontier point; no frontier point dominates another.
 func TestFrontierProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 50; trial++ {
@@ -216,44 +143,6 @@ func TestFrontierProperties(t *testing.T) {
 				t.Fatalf("trial %d: point %v neither on frontier nor dominated", trial, p)
 			}
 		}
-	}
-}
-
-// Property (testing/quick): BestUnderCap result always respects the cap
-// and is on the frontier.
-func TestBestUnderCapProperty(t *testing.T) {
-	f := func(raw [16]float64, capRaw float64) bool {
-		pts := make([]Point, 0, 8)
-		for i := 0; i < 8; i++ {
-			pw := math.Abs(math.Mod(raw[2*i], 100))
-			pf := math.Abs(math.Mod(raw[2*i+1], 10))
-			pts = append(pts, Point{i, pw, pf})
-		}
-		fr := New(pts)
-		cap := math.Abs(math.Mod(capRaw, 120))
-		p, ok := fr.BestUnderCap(cap)
-		if !ok {
-			// Then every frontier point must exceed the cap.
-			for _, q := range fr.Points() {
-				if q.Power <= cap {
-					return false
-				}
-			}
-			return true
-		}
-		if p.Power > cap {
-			return false
-		}
-		// No other frontier point under the cap may beat it.
-		for _, q := range fr.Points() {
-			if q.Power <= cap && q.Perf > p.Perf {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -147,13 +147,13 @@ func TestSelectPathsBitwiseIdentical(t *testing.T) {
 		if !ok {
 			t.Fatal("missing shard")
 		}
-		frontier, _, err := mA.PredictedFrontier(sr)
+		frontier, err := mA.PredictedFrontier(sr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var caps []float64
-		for _, pt := range frontier.Points() {
-			caps = append(caps, pt.Power-eps, pt.Power+eps)
+		for _, p := range frontier.Frontier(0) {
+			caps = append(caps, p.PowerW-eps, p.PowerW+eps)
 		}
 		for _, z := range []float64{0, 1.5} {
 			var reqs []query.Request

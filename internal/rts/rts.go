@@ -289,6 +289,10 @@ func (rt *Runtime) ladderArmed() bool { return rt.opts.Watchdog || rt.opts.Fault
 // sample it ever took.
 func (rt *Runtime) Profiler() *profiler.Profiler { return rt.prof }
 
+// VarAwareZ returns the variance-aware margin the runtime selects with
+// (Options.VarAwareZ, fixed at New).
+func (rt *Runtime) VarAwareZ() float64 { return rt.opts.VarAwareZ }
+
 // PStates exposes the ACPI manager, for inspecting DVFS state.
 func (rt *Runtime) PStates() *acpi.Manager { return rt.pm }
 
@@ -375,17 +379,26 @@ func (rt *Runtime) RunKernelAt(k kernels.Kernel, callsite string) (Step, error) 
 	return step, nil
 }
 
-// runSample executes one sampling iteration. With the watchdog armed,
-// sensor dropouts are re-read (bounded) and persistent sensor
-// failures are tolerated rather than fatal: the degraded sample — zero
-// power after a dropout, the claimed wattage after an implausible
-// reading — flows into classification, and the resulting misprediction
-// is exactly what the degradation ladder exists to catch.
+// runSample executes one sampling iteration. With the watchdog armed it
+// goes through measure, so persistent sensor failures are tolerated
+// rather than fatal: the degraded sample — zero power after a dropout,
+// the claimed wattage after an implausible reading — flows into
+// classification, and the resulting misprediction is exactly what the
+// degradation ladder exists to catch.
 func (rt *Runtime) runSample(k kernels.Kernel, st *kernelState, cfg apu.Config, iter int) (profiler.Sample, stepMeta, error) {
 	if !rt.ladderArmed() {
 		s, err := rt.prof.RunConfig(k, cfg, iter)
 		return s, stepMeta{}, err
 	}
+	return rt.measure(k, st, cfg, iter)
+}
+
+// measure runs one armed iteration of k at cfg. A sensor dropout is
+// re-read up to the retry budget; a dropout that persists, or an
+// implausible reading, is counted against the kernel and marked in the
+// returned stepMeta (sensorLost, quarantined) instead of failing the
+// iteration. Any other error is returned.
+func (rt *Runtime) measure(k kernels.Kernel, st *kernelState, cfg apu.Config, iter int) (profiler.Sample, stepMeta, error) {
 	s, err := rt.prof.RunConfigAttempt(k, cfg, iter, 0)
 	for a := 1; errors.Is(err, power.ErrSensorDropout) && a <= rt.measureRetries; a++ {
 		st.dropouts++
@@ -447,34 +460,16 @@ func (rt *Runtime) runPinned(k kernels.Kernel, st *kernelState, key string, capW
 
 	var s profiler.Sample
 	var err error
-	if !armed {
-		s, err = rt.prof.RunConfig(k, st.pinned, st.iter)
-		if err != nil {
-			return Step{}, err
-		}
-	} else {
-		s, err = rt.prof.RunConfigAttempt(k, runCfg, st.iter, 0)
-		for a := 1; errors.Is(err, power.ErrSensorDropout) && a <= rt.measureRetries; a++ {
-			st.dropouts++
-			mDropouts.Inc()
-			s, err = rt.prof.RunConfigAttempt(k, runCfg, st.iter, a)
-		}
-	}
 	meta := stepMeta{rung: st.rung}
-	switch {
-	case err == nil:
-	case errors.Is(err, power.ErrSensorDropout):
-		st.dropouts++
-		mDropouts.Inc()
-		meta.sensorLost = true
-	case errors.Is(err, power.ErrImplausibleReading):
-		st.quarantined++
-		mQuarantined.Inc()
-		meta.quarantined = true
-	default:
+	if armed {
+		s, meta, err = rt.measure(k, st, runCfg, st.iter)
+	} else {
+		s, err = rt.prof.RunConfig(k, runCfg, st.iter)
+	}
+	if err != nil {
 		return Step{}, err
 	}
-	trusted := err == nil
+	trusted := !meta.quarantined && !meta.sensorLost
 	if !trusted {
 		// Sanity gate: the reading is quarantined. Control decisions and
 		// energy accounting fall back to the model's prediction for the
@@ -911,6 +906,20 @@ func (rt *Runtime) PredictionsFor(key string) ([]core.Prediction, bool) {
 		return nil, false
 	}
 	return append([]core.Prediction(nil), st.preds...), true
+}
+
+// SelectorFor returns an adapted kernel's compiled predictions, the
+// core.Selector its reselection picks through (ok=false before
+// adaptation). A Selector never changes, so callers may keep and share
+// it; a later adaptation or Restore compiles a new one.
+func (rt *Runtime) SelectorFor(key string) (*core.Selector, bool) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	st, ok := rt.kernels[key]
+	if !ok || st.selector == nil {
+		return nil, false
+	}
+	return st.selector, true
 }
 
 // AdaptedKernels lists the keys (kernel IDs, possibly with call-site

@@ -427,12 +427,28 @@ func TestPredictionsForAndAdaptedKernels(t *testing.T) {
 	if _, ok := rt.PredictionsFor(k.ID()); ok {
 		t.Error("predictions before adaptation completes")
 	}
+	if _, ok := rt.SelectorFor(k.ID()); ok {
+		t.Error("selector before adaptation completes")
+	}
 	if _, err := rt.RunKernel(k); err != nil {
 		t.Fatal(err)
 	}
 	preds, ok := rt.PredictionsFor(k.ID())
 	if !ok || len(preds) != m.Space.Len() {
 		t.Fatalf("predictions after adaptation: ok=%v len=%d", ok, len(preds))
+	}
+	// The selector compiles the same predictions: it pins what the
+	// runtime pinned at this cap.
+	sel, ok := rt.SelectorFor(k.ID())
+	if !ok {
+		t.Fatal("no selector after adaptation")
+	}
+	got, err := sel.Select(rt.Cap(), rt.VarAwareZ())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pinned, _, _ := rt.SelectionFor(k.ID()); got.Config != pinned {
+		t.Errorf("selector picks %v, runtime pinned %v", got.Config, pinned)
 	}
 	adapted := rt.AdaptedKernels()
 	if len(adapted) != 1 || adapted[0] != k.ID() {

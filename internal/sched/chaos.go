@@ -74,7 +74,7 @@ const (
 // (the sensor returned nothing, the register reads zero), spikes and
 // stuck values are taken at face value. Methods that never consult the
 // sensor (Oracle, Model) are unaffected by construction.
-func (r *Runner) DecideNaive(m Method, truth Truth, readings Readings, preds core.Predictions, capW float64) (Decision, error) {
+func (r *Runner) DecideNaive(m Method, truth Truth, readings Readings, preds *core.Selector, capW float64) (Decision, error) {
 	return r.decide(m, truth, preds, capW, naive{readings}, true)
 }
 
@@ -98,7 +98,7 @@ func (n naive) read(id, step int) (float64, bool) {
 // of its frequency line, or the model's minimum predicted-power
 // configuration. GPU+FL's raise-CPU-into-headroom phase is always
 // skipped, so only the step-down line runs.
-func (r *Runner) DecideHardened(m Method, truth Truth, readings Readings, preds core.Predictions, capW float64) (Decision, error) {
+func (r *Runner) DecideHardened(m Method, truth Truth, readings Readings, preds *core.Selector, capW float64) (Decision, error) {
 	return r.decide(m, truth, preds, capW, hardened{readings}, false)
 }
 

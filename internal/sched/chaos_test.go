@@ -200,7 +200,7 @@ func TestNaiveDropoutCausesSilentViolation(t *testing.T) {
 	space, _, profs := setup(t)
 	r := &Runner{Space: space}
 	truth := ProfileTruth{Profile: profs[0]}
-	d, err := r.DecideNaive(MethodCPUFL, truth, deadReadings{}, core.Predictions{}, 15)
+	d, err := r.DecideNaive(MethodCPUFL, truth, deadReadings{}, nil, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestHardenedDeadSensorFallsToFloor(t *testing.T) {
 	space, _, profs := setup(t)
 	r := &Runner{Space: space}
 	truth := ProfileTruth{Profile: profs[0]}
-	d, err := r.DecideHardened(MethodCPUFL, truth, deadReadings{}, core.Predictions{}, 15)
+	d, err := r.DecideHardened(MethodCPUFL, truth, deadReadings{}, nil, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,23 +229,25 @@ func TestHardenedDeadSensorFallsToFloor(t *testing.T) {
 
 // TestHardenedModelFLFloorSkipsNaNPower: on a dead sensor, hardened
 // Model+FL floors at the minimum-predicted-power configuration by the
-// runtime's min-power rule (SelectAmong at cap −Inf), which skips a
-// NaN predicted power instead of seeding its minimum with it.
+// runtime's min-power rule (Select at cap −Inf), which skips a NaN
+// predicted power instead of seeding its minimum with it.
 func TestHardenedModelFLFloorSkipsNaNPower(t *testing.T) {
 	space, model, profs := setup(t)
 	r := &Runner{Space: space, Model: model}
 	kp := profs[0]
 	truth := ProfileTruth{Profile: kp}
-	preds := predsOf(t, model, kp)
-	preds.Preds = append([]core.Prediction(nil), preds.Preds...)
-	preds.Preds[0].PowerW = math.NaN()
+	preds, cluster, err := model.PredictAll(core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds[0].PowerW = math.NaN()
 	minID := -1
-	for _, p := range preds.Preds {
-		if !math.IsNaN(p.PowerW) && (minID < 0 || p.PowerW < preds.Preds[minID].PowerW) {
+	for _, p := range preds {
+		if !math.IsNaN(p.PowerW) && (minID < 0 || p.PowerW < preds[minID].PowerW) {
 			minID = p.ConfigID
 		}
 	}
-	d, err := r.DecideHardened(MethodModelFL, truth, deadReadings{}, preds, 1000)
+	d, err := r.DecideHardened(MethodModelFL, truth, deadReadings{}, core.NewSelector(preds, cluster), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

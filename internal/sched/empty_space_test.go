@@ -22,13 +22,13 @@ func TestDecideEmptySpace(t *testing.T) {
 	} {
 		entries := map[string]func(Method) (Decision, error){
 			"Decide": func(m Method) (Decision, error) {
-				return r.Decide(m, truth, core.Predictions{}, 24)
+				return r.Decide(m, truth, nil, 24)
 			},
 			"DecideNaive": func(m Method) (Decision, error) {
-				return r.DecideNaive(m, truth, readings, core.Predictions{}, 24)
+				return r.DecideNaive(m, truth, readings, nil, 24)
 			},
 			"DecideHardened": func(m Method) (Decision, error) {
-				return r.DecideHardened(m, truth, readings, core.Predictions{}, 24)
+				return r.DecideHardened(m, truth, readings, nil, 24)
 			},
 		}
 		for name, decide := range entries {

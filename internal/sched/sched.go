@@ -124,12 +124,12 @@ var ErrNeedModel = errors.New("sched: method requires a trained model")
 var ErrEmptySpace = errors.New("sched: empty configuration space")
 
 // Decide runs one policy for a kernel under a power cap: true
-// behaviour comes from truth, and the model-based policies select among
-// preds, the kernel's predictions from Model.PredictAll. A caller
-// predicts once per kernel and reuses preds at every cap; the other
-// policies ignore it, so they may pass the zero value. The frequency
-// limiter reads the exact true power.
-func (r *Runner) Decide(m Method, truth Truth, preds core.Predictions, capW float64) (Decision, error) {
+// behaviour comes from truth, and the model-based policies select
+// through preds, the kernel's predictions from Model.PredictAll
+// compiled by core.NewSelector. A caller predicts once per kernel and
+// reuses preds at every cap; the other policies ignore it, so they may
+// pass nil. The frequency limiter reads the exact true power.
+func (r *Runner) Decide(m Method, truth Truth, preds *core.Selector, capW float64) (Decision, error) {
 	return r.decide(m, truth, preds, capW, exact{truth}, true)
 }
 
@@ -147,7 +147,7 @@ func (e exact) read(id, _ int) (float64, bool) { return e.truth.PowerAt(id), tru
 
 // decide runs method m with the frequency limiter reading power through
 // rd. raise enables GPU+FL's raise-CPU-into-headroom phase.
-func (r *Runner) decide(m Method, truth Truth, preds core.Predictions, capW float64, rd reader, raise bool) (Decision, error) {
+func (r *Runner) decide(m Method, truth Truth, preds *core.Selector, capW float64, rd reader, raise bool) (Decision, error) {
 	if r.Space == nil || r.Space.Len() == 0 {
 		return Decision{}, fmt.Errorf("%w: cannot run %s", ErrEmptySpace, m)
 	}
@@ -177,7 +177,7 @@ func (r *Runner) decide(m Method, truth Truth, preds core.Predictions, capW floa
 		if r.Model == nil {
 			return Decision{}, ErrNeedModel
 		}
-		sel, err := core.SelectAmong(preds.Preds, preds.Cluster, capW, r.VarAwareZ)
+		sel, err := preds.Select(capW, r.VarAwareZ)
 		if err != nil {
 			return Decision{}, err
 		}
@@ -240,7 +240,7 @@ func (r *Runner) finish(m Method, truth Truth, id, flSteps int) Decision {
 // readings it abandons feedback and takes the method's floor. With
 // raise, a configuration that fits then raises the CPU frequency while
 // the cap still holds (§V-A).
-func (r *Runner) limit(m Method, truth Truth, preds core.Predictions, rd reader, cfg apu.Config, capW float64, raise bool) Decision {
+func (r *Runner) limit(m Method, truth Truth, preds *core.Selector, rd reader, cfg apu.Config, capW float64, raise bool) Decision {
 	steps, distrust := 0, 0
 	for {
 		id := r.Space.IDOf(cfg)
@@ -285,12 +285,12 @@ func (r *Runner) limit(m Method, truth Truth, preds core.Predictions, rd reader,
 
 // floor is the configuration a limiter that cannot trust its sensor
 // falls to. For Model+FL it is the model's minimum-predicted-power
-// configuration, by the rule of the runtime's min-power rung:
-// SelectAmong at cap −Inf with z = 0. Otherwise it is cfg with every
-// steppable frequency at its minimum, the bottom of the limiter's line.
-func (r *Runner) floor(m Method, preds core.Predictions, cfg apu.Config) int {
+// configuration, by the rule of the runtime's min-power rung: Select
+// at cap −Inf with z = 0. Otherwise it is cfg with every steppable
+// frequency at its minimum, the bottom of the limiter's line.
+func (r *Runner) floor(m Method, preds *core.Selector, cfg apu.Config) int {
 	if m == MethodModelFL {
-		if sel, err := core.SelectAmong(preds.Preds, preds.Cluster, math.Inf(-1), 0); err == nil {
+		if sel, err := preds.Select(math.Inf(-1), 0); err == nil {
 			return sel.ConfigID
 		}
 	}

@@ -48,21 +48,21 @@ func setup(t *testing.T) (*apu.Space, *core.Model, []*core.KernelProfile) {
 	return gSpace, gModel, gProfiles
 }
 
-// predsOf predicts every configuration of kp from its sample runs, the
-// per-kernel input of the model-based policies.
-func predsOf(t *testing.T, m *core.Model, kp *core.KernelProfile) core.Predictions {
+// predsOf predicts every configuration of kp from its sample runs and
+// compiles them, the per-kernel input of the model-based policies.
+func predsOf(t *testing.T, m *core.Model, kp *core.KernelProfile) *core.Selector {
 	t.Helper()
-	preds, cluster, err := m.PredictAll(core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
+	s, err := m.PredictedFrontier(core.SampleRuns{CPU: kp.CPUSample, GPU: kp.GPUSample})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.Predictions{Preds: preds, Cluster: cluster}
+	return s
 }
 
 // mustDecide runs a policy that needs no predictions through Decide.
 func mustDecide(t *testing.T, r *Runner, m Method, truth Truth, capW float64) Decision {
 	t.Helper()
-	d, err := r.Decide(m, truth, core.Predictions{}, capW)
+	d, err := r.Decide(m, truth, nil, capW)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,14 +239,14 @@ func TestModelMethodsNeedModel(t *testing.T) {
 }
 
 // TestModelMethodsNeedPredictions: a runner with a model but no
-// predictions (the zero value non-model callers pass) errors instead
+// predictions (the nil selector non-model callers pass) errors instead
 // of choosing a configuration.
 func TestModelMethodsNeedPredictions(t *testing.T) {
 	space, model, profs := setup(t)
 	r := &Runner{Space: space, Model: model}
 	truth := ProfileTruth{profs[0]}
 	for _, m := range []Method{MethodModel, MethodModelFL} {
-		if d, err := r.Decide(m, truth, core.Predictions{}, 25); !errors.Is(err, core.ErrNoModel) {
+		if d, err := r.Decide(m, truth, nil, 25); !errors.Is(err, core.ErrNoModel) {
 			t.Errorf("%v without predictions: got %+v, %v; want core.ErrNoModel", m, d, err)
 		}
 	}
