@@ -101,11 +101,10 @@ func run(ctx context.Context, cfg config, stderr io.Writer) error {
 	}
 
 	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
-		BudgetW:        cfg.BudgetW,
-		Policy:         policy,
-		LeaseTTL:       cfg.LeaseTTL,
-		RebalanceEvery: cfg.RebalanceEvery,
-		Journal:        cfg.Journal,
+		BudgetW:  cfg.BudgetW,
+		Policy:   policy,
+		LeaseTTL: cfg.LeaseTTL,
+		Journal:  cfg.Journal,
 		Client: &fleet.Client{
 			Faults:  inj,
 			Retries: cfg.PullRetries,

@@ -424,25 +424,14 @@ func (s *service) recover() error {
 	return nil
 }
 
-// compact atomically rewrites the journal as a single snapshot record
-// and reopens it for appending.
+// compact atomically rewrites the journal as a single snapshot record;
+// later steps append to the compacted journal.
 func (s *service) compact() error {
 	rec, err := rts.EncodeSnapshot(s.rt.Snapshot())
 	if err != nil {
 		return err
 	}
-	if err := s.w.Close(); err != nil {
-		return err
-	}
-	if err := checkpoint.WriteAtomic(s.cfg.Journal, []checkpoint.Record{rec}); err != nil {
-		return err
-	}
-	w, _, err := checkpoint.OpenAppend(s.cfg.Journal)
-	if err != nil {
-		return err
-	}
-	s.w = w
-	return nil
+	return s.w.Compact(rec)
 }
 
 // observeSeams feeds the breakers from one executed step: the step's

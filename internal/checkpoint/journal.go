@@ -148,7 +148,8 @@ func ReadFile(path string) ([]Record, Info, error) {
 // Writer appends records to a journal file. It is not safe for
 // concurrent use; the runtime service owns one writer.
 type Writer struct {
-	f *os.File
+	path string
+	f    *os.File
 }
 
 // Create creates (or truncates) a journal at path and writes the
@@ -165,7 +166,7 @@ func Create(path string) (*Writer, error) {
 		f.Close() //lint:ignore errcheck already failing
 		return nil, err
 	}
-	return &Writer{f: f}, nil
+	return &Writer{path: path, f: f}, nil
 }
 
 // OpenAppend opens an existing journal for appending, first reading
@@ -190,7 +191,7 @@ func OpenAppend(path string) (*Writer, []Record, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Writer{f: f}, recs, nil
+	return &Writer{path: path, f: f}, recs, nil
 }
 
 // Append frames and writes one record. The frame is written with a
@@ -223,12 +224,37 @@ func (w *Writer) Close() error {
 // snapshot+compaction step. A crash at any point leaves either the
 // old journal or the new one, never a hybrid.
 func WriteAtomic(path string, recs []Record) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	f, err := replace(path, recs)
+	if err != nil {
 		return err
+	}
+	return f.Close()
+}
+
+// Compact replaces the writer's journal with exactly recs, as
+// WriteAtomic does, and moves the writer onto the new file, so later
+// appends extend the compacted journal. On error the old journal is
+// left in place and the writer keeps appending to it.
+func (w *Writer) Compact(recs ...Record) error {
+	f, err := replace(w.path, recs)
+	if err != nil {
+		return err
+	}
+	w.f.Close() //lint:ignore errcheck the replaced journal's contents are gone from its path
+	w.f = f
+	return nil
+}
+
+// replace writes recs as a whole journal to a synced temp file beside
+// path and renames it over path, returning the file still open and
+// positioned at its end.
+func replace(path string, recs []Record) (*os.File, error) {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return nil, err
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cleanup := func() {
 		tmp.Close()           //lint:ignore errcheck already failing
@@ -236,31 +262,27 @@ func WriteAtomic(path string, recs []Record) error {
 	}
 	if _, err := tmp.Write(header()); err != nil {
 		cleanup()
-		return err
+		return nil, err
 	}
 	var bytes float64
 	for _, rec := range recs {
 		buf := frame(rec)
 		if _, err := tmp.Write(buf); err != nil {
 			cleanup()
-			return err
+			return nil, err
 		}
 		bytes += float64(len(buf))
 	}
 	if err := tmp.Sync(); err != nil {
 		cleanup()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name()) //lint:ignore errcheck best-effort cleanup
-		return err
+		return nil, err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name()) //lint:ignore errcheck best-effort cleanup
-		return err
+		cleanup()
+		return nil, err
 	}
 	mSnapshots.Inc()
 	mAppended.Add(float64(len(recs)))
 	mBytes.Add(bytes)
-	return nil
+	return tmp, nil
 }

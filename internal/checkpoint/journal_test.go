@@ -286,3 +286,44 @@ func TestAppendAfterCompaction(t *testing.T) {
 		t.Fatalf("recs=%v err=%v", recs2, err)
 	}
 }
+
+// TestWriterCompactThenAppend checks that a writer keeps appending to
+// the compacted journal: after each Compact the file decodes as the
+// compacted records followed by the ones appended since, and no temp
+// file is left beside it.
+func TestWriterCompactThenAppend(t *testing.T) {
+	path := tempJournal(t)
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, w, Record{Type: 2, Data: []byte("old-0")}, Record{Type: 2, Data: []byte("old-1")})
+	for round := 0; round < 2; round++ {
+		snap := []Record{{Type: 1, Data: []byte{'s', byte('0' + round)}}, {Type: 3, Data: []byte("meta")}}
+		if err := w.Compact(snap...); err != nil {
+			t.Fatal(err)
+		}
+		tail := []Record{{Type: 2, Data: []byte{'a', byte('0' + round)}}, {Type: 2, Data: []byte{'b', byte('0' + round)}}}
+		mustAppend(t, w, tail...)
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		got, info, err := ReadFile(path)
+		if err != nil || info.Truncated {
+			t.Fatalf("round %d: info=%+v err=%v", round, info, err)
+		}
+		if want := append(snap, tail...); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: journal decodes as\n%v\nwant\n%v", round, got, want)
+		}
+		entries, err := os.ReadDir(filepath.Dir(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Fatalf("round %d: directory has %d entries after compaction, want 1", round, len(entries))
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

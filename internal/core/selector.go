@@ -45,7 +45,9 @@ func NewSelector(preds []Prediction, cluster int) *Selector {
 			s.fallbackID = p.ConfigID
 		}
 	}
-	slices.SortStableFunc(s.order, func(a, b int32) int {
+	// Ties break on the index, which gives the stable order: order was
+	// built in ascending index order.
+	slices.SortFunc(s.order, func(a, b int32) int {
 		pa, pb := preds[a].Perf, preds[b].Perf
 		switch {
 		case pa > pb:
@@ -53,7 +55,7 @@ func NewSelector(preds []Prediction, cluster int) *Selector {
 		case pa < pb:
 			return 1
 		}
-		return 0
+		return int(a - b)
 	})
 	return s
 }

@@ -26,12 +26,10 @@ type AgentOptions struct {
 	HeartbeatEvery time.Duration
 	// OrphanAfter is how long the agent tolerates no coordinator
 	// contact (no successful heartbeat, no accepted cap push) before it
-	// orphans itself: it drops its own cap to FloorW, where the
-	// runtime's min-power degradation ladder keeps the node safe while
-	// it keeps retrying. Default 5× HeartbeatEvery.
+	// orphans itself: it drops its own cap to hierarchy.MinNodeCapW,
+	// where the runtime's min-power degradation ladder keeps the node
+	// safe while it keeps retrying. Default 5× HeartbeatEvery.
 	OrphanAfter time.Duration
-	// FloorW is the orphan fallback cap (default hierarchy.MinNodeCapW).
-	FloorW float64
 	// Client issues heartbeats (a zero Client if nil).
 	Client *Client
 	// Logf receives membership events (log.Printf if nil).
@@ -70,9 +68,6 @@ func NewAgent(name string, rt *rts.Runtime, app []kernels.Kernel, opts AgentOpti
 	}
 	if opts.OrphanAfter <= 0 {
 		opts.OrphanAfter = 5 * opts.HeartbeatEvery
-	}
-	if opts.FloorW <= 0 {
-		opts.FloorW = hierarchy.MinNodeCapW
 	}
 	if opts.Client == nil {
 		opts.Client = &Client{}
@@ -229,11 +224,11 @@ func (a *Agent) maybeOrphan(cause error) {
 		return
 	}
 	mOrphaned.Inc()
-	if err := a.node.Runtime.SetCap(a.opts.FloorW); err != nil {
+	if err := a.node.Runtime.SetCap(hierarchy.MinNodeCapW); err != nil {
 		a.opts.Logf("fleet agent %s: orphaned after %v (%v) but floor cap failed: %v",
 			a.name, silent.Round(time.Millisecond), cause, err)
 		return
 	}
 	a.opts.Logf("fleet agent %s: orphaned after %v without coordinator contact (%v); dropped to floor %.1f W",
-		a.name, silent.Round(time.Millisecond), cause, a.opts.FloorW)
+		a.name, silent.Round(time.Millisecond), cause, hierarchy.MinNodeCapW)
 }

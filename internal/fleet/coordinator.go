@@ -20,6 +20,11 @@ import (
 // total-assignment invariant.
 const budgetSlack = 1e-6
 
+// compactEvery is how many rounds pass between journal compactions:
+// every compactEvery-th checkpoint replaces the journal instead of
+// extending it, so the journal does not grow without bound.
+const compactEvery = 64
+
 // CoordinatorOptions configures the fleet coordinator.
 type CoordinatorOptions struct {
 	// BudgetW is the fleet-wide power budget to divide.
@@ -31,15 +36,10 @@ type CoordinatorOptions struct {
 	// (default 3s). Members past their lease are evicted at the start
 	// of the next round and their watts redistributed.
 	LeaseTTL time.Duration
-	// RebalanceEvery is the Run loop period (default 1s).
-	RebalanceEvery time.Duration
 	// Journal, when non-empty, persists an assignment checkpoint after
 	// every round; a restarted coordinator resumes membership and round
 	// counter from it.
 	Journal string
-	// CompactEvery rewrites the journal to a single record every this
-	// many rounds (default 64) so it does not grow without bound.
-	CompactEvery int
 	// Client issues report pulls and cap pushes (a zero Client if nil).
 	Client *Client
 	// Logf receives round events (log.Printf if nil).
@@ -62,10 +62,11 @@ type member struct {
 	assignedW float64
 }
 
-// Coordinator maintains lease-based fleet membership and runs the
-// rebalance loop: pull reports in parallel, divide the budget with the
-// hierarchy dividers, push caps transactionally (decreases before
-// increases, so the fleet total never exceeds the budget mid-round).
+// Coordinator maintains lease-based fleet membership and runs
+// rebalance rounds, paced by its caller (RebalanceOnce): pull reports
+// in parallel, divide the budget with the hierarchy dividers, push
+// caps transactionally (decreases before increases, so the fleet total
+// never exceeds the budget mid-round).
 type Coordinator struct {
 	opts CoordinatorOptions
 
@@ -88,12 +89,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	}
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 3 * time.Second
-	}
-	if opts.RebalanceEvery <= 0 {
-		opts.RebalanceEvery = time.Second
-	}
-	if opts.CompactEvery <= 0 {
-		opts.CompactEvery = 64
 	}
 	if opts.Client == nil {
 		opts.Client = &Client{}
@@ -439,7 +434,7 @@ func (c *Coordinator) finishRound(res *RoundResult) {
 	}
 	res.AssignedTotalW = total
 	journal := c.journal
-	compact := c.opts.CompactEvery > 0 && c.round%c.opts.CompactEvery == 0
+	compact := c.round%compactEvery == 0
 	c.mu.Unlock()
 	mAssignedWatts.Set(total)
 	mRounds.Inc()
@@ -453,23 +448,14 @@ func (c *Coordinator) finishRound(res *RoundResult) {
 		return
 	}
 	if compact {
-		if err := checkpoint.WriteAtomic(c.opts.Journal, []checkpoint.Record{rec}); err != nil {
-			c.opts.Logf("fleet coordinator: journal compaction failed: %v", err)
-		}
-		// Reopen so subsequent appends extend the compacted file.
-		w, _, err := checkpoint.OpenAppend(c.opts.Journal)
-		if err != nil {
-			c.opts.Logf("fleet coordinator: journal reopen after compaction failed: %v", err)
+		err := journal.Compact(rec)
+		if err == nil {
+			mCheckpoints.Inc()
 			return
 		}
-		c.mu.Lock()
-		if c.journal != nil {
-			_ = c.journal.Close()
-		}
-		c.journal = w
-		c.mu.Unlock()
-		mCheckpoints.Inc()
-		return
+		// The old journal is still in place and still open:
+		// checkpoint onto it instead.
+		c.opts.Logf("fleet coordinator: journal compaction failed: %v", err)
 	}
 	if err := journal.Append(rec); err != nil {
 		c.opts.Logf("fleet coordinator: checkpoint append failed: %v", err)
@@ -477,23 +463,4 @@ func (c *Coordinator) finishRound(res *RoundResult) {
 	}
 	_ = journal.Sync()
 	mCheckpoints.Inc()
-}
-
-// Run drives the rebalance loop until the context ends. Errors from
-// individual rounds (e.g. a budget temporarily below the member floor)
-// are logged, not fatal: membership churn can fix them by the next
-// round. Returns nil on context cancellation.
-func (c *Coordinator) Run(ctx context.Context) error {
-	t := time.NewTicker(c.opts.RebalanceEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-t.C:
-		}
-		if _, err := c.RebalanceOnce(ctx); err != nil {
-			c.opts.Logf("fleet coordinator: %v", err)
-		}
-	}
 }

@@ -6,11 +6,12 @@
 // that exposes its runtime's demand summary and adapted-kernel
 // predicted utility curve and accepts cap pushes; a Coordinator
 // (cmd/acsel-fleet) maintains lease-based membership from agent
-// heartbeats, pulls node reports in parallel with per-node
-// timeout/retry/backoff, runs the internal/hierarchy dividers over the
-// reported curves, and pushes new caps transactionally — decreases
-// before increases, so the summed assignment never exceeds the budget
-// even mid-push or mid-failure.
+// heartbeats and, each time its caller runs a round, pulls node
+// reports in parallel with per-node timeout/retry/backoff, runs the
+// internal/hierarchy dividers over the reports' NodeView copies, and
+// pushes new caps transactionally — decreases before increases, so the
+// summed assignment never exceeds the budget even mid-push or
+// mid-failure.
 //
 // Failure semantics: a node that stops heartbeating misses its lease
 // and is evicted at the next round, its watts redistributed across the
@@ -127,27 +128,25 @@ func (r Report) Validate() error {
 // ReportOf puts a NodeView into its wire form. The inverse is
 // Report.View; dividing over either yields identical caps.
 func ReportOf(v hierarchy.NodeView) Report {
-	r := Report{Version: ProtocolVersion, Name: v.NodeName()}
-	r.DemandW, r.DemandOK = v.DemandW()
-	if c := v.Curve(); len(c.Breakpoints) > 0 {
-		r.Breakpoints = slices.Clone(c.Breakpoints)
-		r.Utility = slices.Clone(c.Utility)
+	return Report{
+		Version:     ProtocolVersion,
+		Name:        v.Name,
+		DemandW:     v.DemandW,
+		DemandOK:    v.DemandOK,
+		Breakpoints: slices.Clone(v.Curve.Breakpoints),
+		Utility:     slices.Clone(v.Curve.Utility),
 	}
-	return r
 }
 
-// View adapts the report back into the divider's NodeView, over the
-// curve it carries.
-func (r Report) View() hierarchy.NodeView { return reportView{r} }
-
-type reportView struct{ r Report }
-
-func (v reportView) NodeName() string { return v.r.Name }
-
-func (v reportView) DemandW() (float64, bool) { return v.r.DemandW, v.r.DemandOK }
-
-func (v reportView) Curve() hierarchy.Curve {
-	return hierarchy.Curve{Breakpoints: v.r.Breakpoints, Utility: v.r.Utility}
+// View is the divider's NodeView of the report, over the curve it
+// carries.
+func (r Report) View() hierarchy.NodeView {
+	return hierarchy.NodeView{
+		Name:     r.Name,
+		DemandW:  r.DemandW,
+		DemandOK: r.DemandOK,
+		Curve:    hierarchy.Curve{Breakpoints: r.Breakpoints, Utility: r.Utility},
+	}
 }
 
 // CapRequest asks an agent to apply a new node power cap.

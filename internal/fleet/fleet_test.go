@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"acsel/internal/checkpoint"
 	"acsel/internal/core"
 	"acsel/internal/hierarchy"
 	"acsel/internal/kernels"
@@ -318,6 +319,45 @@ func TestCheckpointRestore(t *testing.T) {
 	if len(res.Caps) != 2 || math.Abs(sum-budget) > 1e-6 {
 		t.Fatalf("post-restart round pushed %v (sum %v), want both members at full budget %v",
 			res.Caps, sum, budget)
+	}
+}
+
+// TestCoordinatorJournalCompacts runs a memberless
+// coordinator past its first compaction: the journal then holds the
+// compacted round's checkpoint followed by one per later round, and a
+// restart resumes at the last round.
+func TestCoordinatorJournalCompacts(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "fleet.acsj")
+	opts := CoordinatorOptions{BudgetW: 48, Policy: hierarchy.WaterFill, Journal: journal, Logf: t.Logf}
+	c, _ := startCoordinator(t, opts)
+	const extra = 3
+	for i := 0; i < compactEvery+extra; i++ {
+		if _, err := c.RebalanceOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, _, err := checkpoint.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1+extra {
+		t.Fatalf("journal holds %d records after %d rounds, want %d", len(recs), compactEvery+extra, 1+extra)
+	}
+	for i, rec := range recs {
+		cp, err := DecodeAssignment(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp.Round != compactEvery+i {
+			t.Fatalf("record %d is round %d, want %d", i, cp.Round, compactEvery+i)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	second, _ := startCoordinator(t, opts)
+	if got := second.Round(); got != compactEvery+extra {
+		t.Fatalf("restart resumed at round %d, want %d", got, compactEvery+extra)
 	}
 }
 

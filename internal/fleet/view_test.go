@@ -9,32 +9,21 @@ import (
 	"acsel/internal/hierarchy"
 )
 
-// synthView is a synthetic NodeView mirroring the hierarchy package's
-// property-test fixture: a hand-built demand figure and step curve.
-type synthView struct {
-	name     string
-	demandW  float64
-	demandOK bool
-	curve    hierarchy.Curve
-}
-
-func (v synthView) NodeName() string         { return v.name }
-func (v synthView) DemandW() (float64, bool) { return v.demandW, v.demandOK }
-func (v synthView) Curve() hierarchy.Curve   { return v.curve }
-
+// randomViews builds synthetic views mirroring the hierarchy package's
+// property-test fixture: hand-built demand figures and step curves.
 func randomViews(rng *rand.Rand, n int) []hierarchy.NodeView {
 	views := make([]hierarchy.NodeView, n)
 	for i := range views {
-		v := synthView{
-			name:     string(rune('a'+i)) + "-node",
-			demandW:  rng.Float64() * 40,
-			demandOK: rng.Intn(4) != 0,
+		v := hierarchy.NodeView{
+			Name:     string(rune('a'+i)) + "-node",
+			DemandW:  rng.Float64() * 40,
+			DemandOK: rng.Intn(4) != 0,
 		}
 		u := 0.0
 		for bp := 5 + rng.Float64()*10; bp < 80 && rng.Intn(8) != 0; bp += 1 + rng.Float64()*12 {
 			u += rng.Float64() * 0.3
-			v.curve.Breakpoints = append(v.curve.Breakpoints, bp)
-			v.curve.Utility = append(v.curve.Utility, u)
+			v.Curve.Breakpoints = append(v.Curve.Breakpoints, bp)
+			v.Curve.Utility = append(v.Curve.Utility, u)
 		}
 		views[i] = v
 	}
@@ -79,19 +68,19 @@ func TestRemoteViewMatchesLocal(t *testing.T) {
 		// Pointwise curve equality at breakpoints, between them, and at
 		// the extremes.
 		for i, v := range local {
-			for _, bp := range v.Curve().Breakpoints {
+			for _, bp := range v.Curve.Breakpoints {
 				for _, at := range []float64{bp, bp - 0.25, bp + 0.25, 0, 500} {
-					if got, want := remote[i].Curve().At(at), v.Curve().At(at); got != want { //lint:ignore floatcmp exact reconstruction is the contract
+					if got, want := remote[i].Curve.At(at), v.Curve.At(at); got != want { //lint:ignore floatcmp exact reconstruction is the contract
 						t.Fatalf("trial %d %s: remote utility(%v) = %v, local %v",
-							trial, v.NodeName(), at, got, want)
+							trial, v.Name, at, got, want)
 					}
 				}
 			}
-			gotD, gotOK := remote[i].DemandW()
-			wantD, wantOK := v.DemandW()
+			gotD, gotOK := remote[i].DemandW, remote[i].DemandOK
+			wantD, wantOK := v.DemandW, v.DemandOK
 			if gotD != wantD || gotOK != wantOK { //lint:ignore floatcmp exact reconstruction is the contract
 				t.Fatalf("trial %d %s: remote demand (%v,%v), local (%v,%v)",
-					trial, v.NodeName(), gotD, gotOK, wantD, wantOK)
+					trial, v.Name, gotD, gotOK, wantD, wantOK)
 			}
 		}
 		for _, p := range []hierarchy.Policy{hierarchy.Uniform, hierarchy.DemandProportional, hierarchy.WaterFill} {

@@ -12,12 +12,34 @@ import (
 	"acsel/internal/stats"
 )
 
+// rawPredictions rebuilds each adapted kernel's predictions from the
+// runtime's snapshot with core.Model.PredictAll, exactly as Restore
+// does, so the oracles below read the numbers the runtime selects among
+// without going through its compiled selectors. Every runtime in these
+// tests runs the shared model.
+func rawPredictions(t testing.TB, rt *rts.Runtime) map[string][]core.Prediction {
+	t.Helper()
+	m, _ := sharedModel(t)
+	out := map[string][]core.Prediction{}
+	for _, kc := range rt.Snapshot().Kernels {
+		if !kc.Adapted {
+			continue
+		}
+		preds, _, err := m.PredictAll(core.SampleRuns{CPU: kc.CPUSample, GPU: kc.GPUSample})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[kc.Key] = preds
+	}
+	return out
+}
+
 // nodeUtilityCurve is the reference evaluation of a node's utility
 // curve that the swept Curve replaces, kept as its oracle: for each
 // adapted kernel, the best predicted performance under the cap divided
 // by its best predicted performance overall, weighted by the kernel's
 // time share, re-evaluated from the predictions at every call.
-func nodeUtilityCurve(node *Node) func(float64) float64 {
+func nodeUtilityCurve(t testing.TB, node *Node) func(float64) float64 {
 	type kernelPreds struct {
 		weight  float64
 		perf    []float64 // predicted perf per config
@@ -29,8 +51,9 @@ func nodeUtilityCurve(node *Node) func(float64) float64 {
 	for _, k := range node.App {
 		shareOf[k.ID()] = k.TimeShare
 	}
+	raw := rawPredictions(t, node.Runtime)
 	for _, key := range node.Runtime.AdaptedKernels() {
-		preds, ok := node.Runtime.PredictionsFor(key)
+		preds, ok := raw[key]
 		if !ok {
 			continue
 		}
@@ -70,12 +93,12 @@ func nodeUtilityCurve(node *Node) func(float64) float64 {
 
 // allPowers is every distinct predicted power of the node's adapted
 // kernels, ascending: the caps at which the oracle can jump.
-func allPowers(node *Node) []float64 {
+func allPowers(t testing.TB, node *Node) []float64 {
 	seen := map[float64]bool{}
 	var bps []float64
+	raw := rawPredictions(t, node.Runtime)
 	for _, key := range node.Runtime.AdaptedKernels() {
-		preds, _ := node.Runtime.PredictionsFor(key)
-		for _, p := range preds {
+		for _, p := range raw[key] {
 			if !seen[p.PowerW] {
 				seen[p.PowerW] = true
 				bps = append(bps, p.PowerW)
@@ -88,17 +111,14 @@ func allPowers(node *Node) []float64 {
 
 // oracleView is a node as the dividers saw it before the swept curve:
 // the oracle sampled at every predicted power, flat steps included.
-type oracleView struct{ n *Node }
-
-func (v oracleView) NodeName() string         { return v.n.Name }
-func (v oracleView) DemandW() (float64, bool) { return localView{n: v.n}.DemandW() }
-func (v oracleView) Curve() Curve {
-	u := nodeUtilityCurve(v.n)
-	c := Curve{Breakpoints: allPowers(v.n)}
-	for _, bp := range c.Breakpoints {
-		c.Utility = append(c.Utility, u(bp))
+func oracleView(t testing.TB, n *Node) NodeView {
+	v := View(n)
+	u := nodeUtilityCurve(t, n)
+	v.Curve = Curve{Breakpoints: allPowers(t, n)}
+	for _, bp := range v.Curve.Breakpoints {
+		v.Curve.Utility = append(v.Curve.Utility, u(bp))
 	}
-	return c
+	return v
 }
 
 // probeCaps is where a curve is compared with the oracle: every
@@ -120,9 +140,9 @@ func probeCaps(bps []float64) []float64 {
 // increasing breakpoints and utilities, the first utility positive.
 func checkCurve(t *testing.T, stage string, n *Node) {
 	t.Helper()
-	c := View(n).Curve()
-	oracle := nodeUtilityCurve(n)
-	bps := allPowers(n)
+	c := View(n).Curve
+	oracle := nodeUtilityCurve(t, n)
+	bps := allPowers(t, n)
 	for _, capW := range probeCaps(bps) {
 		if got, want := c.At(capW), oracle(capW); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s, %s: At(%v) = %v, oracle %v", stage, n.Name, capW, got, want)
@@ -152,7 +172,7 @@ func checkDivideMatchesOracle(t *testing.T, stage string, nodes []*Node) {
 	views := make([]NodeView, len(nodes))
 	oracles := make([]NodeView, len(nodes))
 	for i, n := range nodes {
-		views[i], oracles[i] = View(n), oracleView{n}
+		views[i], oracles[i] = View(n), oracleView(t, n)
 	}
 	for _, budget := range []float64{20, 31, 44.5, 56, 72, 100} {
 		for _, p := range []Policy{Uniform, DemandProportional, WaterFill} {
@@ -255,8 +275,9 @@ func TestCurveFollowsVarAwareRuntime(t *testing.T) {
 	}
 	var ks []kernelPreds
 	var bounds []float64
+	raw := rawPredictions(t, rt)
 	for _, key := range rt.AdaptedKernels() {
-		preds, _ := rt.PredictionsFor(key)
+		preds := raw[key]
 		kp := kernelPreds{weight: shareOf[key], preds: preds}
 		if stats.AlmostZero(kp.weight) {
 			kp.weight = 1.0 / float64(len(n.App))
@@ -289,7 +310,7 @@ func TestCurveFollowsVarAwareRuntime(t *testing.T) {
 		if got := c.At(capW); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("At(%v) = %v, selection with z = %v gives %v", capW, got, z, want)
 		}
-		differs = differs || nodeUtilityCurve(n)(capW) != want
+		differs = differs || nodeUtilityCurve(t, n)(capW) != want
 	}
 	if !differs {
 		t.Fatal("the z = 1 curve equals the bare-power curve at every probe cap")
@@ -357,8 +378,8 @@ func TestCurveUtilityNeverFallsAsCapRises(t *testing.T) {
 				}
 			}
 		}
-		c := View(n).Curve()
-		caps := probeCaps(allPowers(n))
+		c := View(n).Curve
+		caps := probeCaps(allPowers(t, n))
 		for w := 0.0; w <= 120; w += 0.125 {
 			caps = append(caps, w)
 		}

@@ -11,33 +11,22 @@ import (
 	"acsel/internal/power"
 )
 
-// synthView is a synthetic NodeView for divider property tests: a
-// hand-built demand figure and step utility curve, no runtime behind
-// it.
-type synthView struct {
-	name     string
-	demandW  float64
-	demandOK bool
-	curve    Curve
-}
-
-func (v synthView) NodeName() string         { return v.name }
-func (v synthView) DemandW() (float64, bool) { return v.demandW, v.demandOK }
-func (v synthView) Curve() Curve             { return v.curve }
-
+// randomViews builds synthetic views for divider property tests:
+// hand-built demand figures and step utility curves, no runtime behind
+// them.
 func randomViews(rng *rand.Rand, n int) []NodeView {
 	views := make([]NodeView, n)
 	for i := range views {
-		v := synthView{
-			name:     string(rune('a'+i)) + "-node",
-			demandW:  rng.Float64() * 40,
-			demandOK: rng.Intn(4) != 0,
+		v := NodeView{
+			Name:     string(rune('a'+i)) + "-node",
+			DemandW:  rng.Float64() * 40,
+			DemandOK: rng.Intn(4) != 0,
 		}
 		u := 0.0
 		for bp := 5 + rng.Float64()*10; bp < 80 && rng.Intn(8) != 0; bp += 1 + rng.Float64()*12 {
 			u += rng.Float64() * 0.3
-			v.curve.Breakpoints = append(v.curve.Breakpoints, bp)
-			v.curve.Utility = append(v.curve.Utility, u)
+			v.Curve.Breakpoints = append(v.Curve.Breakpoints, bp)
+			v.Curve.Utility = append(v.Curve.Utility, u)
 		}
 		views[i] = v
 	}
@@ -92,7 +81,7 @@ func TestWaterFillOrderInvariant(t *testing.T) {
 		}
 		byName := map[string]float64{}
 		for i, v := range views {
-			byName[v.NodeName()] = base[i]
+			byName[v.Name] = base[i]
 		}
 		perm := rng.Perm(n)
 		shuffled := make([]NodeView, n)
@@ -104,9 +93,9 @@ func TestWaterFillOrderInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, v := range shuffled {
-			if caps[i] != byName[v.NodeName()] { //lint:ignore floatcmp identical inputs must produce bitwise-identical caps
+			if caps[i] != byName[v.Name] { //lint:ignore floatcmp identical inputs must produce bitwise-identical caps
 				t.Fatalf("trial %d: node %s got %v shuffled vs %v in order (perm %v)",
-					trial, v.NodeName(), caps[i], byName[v.NodeName()], perm)
+					trial, v.Name, caps[i], byName[v.Name], perm)
 			}
 		}
 	}
@@ -117,9 +106,9 @@ func TestWaterFillOrderInvariant(t *testing.T) {
 // NaN caps (0/0) that SetCap rejects. It must fall back to uniform.
 func TestDemandSharesZeroTotal(t *testing.T) {
 	views := []NodeView{
-		synthView{name: "a", demandW: 0, demandOK: true},
-		synthView{name: "b", demandW: 0, demandOK: true},
-		synthView{name: "c", demandW: 0, demandOK: true},
+		{Name: "a", DemandW: 0, DemandOK: true},
+		{Name: "b", DemandW: 0, DemandOK: true},
+		{Name: "c", DemandW: 0, DemandOK: true},
 	}
 	budget := 48.0
 	caps, err := Divide(DemandProportional, views, budget)

@@ -7,7 +7,10 @@
 // runtime; the divider sets per-node caps, either uniformly, in
 // proportion to measured demand, or by water-filling over the nodes'
 // *predicted* utility curves — the cluster-scale payoff of the
-// per-kernel predicted Pareto frontiers.
+// per-kernel predicted Pareto frontiers. Divide sees each node as a
+// NodeView value: View snapshots an in-process node, and the fleet
+// package copies one out of a remote node's report, so the same
+// division runs in-process and across node boundaries.
 package hierarchy
 
 import (
@@ -118,21 +121,23 @@ func NewCluster(nodes []*Node, budgetW float64, p Policy) (*Cluster, error) {
 	return &Cluster{Nodes: nodes, BudgetW: budgetW, Policy: p}, nil
 }
 
-// NodeView is the read-only window a budget divider needs onto one
-// node. Local nodes (View) and the fleet layer's remote reports
-// implement it identically, so the same divider code runs in-process
-// and across node boundaries.
-type NodeView interface {
-	// NodeName identifies the node. Dividers use it as an
+// NodeView is what a budget divider knows of one node: a snapshot of
+// its name, recent demand and utility curve. View takes one from an
+// in-process node and the fleet layer's Report.View from a remote
+// node's report, so the same divider code runs in-process and across
+// node boundaries.
+type NodeView struct {
+	// Name identifies the node. Dividers use it as an
 	// order-independent tie-break, so names must be unique within one
 	// division.
-	NodeName() string
-	// DemandW reports the node's mean measured power over its recent
-	// window; ok is false before any measurement history exists.
-	DemandW() (demandW float64, ok bool)
+	Name string
+	// DemandW is the node's mean measured power over its recent
+	// window; DemandOK is false before any measurement history exists.
+	DemandW  float64
+	DemandOK bool
 	// Curve is the node's predicted utility curve. Callers must not
 	// modify it: views share it with the node's cache.
-	Curve() Curve
+	Curve Curve
 }
 
 // Curve is a node's predicted utility as a step function of its power
@@ -255,41 +260,28 @@ func sweepCurve(weights []float64, sels []*core.Selector, z float64) Curve {
 	return c
 }
 
-// localView adapts an in-process *Node to NodeView.
-type localView struct {
-	n     *Node
-	curve Curve
-}
-
-// View builds the NodeView of an in-process node over its cached
-// utility curve.
+// View snapshots an in-process node: its cached utility curve and its
+// demand, the mean measured power of its last application timestep
+// (its last len(App) steps, or the last rts.StepWindow when the
+// application has more kernels than the runtime retains steps).
 func View(n *Node) NodeView {
-	c, _ := n.UtilityCurve()
-	return localView{n: n, curve: c}
-}
-
-func (v localView) NodeName() string { return v.n.Name }
-
-// DemandW is the mean measured power of the node's last application
-// timestep: its last len(App) steps, or the last rts.StepWindow when
-// the application has more kernels than the runtime retains steps.
-func (v localView) DemandW() (float64, bool) {
-	window := min(len(v.n.App), rts.StepWindow)
+	v := NodeView{Name: n.Name}
+	v.Curve, _ = n.UtilityCurve()
+	window := min(len(n.App), rts.StepWindow)
 	if window == 0 {
-		return 0, false
+		return v
 	}
-	steps := v.n.Runtime.LastSteps(window)
+	steps := n.Runtime.LastSteps(window)
 	if len(steps) < window {
-		return 0, false
+		return v
 	}
 	var sum float64
 	for _, s := range steps {
 		sum += s.PowerW
 	}
-	return sum / float64(window), true
+	v.DemandW, v.DemandOK = sum/float64(window), true
+	return v
 }
-
-func (v localView) Curve() Curve { return v.curve }
 
 // Divide computes per-node caps for the views under a policy and
 // budget, without applying them anywhere. Every policy returns caps
@@ -355,8 +347,8 @@ func demandShares(views []NodeView, budgetW float64) []float64 {
 	demand := make([]float64, n)
 	total := 0.0
 	for i, v := range views {
-		w, ok := v.DemandW()
-		if !ok {
+		w := v.DemandW
+		if !v.DemandOK {
 			w = budgetW / float64(n)
 		}
 		demand[i] = w
@@ -385,15 +377,14 @@ func demandShares(views []NodeView, budgetW float64) []float64 {
 func waterFillShares(views []NodeView, budgetW float64) []float64 {
 	n := len(views)
 	caps := make([]float64, n)
-	curves := make([]Curve, n)
-	for i, v := range views {
+	for i := range caps {
 		caps[i] = MinNodeCapW
-		curves[i] = v.Curve()
 	}
 	remaining := budgetW - MinNodeCapW*float64(n)
 	for {
 		bestI, bestBP, bestDensity := -1, 0.0, 0.0
-		for i, c := range curves {
+		for i := range views {
+			c := &views[i].Curve
 			base := c.At(caps[i])
 			for j, bp := range c.Breakpoints {
 				cost := bp - caps[i]
@@ -409,7 +400,7 @@ func waterFillShares(views []NodeView, budgetW float64) []float64 {
 				}
 				d := gain / cost
 				if d > bestDensity ||
-					(bestI >= 0 && bestI != i && d == bestDensity && views[i].NodeName() < views[bestI].NodeName()) { //lint:ignore floatcmp identical inputs yield identical densities; the tie-break keys on exact equality
+					(bestI >= 0 && bestI != i && d == bestDensity && views[i].Name < views[bestI].Name) { //lint:ignore floatcmp identical inputs yield identical densities; the tie-break keys on exact equality
 					bestI, bestBP, bestDensity = i, bp, d
 				}
 			}

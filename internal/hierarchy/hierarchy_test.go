@@ -173,7 +173,8 @@ func TestDemandWMatchesFullHistory(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for i, n := range c.Nodes {
 			steps, window := history[i], len(n.App)
-			got, ok := View(n).DemandW()
+			v := View(n)
+			got, ok := v.DemandW, v.DemandOK
 			if len(steps) < window {
 				if ok {
 					t.Errorf("%s, round %d: demand %v from %d of %d steps", n.Name, round, got, len(steps), window)
@@ -201,6 +202,40 @@ func TestDemandWMatchesFullHistory(t *testing.T) {
 	}
 	if compared == 0 {
 		t.Fatal("no node ever ran a full window")
+	}
+}
+
+// TestViewIsASnapshot checks that a view holds the node's demand and
+// curve as they were when it was taken: steps run afterwards, an
+// adaptation among them, change what a new view sees but not the old
+// view.
+func TestViewIsASnapshot(t *testing.T) {
+	_, apps := sharedModel(t)
+	n := newNode(t, "n0", apps["comd"], 28)
+	run := func() {
+		for _, k := range n.App {
+			if _, err := n.Runtime.RunKernel(k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run() // first sample iteration: a full demand window, nothing adapted
+	v := View(n)
+	if !v.DemandOK || len(v.Curve.Breakpoints) != 0 {
+		t.Fatalf("after one timestep: demand ok %v, %d breakpoints", v.DemandOK, len(v.Curve.Breakpoints))
+	}
+	demand := v.DemandW
+	run() // second sample iteration: every kernel adapts
+	run() // pinned
+	now := View(n)
+	if math.Float64bits(now.DemandW) == math.Float64bits(demand) || len(now.Curve.Breakpoints) == 0 {
+		t.Fatalf("later steps moved nothing: demand %v, %d breakpoints", now.DemandW, len(now.Curve.Breakpoints))
+	}
+	if math.Float64bits(v.DemandW) != math.Float64bits(demand) {
+		t.Fatalf("view demand moved from %v to %v after it was taken", demand, v.DemandW)
+	}
+	if len(v.Curve.Breakpoints) != 0 {
+		t.Fatalf("view curve gained %d breakpoints after it was taken", len(v.Curve.Breakpoints))
 	}
 }
 
@@ -258,7 +293,7 @@ func TestWaterFillBeatsUniformOnPredictedUtility(t *testing.T) {
 	utility := func(c *Cluster, caps []float64) float64 {
 		total := 0.0
 		for i, n := range c.Nodes {
-			total += View(n).Curve().At(caps[i])
+			total += View(n).Curve.At(caps[i])
 		}
 		return total
 	}

@@ -69,8 +69,8 @@ type Profiler struct {
 	// without injection wiring.
 	Faults *fault.Injector
 	// KeepHistory records every successful sample in memory for
-	// History, HistoryFor and WriteJSON. Off by default: the history
-	// grows with every run and nothing on a decision path reads it.
+	// History and WriteJSON. Off by default: the history grows with
+	// every run and nothing on a decision path reads it.
 	KeepHistory bool
 
 	mu      sync.Mutex
@@ -221,46 +221,18 @@ func (p *Profiler) ProfileAllConfigs(k kernels.Kernel, iteration int) ([]Sample,
 }
 
 // History returns a copy of all recorded samples in recording order:
-// nothing unless KeepHistory was set (or ReadJSON loaded some).
+// nothing unless KeepHistory was set.
 func (p *Profiler) History() []Sample {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return append([]Sample(nil), p.history...)
 }
 
-// HistoryFor returns recorded samples for one kernel ID, ordered by
-// (config, iteration) — the per-kernel measurement history the paper
-// exposes for dynamic scheduling, kept only with KeepHistory.
-func (p *Profiler) HistoryFor(kernelID string) []Sample {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []Sample
-	for _, s := range p.history {
-		if s.KernelID == kernelID {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ConfigID != out[j].ConfigID {
-			return out[i].ConfigID < out[j].ConfigID
-		}
-		return out[i].Iteration < out[j].Iteration
-	})
-	return out
-}
-
-// Reset clears the history.
-func (p *Profiler) Reset() {
-	p.mu.Lock()
-	p.history = nil
-	p.mu.Unlock()
-}
-
 // WriteJSON streams the history to w (one JSON document), the paper's
 // "written to disk after the application completes". Samples are
-// ordered by (kernel ID, config, iteration), as HistoryFor orders one
-// kernel's, not in recording order: parallel runs finish in no fixed
-// order, and the same runs must write the same bytes.
+// ordered by (kernel ID, config, iteration), not in recording order:
+// parallel runs finish in no fixed order, and the same runs must write
+// the same bytes.
 func (p *Profiler) WriteJSON(w io.Writer) error {
 	h := p.History()
 	sort.SliceStable(h, func(i, j int) bool {
@@ -275,18 +247,4 @@ func (p *Profiler) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(h)
-}
-
-// ReadJSON loads samples previously written by WriteJSON and appends
-// them to the history, whether or not KeepHistory is set: loading is
-// itself the request to keep them.
-func (p *Profiler) ReadJSON(r io.Reader) error {
-	var ss []Sample
-	if err := json.NewDecoder(r).Decode(&ss); err != nil {
-		return fmt.Errorf("profiler: decoding history: %w", err)
-	}
-	p.mu.Lock()
-	p.history = append(p.history, ss...)
-	p.mu.Unlock()
-	return nil
 }

@@ -99,9 +99,6 @@ type Options struct {
 	// by CLOCK (default: 4096; negative disables caching). A selection
 	// is cached from its second miss.
 	CacheSize int
-	// CapQuantumW is the cap quantization step in watts (default:
-	// DefaultCapQuantumW; negative disables quantization).
-	CapQuantumW float64
 	// MaxBatch bounds SelectBatch and the /v1/select/batch body
 	// (default: 256).
 	MaxBatch int
@@ -265,9 +262,6 @@ func NewService(m *core.Model, opts Options) (*Service, error) {
 	if opts.CacheSize == 0 {
 		opts.CacheSize = 4096
 	}
-	if opts.CapQuantumW <= 0 {
-		opts.CapQuantumW = DefaultCapQuantumW
-	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 256
 	}
@@ -319,8 +313,9 @@ func QuantizeCapW(capW, quantum float64) float64 {
 	return capW
 }
 
-// CapQuantumW reports the service's configured quantization step.
-func (s *Service) CapQuantumW() float64 { return s.opts.CapQuantumW }
+// CapQuantumW reports the service's quantization step,
+// DefaultCapQuantumW.
+func (s *Service) CapQuantumW() float64 { return DefaultCapQuantumW }
 
 // Generation reports the live model's content hash and swap sequence.
 func (s *Service) Generation() (hash string, seq uint64) {
@@ -413,7 +408,7 @@ func (s *Service) Select(ctx context.Context, req Request) (Response, error) {
 	}
 
 	gen := s.gen.Load()
-	eff := QuantizeCapW(req.CapW, s.opts.CapQuantumW)
+	eff := QuantizeCapW(req.CapW, DefaultCapQuantumW)
 	key := cacheKey{shard: sh.idx, capBits: math.Float64bits(eff), zBits: math.Float64bits(req.Z)}
 	resp, ok, stale := s.cache.get(key, gen.hash)
 	if ok {

@@ -231,8 +231,8 @@ func TestReadersDuringRunKernel(t *testing.T) {
 		_ = rt.NumSteps()
 		_ = rt.Summarize()
 		for _, key := range rt.AdaptedKernels() {
-			if _, ok := rt.PredictionsFor(key); !ok {
-				t.Fatalf("%s listed as adapted without predictions", key)
+			if _, ok := rt.SelectorFor(key); !ok {
+				t.Fatalf("%s listed as adapted without a selector", key)
 			}
 		}
 		k := held[i%len(held)].ID()

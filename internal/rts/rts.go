@@ -760,7 +760,7 @@ func (rt *Runtime) NumSteps() int {
 // Generation counts the changes to the runtime's cached predictions:
 // it moves whenever a kernel adapts or a snapshot is restored, and at
 // no other time. Anything derived from AdaptedKernels and
-// PredictionsFor stays valid while the generation holds still.
+// SelectorFor stays valid while the generation holds still.
 func (rt *Runtime) Generation() uint64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -893,25 +893,11 @@ func (rt *Runtime) SelectionFor(kernelID string) (apu.Config, int, bool) {
 	return st.pinned, st.cluster, true
 }
 
-// PredictionsFor returns the cached per-configuration predictions of an
-// adapted kernel (ok=false before adaptation). Cluster-level budget
-// policies consume these to build node utility curves without
-// re-profiling (§I: constraints "passed down through the machine
-// hierarchy").
-func (rt *Runtime) PredictionsFor(key string) ([]core.Prediction, bool) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	st, ok := rt.kernels[key]
-	if !ok || st.preds == nil {
-		return nil, false
-	}
-	return append([]core.Prediction(nil), st.preds...), true
-}
-
 // SelectorFor returns an adapted kernel's compiled predictions, the
 // core.Selector its reselection picks through (ok=false before
-// adaptation). A Selector never changes, so callers may keep and share
-// it; a later adaptation or Restore compiles a new one.
+// adaptation); node utility curves merge its frontier. A Selector
+// never changes, so callers may keep and share it; a later adaptation
+// or Restore compiles a new one.
 func (rt *Runtime) SelectorFor(key string) (*core.Selector, bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()

@@ -413,8 +413,8 @@ func TestPredictionsForAndAdaptedKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := rt.PredictionsFor("nope"); ok {
-		t.Error("predictions for unknown kernel")
+	if _, ok := rt.SelectorFor("nope"); ok {
+		t.Error("selector for unknown kernel")
 	}
 	if len(rt.AdaptedKernels()) != 0 {
 		t.Error("adapted kernels before any run")
@@ -424,8 +424,8 @@ func TestPredictionsForAndAdaptedKernels(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After one sample iteration: known but not adapted.
-	if _, ok := rt.PredictionsFor(k.ID()); ok {
-		t.Error("predictions before adaptation completes")
+	if snap := rt.Snapshot(); len(snap.Kernels) != 1 || snap.Kernels[0].Adapted {
+		t.Errorf("snapshot after one sample: %+v", snap.Kernels)
 	}
 	if _, ok := rt.SelectorFor(k.ID()); ok {
 		t.Error("selector before adaptation completes")
@@ -433,12 +433,15 @@ func TestPredictionsForAndAdaptedKernels(t *testing.T) {
 	if _, err := rt.RunKernel(k); err != nil {
 		t.Fatal(err)
 	}
-	preds, ok := rt.PredictionsFor(k.ID())
-	if !ok || len(preds) != m.Space.Len() {
-		t.Fatalf("predictions after adaptation: ok=%v len=%d", ok, len(preds))
+	// The predictions, rebuilt from the snapshotted sample runs as
+	// Restore rebuilds them.
+	preds, cluster, err := m.PredictAll(sampleRunsOf(t, rt, k))
+	if err != nil || len(preds) != m.Space.Len() {
+		t.Fatalf("predictions after adaptation: err=%v len=%d", err, len(preds))
 	}
-	// The selector compiles the same predictions: it pins what the
-	// runtime pinned at this cap.
+	// The selector compiles the same predictions: it picks what
+	// SelectAmong picks over them, and what the runtime pinned at this
+	// cap.
 	sel, ok := rt.SelectorFor(k.ID())
 	if !ok {
 		t.Fatal("no selector after adaptation")
@@ -446,6 +449,13 @@ func TestPredictionsForAndAdaptedKernels(t *testing.T) {
 	got, err := sel.Select(rt.Cap(), rt.VarAwareZ())
 	if err != nil {
 		t.Fatal(err)
+	}
+	want, err := core.SelectAmong(preds, cluster, rt.Cap(), rt.VarAwareZ())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("selector picks %+v, SelectAmong %+v", got, want)
 	}
 	if pinned, _, _ := rt.SelectionFor(k.ID()); got.Config != pinned {
 		t.Errorf("selector picks %v, runtime pinned %v", got.Config, pinned)

@@ -69,9 +69,9 @@ func TestRuntimeSelectionMatchesCore(t *testing.T) {
 				}
 			}
 			sr := sampleRunsOf(t, rt, k)
-			preds, ok := rt.PredictionsFor(k.ID())
-			if !ok {
-				t.Fatalf("%s not adapted", k.ID())
+			preds, _, err := m.PredictAll(sr)
+			if err != nil {
+				t.Fatal(err)
 			}
 			for _, p := range preds {
 				for _, edge := range []float64{p.PowerW, p.PowerW + z*p.PowerStd} {
