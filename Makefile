@@ -131,7 +131,7 @@ fuzz:
 # compiled selector against SelectAmong and its predicted frontier
 # against its own selections, pragma preprocessing, checkpoint
 # decoding, the shared strict wire decoder, select-request wire
-# decoding, the selection cache against a naive model).
+# decoding).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzKendallTauRanks -fuzztime 10s ./internal/stats
 	$(GO) test -run '^$$' -fuzz FuzzFitRegression -fuzztime 10s ./internal/stats
@@ -141,7 +141,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCheckpointDecode -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzSelectRequestDecode -fuzztime 10s ./internal/query
-	$(GO) test -run '^$$' -fuzz FuzzCacheAgainstModel -fuzztime 10s ./internal/query
 
 clean:
 	rm -rf out/ model.json profiles.json lint.sarif query-summary.json

@@ -36,6 +36,7 @@ func TestBenchChaosExperiment(t *testing.T) {
 //		> cmd/acsel-bench/testdata/chaos-sensor-stuck.golden
 //	go run ./cmd/acsel-bench -exp chaos -chaos-scenario all -chaos-seed 7 \
 //		> cmd/acsel-bench/testdata/chaos-all.golden
+//	go run ./cmd/acsel-bench -exp all > cmd/acsel-bench/testdata/all.golden
 //
 // Any change to a noise stream, the training pipeline or the report
 // format shows up here. Regenerate a golden only for a change that
@@ -50,6 +51,8 @@ func TestBenchGoldenStdout(t *testing.T) {
 		{"table3", "table3.golden", "table3", "all", 1},
 		{"chaos", "chaos-sensor-stuck.golden", "chaos", "sensor-stuck", 7},
 		{"chaos-all", "chaos-all.golden", "chaos", "all", 7},
+		// Every experiment but chaos, the command's default run.
+		{"all", "all.golden", "all", "all", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))

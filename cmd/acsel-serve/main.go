@@ -52,7 +52,6 @@ func main() {
 	flag.IntVar(&cfg.MaxRestarts, "max-restarts", 5, "consecutive worker restarts before giving up (0 = unlimited)")
 	flag.BoolVar(&cfg.Query, "query", false, "serve the selection query API (POST /v1/select, /v1/select/batch, GET+POST /v1/models) on -addr")
 	flag.IntVar(&cfg.QueryInFlight, "query-max-inflight", 0, "selection queries computed at once before admission control sheds with 429 (0 = default)")
-	flag.IntVar(&cfg.QueryCache, "query-cache", 0, "selection cache entries (CLOCK eviction); a selection is cached from its second miss (0 = default, negative disables)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -89,5 +88,4 @@ type config struct {
 	MaxRestarts     int
 	Query           bool
 	QueryInFlight   int
-	QueryCache      int
 }

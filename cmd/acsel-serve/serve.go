@@ -173,7 +173,6 @@ func run(ctx context.Context, cfg config, stderr io.Writer) error {
 		if cfg.Query {
 			qs, qerr := query.NewService(model, query.Options{
 				MaxInFlight: cfg.QueryInFlight,
-				CacheSize:   cfg.QueryCache,
 				Faults:      inj,
 			})
 			if qerr != nil {

@@ -9,30 +9,28 @@ import (
 	"acsel/internal/query"
 )
 
-// BenchmarkSelectHit serves one resident selection from every
-// goroutine, the select-hot shape: each call is a cache hit. Besides
-// ns/op (wall time over all goroutines) it reports ns/call, the mean
-// latency of one call timed on its own, which is what a client sees
-// when calls do not run back to back.
-func BenchmarkSelectHit(b *testing.B) {
+// BenchmarkSelectHotKey asks one selection from every goroutine, the
+// select-hot shape: the same key on every call, computed each time.
+// Besides ns/op (wall time over all goroutines) it reports ns/call, the
+// mean latency of one call timed on its own, which is what a client
+// sees when calls do not run back to back.
+func BenchmarkSelectHotKey(b *testing.B) {
 	s, hot := benchService(b)
 	ctx := context.Background()
-	for i := 0; i < 3; i++ { // computes the predictions, admits, hits
-		if _, err := s.Select(ctx, hot); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := s.Select(ctx, hot); err != nil { // computes the predictions
+		b.Fatal(err)
 	}
 	runTimed(b, func() {
-		if resp, err := s.Select(ctx, hot); err != nil || !resp.Cached {
-			b.Errorf("hit: cached %v, %v", resp.Cached, err)
+		if _, err := s.Select(ctx, hot); err != nil {
+			b.Error(err)
 		}
 	})
 }
 
-// BenchmarkSelectMiss asks every goroutine a cap never asked before,
-// the select-churn shape: each call computes a selection that the
-// doorkeeper then declines. Metrics as for BenchmarkSelectHit.
-func BenchmarkSelectMiss(b *testing.B) {
+// BenchmarkSelectFreshKey asks every goroutine a cap never asked
+// before, the select-churn shape. Metrics as for
+// BenchmarkSelectHotKey.
+func BenchmarkSelectFreshKey(b *testing.B) {
 	s, hot := benchService(b)
 	ctx := context.Background()
 	if _, err := s.Select(ctx, hot); err != nil { // computes the predictions

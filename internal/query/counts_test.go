@@ -45,9 +45,11 @@ func queryCounts(t *testing.T) map[string]float64 {
 // TestOutcomeCountsConsistent drives one service through every outcome
 // a request can have and checks, for each, the change of every
 // acsel_query_* series and of Stats. A series absent from a step's
-// expectations must not move. The hit, shed and miss families must
-// keep their values whether they are counted or derived from the
-// outcome counters.
+// expectations must not move. The hit, shed and computed-selection
+// families must keep their values whether they are counted or derived
+// from the outcome counters, and the compute timer must sample exactly
+// the selections admitted while the served count is a multiple of
+// query.SelectSampleEvery.
 func TestOutcomeCountsConsistent(t *testing.T) {
 	mA, _ := testModels(t)
 	broken := *mA
@@ -75,45 +77,35 @@ func TestOutcomeCountsConsistent(t *testing.T) {
 			t.Fatalf("select %+v: %v, want %v", req, err, want)
 		}
 	}
-	// The computed-miss families, which every step that computes moves
-	// alike.
-	computed := map[string]float64{"cache_misses_total": 1, "select_seconds": 1}
-	with := func(base map[string]float64, extra map[string]float64) map[string]float64 {
-		out := map[string]float64{}
-		for k, v := range base {
-			out[k] += v
-		}
-		for k, v := range extra {
-			out[k] += v
-		}
-		return out
+	// The served count is process-wide: bring it to a multiple of the
+	// sampling period, so the first step is timed and the second not.
+	for n := uint64(s.Stats().Served); n%query.SelectSampleEvery != 0; n++ {
+		sel(ctx, query.Request{Kernel: k0, CapW: 19}, nil)
 	}
 
 	steps := []struct {
-		name  string
-		do    func()
-		want  map[string]float64
-		stats query.Stats
+		name string
+		do   func()
+		// computes marks a step in which one selection is computed:
+		// it moves the computed family and, when the served count is
+		// a multiple of the sampling period, the compute timer.
+		computes bool
+		want     map[string]float64
+		stats    query.Stats
 	}{
 		{
-			name: "first miss, insert declined",
-			do:   func() { sel(ctx, query.Request{Kernel: k0, CapW: 20}, nil) },
-			want: with(computed, map[string]float64{
-				"requests{served}": 1, "cache_declined_total": 1,
-			}),
-			stats: query.Stats{Served: 1},
+			name:     "select, timed",
+			do:       func() { sel(ctx, query.Request{Kernel: k0, CapW: 20}, nil) },
+			computes: true,
+			want:     map[string]float64{"requests{served}": 1},
+			stats:    query.Stats{Served: 1},
 		},
 		{
-			name:  "second miss, inserted",
-			do:    func() { sel(ctx, query.Request{Kernel: k0, CapW: 20}, nil) },
-			want:  with(computed, map[string]float64{"requests{served}": 1}),
-			stats: query.Stats{Served: 1},
-		},
-		{
-			name:  "hit",
-			do:    func() { sel(ctx, query.Request{Kernel: k0, CapW: 20}, nil) },
-			want:  map[string]float64{"requests{cached}": 1, "cache_hits_total": 1},
-			stats: query.Stats{Cached: 1},
+			name:     "the same select again, computed again, untimed",
+			do:       func() { sel(ctx, query.Request{Kernel: k0, CapW: 20}, nil) },
+			computes: true,
+			want:     map[string]float64{"requests{served}": 1},
+			stats:    query.Stats{Served: 1},
 		},
 		{
 			name: "invalid request",
@@ -130,7 +122,7 @@ func TestOutcomeCountsConsistent(t *testing.T) {
 			do: func() {
 				held := newGate()
 				g.Store(held)
-				errs := fillInFlight(s, held, 1) // k0 at 10 W, a first miss
+				errs := fillInFlight(s, held, 1) // k0 at 10 W
 				sel(ctx, query.Request{Kernel: k1, CapW: 20}, query.ErrOverloaded)
 				g.Store(open)
 				close(held.release)
@@ -138,10 +130,11 @@ func TestOutcomeCountsConsistent(t *testing.T) {
 					t.Fatalf("held selection: %v", err)
 				}
 			},
-			want: with(computed, map[string]float64{
+			computes: true,
+			want: map[string]float64{
 				"cache_misses_total": 1, "requests{shed}": 1, "shed_total": 1,
-				"requests{served}": 1, "cache_declined_total": 1,
-			}),
+				"requests{served}": 1,
+			},
 			stats: query.Stats{Served: 1, Shed: 1},
 		},
 		{
@@ -153,7 +146,8 @@ func TestOutcomeCountsConsistent(t *testing.T) {
 				defer cancel()
 				sel(dctx, query.Request{Kernel: k1, CapW: 21}, context.DeadlineExceeded)
 			},
-			want: with(computed, map[string]float64{"requests{deadline}": 1}),
+			computes: true,
+			want:     map[string]float64{"requests{deadline}": 1},
 		},
 		{
 			name: "reload to a model that cannot predict",
@@ -162,7 +156,7 @@ func TestOutcomeCountsConsistent(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			want:  map[string]float64{"model_reloads_total": 1, "cache_purged_total": 1},
+			want:  map[string]float64{"model_reloads_total": 1},
 			stats: query.Stats{Reloads: 1},
 		},
 		{
@@ -172,7 +166,8 @@ func TestOutcomeCountsConsistent(t *testing.T) {
 					t.Fatal("select under a model that cannot predict succeeded")
 				}
 			},
-			want: with(computed, map[string]float64{"requests{error}": 1}),
+			computes: true,
+			want:     map[string]float64{"requests{error}": 1},
 		},
 		{
 			name: "reload back",
@@ -193,11 +188,24 @@ func TestOutcomeCountsConsistent(t *testing.T) {
 			want: map[string]float64{"requests{error}": 1},
 		},
 	}
-	for _, st := range steps {
+	for i, st := range steps {
 		before, statsBefore := queryCounts(t), s.Stats()
+		want := map[string]float64{}
+		for k, v := range st.want {
+			want[k] = v
+		}
+		if st.computes {
+			want["cache_misses_total"]++
+			if uint64(before["requests{served}"])%query.SelectSampleEvery == 0 {
+				want["select_seconds"]++
+			}
+		}
+		if i < 2 && want["select_seconds"] != float64(1-i) {
+			t.Fatalf("%s: served count %v before it; the alignment above failed", st.name, before["requests{served}"])
+		}
 		st.do()
 		after, statsAfter := queryCounts(t), s.Stats()
-		for name := range st.want {
+		for name := range want {
 			if _, ok := after[name]; !ok {
 				t.Errorf("%s: series %s not exported", st.name, name)
 			}
@@ -208,7 +216,7 @@ func TestOutcomeCountsConsistent(t *testing.T) {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			if got, want := after[name]-before[name], st.want[name]; got != want {
+			if got, want := after[name]-before[name], want[name]; got != want {
 				t.Errorf("%s: %s moved by %v, want %v", st.name, name, got, want)
 			}
 		}
@@ -224,7 +232,7 @@ func TestOutcomeCountsConsistent(t *testing.T) {
 	}
 }
 
-// TestAdmissionNeverExceedsMaxInFlight: however many cache misses
+// TestAdmissionNeverExceedsMaxInFlight: however many selections
 // arrive at once, no more than MaxInFlight compute together, and every
 // request is either served or shed. The first round holds the admitted
 // requests until every other one has been shed, so exactly MaxInFlight
@@ -234,7 +242,7 @@ func TestAdmissionNeverExceedsMaxInFlight(t *testing.T) {
 	const maxInFlight, requests, rounds = 3, 32, 20
 	var inGate, peak atomic.Int64
 	var hold atomic.Pointer[chan struct{}]
-	opts := query.Options{MaxInFlight: maxInFlight, CacheSize: -1}
+	opts := query.Options{MaxInFlight: maxInFlight}
 	opts.SetComputeGate(func() {
 		n := inGate.Add(1)
 		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
@@ -249,7 +257,7 @@ func TestAdmissionNeverExceedsMaxInFlight(t *testing.T) {
 	s := newTestService(t, mA, opts)
 	kernels := s.Kernels()
 
-	// start sends one cache miss per request of round i from its own
+	// start sends one selection per request of round i from its own
 	// goroutine; the errors arrive on the returned channel.
 	start := func(i int) <-chan error {
 		errs := make(chan error, requests)

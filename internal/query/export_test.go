@@ -5,5 +5,5 @@ package query
 // deterministically.
 func (o *Options) SetComputeGate(fn func()) { o.computeGate = fn }
 
-// CacheLen reports the live entry count of the selection cache.
-func (s *Service) CacheLen() int { return s.cache.len() }
+// SelectSampleEvery is the compute timer's sampling period.
+const SelectSampleEvery = selectSampleEvery

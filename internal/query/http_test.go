@@ -5,13 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
+	"acsel/internal/core"
+	"acsel/internal/kernels"
 	"acsel/internal/query"
 )
 
@@ -39,8 +44,8 @@ func TestHTTPSelectRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The remote call was the key's first miss and the local one
-			// its second; the selection payload must be identical.
+			// Both calls computed the selection; the payload must be
+			// identical.
 			if remote.Selection != local.Selection {
 				t.Fatalf("%s z=%v: remote %+v != local %+v", kernel, z, remote.Selection, local.Selection)
 			}
@@ -103,7 +108,7 @@ func TestHTTPOverloadIs429(t *testing.T) {
 	mA, _ := testModels(t)
 	const maxInFlight = 2
 	g := newGate()
-	opts := query.Options{MaxInFlight: maxInFlight, CacheSize: -1}
+	opts := query.Options{MaxInFlight: maxInFlight}
 	opts.SetComputeGate(g.hold)
 	s := newTestService(t, mA, opts)
 	_, c := newTestServer(t, s)
@@ -135,8 +140,8 @@ func TestHTTPBatch(t *testing.T) {
 
 	reqs := []query.Request{
 		{Kernel: k, CapW: 15},
-		{Kernel: k, CapW: 15}, // duplicate: its second miss admits it to the cache
-		{Kernel: k, CapW: 15}, // and again: served from the cache
+		{Kernel: k, CapW: 15}, // duplicates: each computed again
+		{Kernel: k, CapW: 15},
 		{Kernel: "No/Such/Kernel", CapW: 15},
 		{Kernel: k, CapW: 30, Z: 1.5},
 	}
@@ -153,11 +158,10 @@ func TestHTTPBatch(t *testing.T) {
 	if !errors.Is(errs[3], query.ErrUnknownKernel) {
 		t.Fatalf("invalid item: %v, want ErrUnknownKernel", errs[3])
 	}
-	if resps[0].Cached || resps[1].Cached || !resps[2].Cached {
-		t.Fatalf("cached flags %v, %v, %v: want the third duplicate, and only it, served from cache",
-			resps[0].Cached, resps[1].Cached, resps[2].Cached)
-	}
 	for i := range resps[:3] {
+		if resps[i].Cached || resps[i] != resps[0] {
+			t.Fatalf("batch item %d %+v, want an uncached repeat of %+v", i, resps[i], resps[0])
+		}
 		if resps[i].Selection != oracle(t, s, mA, k, resps[i].EffectiveCapW, 0) {
 			t.Fatalf("batch item %d does not match oracle", i)
 		}
@@ -193,18 +197,7 @@ func TestHTTPModelsInfoAndReload(t *testing.T) {
 	}
 
 	// Hot reload via the API: write model B, point the server at it.
-	path := filepath.Join(t.TempDir(), "model-b.json")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mB.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := c.Reload(ctx, path)
+	after, err := c.Reload(ctx, saveModel(t, t.TempDir(), mB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,4 +280,171 @@ func TestHugeFiniteCaps(t *testing.T) {
 		}
 		check("client", remote)
 	}
+}
+
+// saveModel writes m to a file under dir and returns its path.
+func saveModel(t *testing.T, dir string, m *core.Model) string {
+	t.Helper()
+	path := filepath.Join(dir, "model.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestClientAgreesOverLoopback checks query.Client against a loopback
+// server for every kernel of the full universe and z ∈ {0, ½, 1, 2},
+// over a seeded sample of caps that always holds −1e308, 0, the
+// kernel's minimum predicted power and 1e308. The remote Selection,
+// EffectiveCapW, MinPowerW and ModelHash must equal, bit for bit, the
+// in-process Service's and core.SelectAmong's over the model's own
+// predictions, and in ascending cap order the answers must keep
+// TestSelectMetamorphic's properties:
+//
+//   - predicted performance never falls as the cap rises (from a cap
+//     the selection is predicted to meet, or at any cap for z = 0), and
+//     a cap predicted to be met stays met;
+//   - MeetsCapPredicted implies PowerW + z·PowerStd ≤ EffectiveCapW;
+//   - otherwise the pick is the minimum-power fallback, the first
+//     prediction of least PowerW.
+//
+// The check runs again after a POST /v1/models reload to a model with
+// different bytes.
+func TestClientAgreesOverLoopback(t *testing.T) {
+	mA, mB := testModels(t)
+	var universe []kernels.Kernel
+	for _, c := range kernels.Combos() {
+		universe = append(universe, c.Kernels...)
+	}
+	s := newTestService(t, mA, query.Options{Kernels: universe})
+	_, c := newTestServer(t, s)
+	ctx := context.Background()
+	zs := []float64{0, 0.5, 1, 2}
+	const sampled = 24 // random caps per kernel, in [0, 60) W
+
+	check := func(m *core.Model, rng *rand.Rand) {
+		t.Helper()
+		hash, err := m.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kernel := range s.Kernels() {
+			sr, _ := s.SampleRuns(kernel)
+			preds, cluster, err := m.PredictAll(sr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			minPowerW := core.MinPredictedPowerW(preds)
+			fallback := 0
+			for i, p := range preds {
+				if p.PowerW < preds[fallback].PowerW {
+					fallback = i
+				}
+			}
+			caps := []float64{-1e308, 0, minPowerW, 1e308}
+			for i := 0; i < sampled; i++ {
+				caps = append(caps, rng.Float64()*60)
+			}
+			sort.Float64s(caps)
+			var reqs []query.Request
+			for _, z := range zs {
+				for _, capW := range caps {
+					reqs = append(reqs, query.Request{Kernel: kernel, CapW: capW, Z: z})
+				}
+			}
+			remote, errs, err := c.SelectBatch(ctx, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var prev core.Selection
+			for i, req := range reqs {
+				at := func(format string, args ...any) {
+					t.Helper()
+					t.Fatalf("%s cap %v z %v: "+format, append([]any{kernel, req.CapW, req.Z}, args...)...)
+				}
+				if errs[i] != nil {
+					at("remote: %v", errs[i])
+				}
+				// The edge caps also go through Client.Select.
+				r := remote[i]
+				if req.CapW == caps[0] || req.CapW == 0 || req.CapW == minPowerW || req.CapW == caps[len(caps)-1] {
+					one, err := c.Select(ctx, req)
+					if err != nil {
+						at("remote select: %v", err)
+					}
+					if one != r {
+						at("Client.Select %+v != Client.SelectBatch %+v", one, r)
+					}
+				}
+				local, err := s.Select(ctx, req)
+				if err != nil {
+					at("in process: %v", err)
+				}
+				eff := query.QuantizeCapW(req.CapW, s.CapQuantumW())
+				want, err := core.SelectAmong(preds, cluster, eff, req.Z)
+				if err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case r.Selection != local.Selection || r.Selection != want:
+					at("remote %+v, in process %+v, SelectAmong %+v", r.Selection, local.Selection, want)
+				case math.Float64bits(r.EffectiveCapW) != math.Float64bits(local.EffectiveCapW) ||
+					math.Float64bits(r.EffectiveCapW) != math.Float64bits(eff):
+					at("effective cap: remote %v, in process %v, quantized %v", r.EffectiveCapW, local.EffectiveCapW, eff)
+				case math.Float64bits(r.MinPowerW) != math.Float64bits(local.MinPowerW) ||
+					math.Float64bits(r.MinPowerW) != math.Float64bits(minPowerW):
+					at("min power: remote %v, in process %v, predicted %v", r.MinPowerW, local.MinPowerW, minPowerW)
+				case r.ModelHash != local.ModelHash || r.ModelHash != hash:
+					at("model hash: remote %s, in process %s, model %s", r.ModelHash, local.ModelHash, hash)
+				}
+
+				sel := r.Selection
+				if sel.MeetsCapPredicted {
+					if bound := sel.Predicted.PowerW + req.Z*sel.Predicted.PowerStd; bound > r.EffectiveCapW {
+						at("claims the cap is met at %v W + %v·%v W = %v W", sel.Predicted.PowerW, req.Z, sel.Predicted.PowerStd, bound)
+					}
+				} else if sel.ConfigID != preds[fallback].ConfigID {
+					at("fallback is config %d, the minimum-power fallback is config %d", sel.ConfigID, preds[fallback].ConfigID)
+				}
+				switch req.CapW {
+				case caps[0]:
+					if sel.MeetsCapPredicted {
+						at("claims to meet the cap")
+					}
+				case caps[len(caps)-1]:
+					if !sel.MeetsCapPredicted {
+						at("falls back below an unbounded cap")
+					}
+				}
+				if i%len(caps) > 0 {
+					if prev.MeetsCapPredicted && !sel.MeetsCapPredicted {
+						at("met at a lower cap but not here")
+					}
+					if (prev.MeetsCapPredicted || req.Z == 0) && sel.Predicted.Perf < prev.Predicted.Perf {
+						at("predicted perf fell from %v to %v as the cap rose", prev.Predicted.Perf, sel.Predicted.Perf)
+					}
+				}
+				prev = sel
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	check(mA, rng)
+	hashA, _ := s.Generation()
+	info, err := c.Reload(ctx, saveModel(t, t.TempDir(), mB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.ModelHash == hashA {
+		t.Fatalf("reload to model B kept model A's hash %s", hashA)
+	}
+	check(mB, rng)
 }

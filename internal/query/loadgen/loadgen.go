@@ -64,8 +64,11 @@ type Config struct {
 type Summary struct {
 	Requests int `json:"requests"`
 	OK       int `json:"ok"`
-	Cached   int `json:"cached"`
-	// Coalesced always reads 0: the service computes each cache miss
+	// Cached counts responses marked Cached, which query.Service never
+	// marks: it caches no selections. The field stays for readers of
+	// the summary.
+	Cached int `json:"cached"`
+	// Coalesced always reads 0: the service computes each selection
 	// on the caller's goroutine and no longer merges identical
 	// in-flight requests. The field stays for readers of the summary.
 	Coalesced  int `json:"coalesced"`

@@ -4,7 +4,7 @@
 // call rates. The paper's runtime makes this decision once per kernel
 // invocation on one node; here the same decision is served concurrently
 // to many callers, which changes the engineering problem from "walk the
-// frontier" to "never walk it twice for the same question":
+// frontier" to "read no more of it than the answer needs":
 //
 //   - Per-kernel shards precompute the online stage's sample runs once
 //     and, per model generation, the model's full prediction vector
@@ -14,23 +14,19 @@
 //     core.SelectAmong's answer — the rule behind core.SelectUnderCap —
 //     bit for bit, so every path is bitwise-identical to the
 //     single-threaded call.
-//   - A cache miss is computed on the caller's goroutine: it costs one
-//     memoized-selector lookup plus one selector scan, less than a
-//     hand-off to a worker goroutine would, so the service owns no
-//     goroutines. Before computing, the request takes one of
-//     Options.MaxInFlight slots without blocking — one atomic add to
-//     an in-flight count; when every slot is taken it is shed with a
-//     typed ErrOverloaded (the HTTP layer's 429) instead of waiting
-//     without bound, and shed is a first-class metric.
-//   - A selection is cached from its second miss: a CLOCK cache behind
-//     a doorkeeper of key fingerprints inserts a key only once it has
-//     been computed before, so churning traffic never pays an insert
-//     and an eviction per request, and a hit takes only a shared read
-//     lock, so concurrent hits never wait on one another. Each entry carries the model's
-//     SHA-256 content hash (core.Model.Hash) and is served only under
-//     that hash, so a hot model reload — an atomic generation pointer
-//     swap — implicitly invalidates every stale entry; the purge
-//     merely reclaims memory early.
+//   - Every selection is computed on the caller's goroutine: it costs
+//     one memoized-selector lookup plus one selector scan, less than a
+//     hand-off to a worker goroutine would and less than a cache lookup
+//     did, so the service owns no goroutines and caches no answers.
+//     Before computing, the request takes one of Options.MaxInFlight
+//     slots without blocking — one atomic add to an in-flight count;
+//     when every slot is taken it is shed with a typed ErrOverloaded
+//     (the HTTP layer's 429) instead of waiting without bound, and shed
+//     is a first-class metric.
+//   - A hot model reload is an atomic generation pointer swap. Each
+//     shard compiles a generation's predictions on its first use under
+//     it, keyed by the model's SHA-256 content hash (core.Model.Hash),
+//     so reloading byte-identical bytes recompiles nothing.
 //
 // Deliberate consequence of the design: a response is computed entirely
 // against the generation captured at admission, and carries that
@@ -75,7 +71,7 @@ var (
 
 // DefaultCapQuantumW is the cap quantization step: incoming caps are
 // floored to a multiple of it at admission, so requests within one
-// quantum share cache entries. 1/32 W is far below any
+// quantum get one answer. 1/32 W is far below any
 // power-measurement resolution in the paper's testbed, and the
 // response's EffectiveCapW always reports the cap actually used.
 const DefaultCapQuantumW = 1.0 / 32
@@ -91,14 +87,10 @@ const (
 
 // Options configures a Service. The zero value selects sane defaults.
 type Options struct {
-	// MaxInFlight bounds the selections computed at once; a cache miss
+	// MaxInFlight bounds the selections computed at once; a request
 	// that finds every slot taken is shed with ErrOverloaded (default:
 	// 256).
 	MaxInFlight int
-	// CacheSize is the selection cache's capacity in entries, evicted
-	// by CLOCK (default: 4096; negative disables caching). A selection
-	// is cached from its second miss.
-	CacheSize int
 	// MaxBatch bounds SelectBatch and the /v1/select/batch body
 	// (default: 256).
 	MaxBatch int
@@ -153,14 +145,18 @@ type Response struct {
 	MinPowerW float64 `json:"min_power_w"`
 	ModelHash string  `json:"model_hash"`
 	ModelSeq  uint64  `json:"model_seq"`
-	Cached    bool    `json:"cached,omitempty"`
+	// Cached is always false: every selection is computed. It stays
+	// for the wire format's readers.
+	Cached bool `json:"cached,omitempty"`
 }
 
 // Stats is a point-in-time snapshot of the query counters, read from
 // the metric families without registry scraping. The families are
 // process-wide, so the counts cover every Service in the process.
 type Stats struct {
-	Served  uint64 `json:"served"`
+	Served uint64 `json:"served"`
+	// Cached always reads 0: no request is served from a cache. It
+	// stays for the snapshot's readers.
 	Cached  uint64 `json:"cached"`
 	Shed    uint64 `json:"shed"`
 	Reloads uint64 `json:"reloads"`
@@ -186,7 +182,6 @@ type shardPreds struct {
 // shard is one kernel's slot: its precomputed sample runs plus the
 // latest generation's prediction vector.
 type shard struct {
-	idx    int // the shard's position in the universe; part of cache keys
 	kernel string
 	sr     core.SampleRuns
 
@@ -231,16 +226,14 @@ func (sh *shard) predictions(g *generation) (*shardPreds, error) {
 type Service struct {
 	opts   Options
 	shards map[string]*shard
-	cache  *clockCache
 
 	gen      atomic.Pointer[generation]
 	reloadMu sync.Mutex
 	closed   atomic.Bool
 
 	// inFlight counts the requests admitted to compute; it never stays
-	// above Options.MaxInFlight. Every miss writes it twice and every
-	// request reads the fields above, so it has a cache line of its
-	// own.
+	// above Options.MaxInFlight. Every request writes it twice and
+	// reads the fields above, so it has a cache line of its own.
 	_        [cacheLineBytes]byte
 	inFlight atomic.Int64
 	_        [cacheLineBytes - 8]byte
@@ -259,9 +252,6 @@ func NewService(m *core.Model, opts Options) (*Service, error) {
 	if opts.MaxInFlight <= 0 {
 		opts.MaxInFlight = 256
 	}
-	if opts.CacheSize == 0 {
-		opts.CacheSize = 4096
-	}
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 256
 	}
@@ -278,10 +268,9 @@ func NewService(m *core.Model, opts Options) (*Service, error) {
 	s := &Service{
 		opts:   opts,
 		shards: make(map[string]*shard, len(universe)),
-		cache:  newClockCache(opts.CacheSize),
 	}
 	p := profiler.New()
-	for i, k := range universe {
+	for _, k := range universe {
 		cpu, err := p.RunConfig(k, apu.SampleConfigCPU(), 0)
 		if err != nil {
 			return nil, fmt.Errorf("query: sampling %s on CPU: %w", k.ID(), err)
@@ -290,7 +279,7 @@ func NewService(m *core.Model, opts Options) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("query: sampling %s on GPU: %w", k.ID(), err)
 		}
-		s.shards[k.ID()] = &shard{idx: i, kernel: k.ID(), sr: core.SampleRuns{CPU: cpu, GPU: gpu}}
+		s.shards[k.ID()] = &shard{kernel: k.ID(), sr: core.SampleRuns{CPU: cpu, GPU: gpu}}
 	}
 	s.gen.Store(&generation{model: m, hash: hash, seq: 1})
 	return s, nil
@@ -356,13 +345,12 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// Reload swaps in a new model generation atomically and purges cached
-// selections whose content hash no longer matches. In-flight requests
+// Reload swaps in a new model generation atomically. In-flight requests
 // admitted under the previous generation complete against it and report
 // its hash; requests admitted after the swap see the new generation.
 // Reloading byte-identical model bytes advances the sequence but keeps
-// the hash, so the cache stays warm — content addressing, not
-// generation counting, decides validity.
+// the hash, so every shard keeps its compiled predictions — content
+// addressing, not generation counting, decides validity.
 func (s *Service) Reload(m *core.Model) (hash string, seq uint64, err error) {
 	if m == nil {
 		return "", 0, fmt.Errorf("%w: nil model", core.ErrNoModel)
@@ -376,8 +364,6 @@ func (s *Service) Reload(m *core.Model) (hash string, seq uint64, err error) {
 	old := s.gen.Load()
 	g := &generation{model: m, hash: hash, seq: old.seq + 1}
 	s.gen.Store(g)
-	purged := s.cache.purgeExcept(hash)
-	mCachePurged.Add(float64(purged))
 	mReloads.Inc()
 	return g.hash, g.seq, nil
 }
@@ -386,12 +372,17 @@ func (s *Service) Reload(m *core.Model) (hash string, seq uint64, err error) {
 // on their callers' goroutines. Idempotent.
 func (s *Service) Close() { s.closed.Store(true) }
 
-// Select answers one query. A cache hit returns at once. A miss takes
-// an in-flight slot or, when none is free, returns ErrOverloaded
-// immediately; it then computes on the caller's goroutine and returns
-// ctx's error if the deadline expires first. Each request increments
-// one outcome counter; an error after the cache lookup also counts
-// itself for the miss family.
+// selectSampleEvery is the timer's sampling period: a selection is
+// timed into acsel_query_select_seconds when the served count it reads
+// once admitted is a multiple of it. Timing every selection cost two
+// monotonic clock reads per request.
+const selectSampleEvery = 64
+
+// Select answers one query: it takes an in-flight slot or, when none is
+// free, returns ErrOverloaded immediately; it then computes on the
+// caller's goroutine and returns ctx's error if the deadline expires
+// first. Each request increments one outcome counter; an error after
+// admission also counts itself for the computed-selection family.
 func (s *Service) Select(ctx context.Context, req Request) (Response, error) {
 	if err := req.Validate(); err != nil {
 		outcomeError.Inc()
@@ -409,40 +400,48 @@ func (s *Service) Select(ctx context.Context, req Request) (Response, error) {
 
 	gen := s.gen.Load()
 	eff := QuantizeCapW(req.CapW, DefaultCapQuantumW)
-	key := cacheKey{shard: sh.idx, capBits: math.Float64bits(eff), zBits: math.Float64bits(req.Z)}
-	resp, ok, stale := s.cache.get(key, gen.hash)
-	if ok {
-		outcomeCached.Inc()
-		resp.CapW = req.CapW
-		resp.Cached = true
-		return resp, nil
-	}
-
 	if s.inFlight.Add(1) > int64(s.opts.MaxInFlight) {
 		s.inFlight.Add(-1)
 		outcomeShed.Inc()
 		return Response{}, fmt.Errorf("%w: %d selections in flight", ErrOverloaded, s.opts.MaxInFlight)
 	}
-	resp, err := s.compute(ctx, key, stale, gen, sh, eff, req.Z)
+	if s.opts.computeGate != nil {
+		s.opts.computeGate()
+	}
+	var stop func()
+	if uint64(outcomeServed.Value())%selectSampleEvery == 0 {
+		stop = mSelectSeconds.Time()
+	}
+	sp, sel, err := s.compute(ctx, gen, sh, eff, req.Z)
+	if stop != nil {
+		stop()
+	}
 	s.inFlight.Add(-1)
 	switch {
 	case err == nil:
-		resp.CapW = req.CapW
 		outcomeServed.Inc()
+		return Response{
+			Kernel:        sh.kernel,
+			CapW:          req.CapW,
+			EffectiveCapW: eff,
+			Z:             req.Z,
+			Selection:     sel,
+			MinPowerW:     sp.minPowerW,
+			ModelHash:     gen.hash,
+			ModelSeq:      gen.seq,
+		}, nil
 	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
 		outcomeDeadline.Inc()
 	default:
 		outcomeError.Inc()
 		computeErrors.Add(1)
 	}
-	return resp, err
+	return Response{}, err
 }
 
-// SelectBatch answers a batch item by item, in order. A selection is
-// cached from its second miss, so the third occurrence of an item is
-// the first served from the cache. Results and errors are parallel to
-// reqs; the overall error is non-nil only when the batch itself is
-// rejected (too large).
+// SelectBatch answers a batch item by item, in order. Results and
+// errors are parallel to reqs; the overall error is non-nil only when
+// the batch itself is rejected (too large).
 func (s *Service) SelectBatch(ctx context.Context, reqs []Request) ([]Response, []error, error) {
 	if len(reqs) > s.opts.MaxBatch {
 		return nil, nil, fmt.Errorf("%w: %d requests (max %d)", ErrBatchTooLarge, len(reqs), s.opts.MaxBatch)
@@ -455,39 +454,18 @@ func (s *Service) SelectBatch(ctx context.Context, reqs []Request) ([]Response, 
 	return resps, errs, nil
 }
 
-// compute answers one cache miss against generation gen and offers the
-// answer to the cache under key, which the miss found resident under
-// another hash when stale. The caller holds an in-flight slot.
-func (s *Service) compute(ctx context.Context, key cacheKey, stale bool, gen *generation, sh *shard, capW, z float64) (Response, error) {
-	if s.opts.computeGate != nil {
-		s.opts.computeGate()
-	}
-	defer mSelectSeconds.Time()()
+// compute selects for capW and z on shard sh under generation gen. The
+// caller holds an in-flight slot.
+func (s *Service) compute(ctx context.Context, gen *generation, sh *shard, capW, z float64) (*shardPreds, core.Selection, error) {
 	sp, err := sh.predictions(gen)
 	if err != nil {
-		return Response{}, err
+		return nil, core.Selection{}, err
 	}
 	if err := s.slowShard(ctx, sh.kernel); err != nil {
-		return Response{}, err
+		return nil, core.Selection{}, err
 	}
 	sel, err := sp.sel.Select(capW, z)
-	if err != nil {
-		return Response{}, err
-	}
-	resp := Response{
-		Kernel:        sh.kernel,
-		CapW:          capW,
-		EffectiveCapW: capW,
-		Z:             z,
-		Selection:     sel,
-		MinPowerW:     sp.minPowerW,
-		ModelHash:     gen.hash,
-		ModelSeq:      gen.seq,
-	}
-	if s.cache.put(key, gen.hash, resp, stale) {
-		mCacheDeclined.Inc()
-	}
-	return resp, nil
+	return sp, sel, err
 }
 
 // slowShard applies the deterministic slow-shard fault: a NetDelay rule

@@ -16,9 +16,13 @@ import (
 	"acsel/internal/query"
 )
 
-// Shared fixtures: two trained models with different content hashes
-// (seed-perturbed retrain) and a held-out universe the service answers
-// for. Training runs once per test binary.
+// Shared fixtures: two trained models whose content hashes and
+// predictions both differ, and a held-out universe the service answers
+// for. Model B clusters the training kernels into four groups instead
+// of five, so a reload from A to B changes answers: a retrain with
+// another clustering seed changes the hash but not one prediction, and
+// a shard that kept A's predictions under B's hash would pass every
+// oracle. Training runs once per test binary.
 var (
 	fixOnce sync.Once
 	fixA    *core.Model
@@ -39,7 +43,8 @@ func testUniverse(t testing.TB) []kernels.Kernel {
 	return nil
 }
 
-// testModels trains (once) and returns two models whose hashes differ.
+// testModels trains (once) and returns two models whose hashes and
+// predictions differ.
 func testModels(t testing.TB) (*core.Model, *core.Model) {
 	t.Helper()
 	fixOnce.Do(func() {
@@ -61,7 +66,7 @@ func testModels(t testing.TB) (*core.Model, *core.Model) {
 		if fixA, fixErr = core.Train(p.Space, profs, opts); fixErr != nil {
 			return
 		}
-		opts.Seed++
+		opts.K = 4
 		fixB, fixErr = core.Train(p.Space, profs, opts)
 	})
 	if fixErr != nil {
@@ -130,11 +135,11 @@ func TestSelectMatchesOracle(t *testing.T) {
 }
 
 // TestSelectPathsBitwiseIdentical is the regression test for the
-// refactor: direct core.SelectUnderCap, the service's compute path (a
-// first miss and the miss that admits the key), the cache path, and the
-// batch path must agree bitwise — with caps chosen to straddle every
-// predicted-frontier breakpoint of every universe kernel, where any
-// epsilon drift between paths would flip the winner.
+// refactor: direct core.SelectUnderCap, the service's single-select
+// path (asked twice, so the second answer reuses the shard's compiled
+// predictions) and the batch path must agree bitwise — with caps chosen
+// to straddle every predicted-frontier breakpoint of every universe
+// kernel, where any epsilon drift between paths would flip the winner.
 func TestSelectPathsBitwiseIdentical(t *testing.T) {
 	mA, _ := testModels(t)
 	s := newTestService(t, mA, query.Options{MaxBatch: 1024})
@@ -160,32 +165,29 @@ func TestSelectPathsBitwiseIdentical(t *testing.T) {
 			for _, capW := range caps {
 				reqs = append(reqs, query.Request{Kernel: kernel, CapW: capW, Z: z})
 			}
-			// Path 1: compute (cold, then the admitting second miss).
-			// Path 2: cache (the third select).
+			// Path 1: single selects, each asked twice.
 			for _, req := range reqs {
-				var sels [3]query.Response
+				var sels [2]query.Response
 				for i := range sels {
 					if sels[i], err = s.Select(ctx, req); err != nil {
 						t.Fatal(err)
 					}
 				}
-				cold, second, warm := sels[0], sels[1], sels[2]
-				direct := oracle(t, s, mA, kernel, cold.EffectiveCapW, z)
+				direct := oracle(t, s, mA, kernel, sels[0].EffectiveCapW, z)
 				for i, resp := range sels {
 					if resp.Selection != direct {
 						t.Fatalf("%s cap=%v z=%v: select %d %+v != direct %+v",
 							kernel, req.CapW, z, i+1, resp.Selection, direct)
 					}
+					if resp.Cached {
+						t.Fatalf("%s cap=%v z=%v: select %d claims cached", kernel, req.CapW, z, i+1)
+					}
 				}
-				if cold.Cached || second.Cached {
-					t.Fatalf("%s cap=%v z=%v: a miss claims cached (cold %v, second %v)",
-						kernel, req.CapW, z, cold.Cached, second.Cached)
-				}
-				if !warm.Cached {
-					t.Fatalf("%s cap=%v z=%v: third select not cached", kernel, req.CapW, z)
+				if sels[1] != sels[0] {
+					t.Fatalf("%s cap=%v z=%v: repeated select %+v != first %+v", kernel, req.CapW, z, sels[1], sels[0])
 				}
 			}
-			// Path 3: batch.
+			// Path 2: batch.
 			resps, errs, err := s.SelectBatch(ctx, reqs)
 			if err != nil {
 				t.Fatal(err)
@@ -250,7 +252,7 @@ func (g *gate) hold() {
 	}
 }
 
-// fillInFlight parks one cache-missing selection per slot in g, each
+// fillInFlight parks one selection per slot in g, each
 // from its own goroutine, and returns the channel their errors arrive
 // on once g is released.
 func fillInFlight(s *query.Service, g *gate, slots int) <-chan error {
@@ -283,17 +285,14 @@ func requestsWithOutcome(t *testing.T, outcome string) float64 {
 }
 
 // TestAdmissionControlSheds pins the overload path deterministically:
-// with every in-flight slot held mid-computation, the next cache miss
+// with every in-flight slot held mid-computation, the next selection
 // must shed with ErrOverloaded, and releasing the slots must let every
 // held selection finish.
 func TestAdmissionControlSheds(t *testing.T) {
 	mA, _ := testModels(t)
 	const maxInFlight = 2
 	g := newGate()
-	opts := query.Options{
-		MaxInFlight: maxInFlight,
-		CacheSize:   -1, // no cache: every request must take a slot
-	}
+	opts := query.Options{MaxInFlight: maxInFlight}
 	opts.SetComputeGate(g.hold)
 	s := newTestService(t, mA, opts)
 
@@ -330,7 +329,7 @@ func TestSlowShardHonoursDeadline(t *testing.T) {
 			{Site: fault.SiteNet, Kind: fault.NetDelay, Prob: 1, Magnitude: 1000},
 		},
 	}, 7)
-	s := newTestService(t, mA, query.Options{MaxInFlight: 1, CacheSize: -1, Faults: inj})
+	s := newTestService(t, mA, query.Options{MaxInFlight: 1, Faults: inj})
 	req := query.Request{Kernel: s.Kernels()[0], CapW: 20}
 
 	before := requestsWithOutcome(t, "deadline")
@@ -348,35 +347,27 @@ func TestSlowShardHonoursDeadline(t *testing.T) {
 }
 
 // TestReloadInvalidatesByContent: a reload to different bytes swaps the
-// hash and drops cached selections; a reload to identical bytes keeps
-// the cache warm (content addressing, not generation counting).
+// hash and the answers; a reload to identical bytes advances the
+// sequence and keeps the hash and the answers (content addressing, not
+// generation counting).
 func TestReloadInvalidatesByContent(t *testing.T) {
 	mA, mB := testModels(t)
 	s := newTestService(t, mA, query.Options{})
 	ctx := context.Background()
 	req := query.Request{Kernel: s.Kernels()[0], CapW: 18}
-
-	first, err := s.Select(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Cached {
-		t.Fatal("first select claims cached")
-	}
-	if s.CacheLen() != 0 {
-		t.Fatalf("cache holds %d entries after one miss, want 0", s.CacheLen())
-	}
-	again, err := s.Select(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Cached || again.Selection != first.Selection {
-		t.Fatalf("second select %+v, want an uncached repeat of %+v", again, first)
-	}
-	if s.CacheLen() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", s.CacheLen())
+	sel := func() query.Response {
+		t.Helper()
+		resp, err := s.Select(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached {
+			t.Fatalf("select claims cached: %+v", resp)
+		}
+		return resp
 	}
 
+	first := sel()
 	hashB, seq, err := s.Reload(mB)
 	if err != nil {
 		t.Fatal(err)
@@ -384,24 +375,15 @@ func TestReloadInvalidatesByContent(t *testing.T) {
 	if hashB == first.ModelHash || seq != 2 {
 		t.Fatalf("reload hash %s seq %d", hashB, seq)
 	}
-	if s.CacheLen() != 0 {
-		t.Fatalf("cache holds %d entries after content change, want 0", s.CacheLen())
-	}
-	second, err := s.Select(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Cached {
-		t.Fatal("cache survived a content change")
-	}
-	if second.ModelHash != hashB {
-		t.Fatalf("response hash %s, want %s", second.ModelHash, hashB)
+	second := sel()
+	if second.ModelHash != hashB || second.ModelSeq != 2 {
+		t.Fatalf("response hash %s seq %d, want %s seq 2", second.ModelHash, second.ModelSeq, hashB)
 	}
 	if second.Selection != oracle(t, s, mB, req.Kernel, second.EffectiveCapW, 0) {
 		t.Fatal("post-reload selection does not match model B oracle")
 	}
 
-	// Same bytes again: new sequence, same hash, warm cache.
+	// Same bytes again: new sequence, same hash, same answer.
 	hashB2, seq2, err := s.Reload(mB)
 	if err != nil {
 		t.Fatal(err)
@@ -409,15 +391,13 @@ func TestReloadInvalidatesByContent(t *testing.T) {
 	if hashB2 != hashB || seq2 != 3 {
 		t.Fatalf("idempotent reload: hash %s seq %d", hashB2, seq2)
 	}
-	third, err := s.Select(ctx, req)
-	if err != nil {
-		t.Fatal(err)
+	third := sel()
+	if third.ModelSeq != 3 {
+		t.Fatalf("response seq %d, want 3", third.ModelSeq)
 	}
-	if !third.Cached {
-		t.Fatal("byte-identical reload dropped the cache")
-	}
-	if third.Selection != second.Selection {
-		t.Fatal("cached selection differs from computed one")
+	third.ModelSeq = second.ModelSeq
+	if third != second {
+		t.Fatalf("after an identical reload: %+v, want %+v", third, second)
 	}
 }
 
@@ -460,119 +440,103 @@ func counterValue(t *testing.T, name string) float64 {
 	return *fam.Metrics[0].Value
 }
 
-// TestCacheAdmitsOnSecondMiss pins the admission contract: a selection
-// is cached on its second miss and served from the cache from its third
-// request on; a disabled cache never holds anything; and the doorkeeper
-// outlives reloads while the entries follow the model's content hash.
-func TestCacheAdmitsOnSecondMiss(t *testing.T) {
+// TestEverySelectComputes pins the uncached contract: a repeated
+// question is computed every time, under the first model, after a
+// byte-identical reload and after a reload to different bytes. Each
+// select moves the computed family by one and the hit family by none,
+// and no response claims to be cached.
+func TestEverySelectComputes(t *testing.T) {
 	mA, mB := testModels(t)
 	ctx := context.Background()
 	s := newTestService(t, mA, query.Options{})
 	req := query.Request{Kernel: s.Kernels()[0], CapW: 17.3, Z: 0.5}
 	sel := func() query.Response {
 		t.Helper()
+		hits := counterValue(t, "acsel_query_cache_hits_total")
+		misses := counterValue(t, "acsel_query_cache_misses_total")
 		resp, err := s.Select(ctx, req)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if resp.Cached {
+			t.Fatalf("select claims cached: %+v", resp)
+		}
+		if got := counterValue(t, "acsel_query_cache_hits_total") - hits; got != 0 {
+			t.Fatalf("hit family moved by %v, want 0", got)
+		}
+		if got := counterValue(t, "acsel_query_cache_misses_total") - misses; got != 1 {
+			t.Fatalf("computed family moved by %v, want 1", got)
+		}
 		return resp
 	}
 
-	declined := counterValue(t, "acsel_query_cache_declined_total")
 	first := sel()
-	if first.Cached || s.CacheLen() != 0 {
-		t.Fatalf("first select: cached %v, %d entries; want a miss that inserts nothing", first.Cached, s.CacheLen())
+	for i := 0; i < 3; i++ {
+		if resp := sel(); resp != first {
+			t.Fatalf("repeat %d: %+v, want %+v", i+1, resp, first)
+		}
 	}
-	if got := counterValue(t, "acsel_query_cache_declined_total") - declined; got != 1 {
-		t.Fatalf("declined inserts after the first miss: %v, want 1", got)
-	}
-	second := sel()
-	if second.Cached || s.CacheLen() != 1 {
-		t.Fatalf("second select: cached %v, %d entries; want a miss that inserts", second.Cached, s.CacheLen())
-	}
-	if got := counterValue(t, "acsel_query_cache_declined_total") - declined; got != 1 {
-		t.Fatalf("declined inserts after the second miss: %v, want 1", got)
-	}
-	third := sel()
-	if !third.Cached {
-		t.Fatal("third select not served from the cache")
-	}
-	third.Cached = false
-	if third != first || second != first {
-		t.Fatalf("responses differ: %+v, %+v, %+v", first, second, third)
+	if first.Selection != oracle(t, s, mA, req.Kernel, first.EffectiveCapW, req.Z) {
+		t.Fatal("selection under A does not match model A oracle")
 	}
 
-	// A byte-identical reload keeps the entry.
 	if _, _, err := s.Reload(mA); err != nil {
 		t.Fatal(err)
 	}
-	if resp := sel(); !resp.Cached || resp.Selection != first.Selection {
-		t.Fatalf("after an identical reload: %+v, want the cached selection", resp)
+	if resp := sel(); resp.Selection != first.Selection || resp.ModelHash != first.ModelHash {
+		t.Fatalf("after an identical reload: %+v, want the selection %+v", resp, first)
 	}
 
-	// A reload to different bytes drops the entry, but the doorkeeper
-	// remembers the key: its first miss under model B is admitted.
 	hashB, _, err := s.Reload(mB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.CacheLen() != 0 {
-		t.Fatalf("cache holds %d entries after a content change, want 0", s.CacheLen())
-	}
 	underB := sel()
-	if underB.Cached || underB.ModelHash != hashB || s.CacheLen() != 1 {
-		t.Fatalf("first select under B: cached %v, hash %s, %d entries; want an admitted miss under %s",
-			underB.Cached, underB.ModelHash, s.CacheLen(), hashB)
+	if underB.ModelHash != hashB {
+		t.Fatalf("select under B from %s, want %s", underB.ModelHash, hashB)
 	}
 	if underB.Selection != oracle(t, s, mB, req.Kernel, underB.EffectiveCapW, req.Z) {
 		t.Fatal("selection under B does not match model B oracle")
 	}
-	if resp := sel(); !resp.Cached || resp.ModelHash != hashB || resp.Selection != underB.Selection {
-		t.Fatalf("second select under B: %+v, want B's cached selection", resp)
-	}
-
-	// CacheSize < 0 disables caching outright.
-	off := newTestService(t, mA, query.Options{CacheSize: -1})
-	for i := 0; i < 3; i++ {
-		resp, err := off.Select(ctx, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Cached || off.CacheLen() != 0 {
-			t.Fatalf("disabled cache, select %d: cached %v, %d entries", i+1, resp.Cached, off.CacheLen())
-		}
+	if resp := sel(); resp != underB {
+		t.Fatalf("repeat under B: %+v, want %+v", resp, underB)
 	}
 }
 
-// TestSelectAllocs pins the allocation-free request path: a cache hit
-// and a first miss (computed, then declined by the doorkeeper) allocate
-// nothing once the shard's predictions exist.
+// TestSelectAllocs pins the allocation-free request path: the same key
+// asked again and a key never asked before both allocate nothing once
+// the shard's predictions exist. Each run is SelectSampleEvery serial
+// selects, so exactly one of them is timed, and the count is per run:
+// testing.AllocsPerRun rounds down, which would hide an allocation
+// made once in 64 calls.
 func TestSelectAllocs(t *testing.T) {
 	mA, _ := testModels(t)
 	s := newTestService(t, mA, query.Options{})
 	ctx := context.Background()
 	hot := query.Request{Kernel: s.Kernels()[0], CapW: 21}
-	for i := 0; i < 3; i++ { // computes the predictions, admits, hits
-		if _, err := s.Select(ctx, hot); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := s.Select(ctx, hot); err != nil { // computes the predictions
+		t.Fatal(err)
 	}
-	if got := testing.AllocsPerRun(100, func() {
-		if resp, err := s.Select(ctx, hot); err != nil || !resp.Cached {
-			t.Fatalf("hit: cached %v, %v", resp.Cached, err)
+	if got := testing.AllocsPerRun(20, func() {
+		for i := 0; i < query.SelectSampleEvery; i++ {
+			if _, err := s.Select(ctx, hot); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}); got != 0 {
-		t.Errorf("cache hit: %v allocs/op, want 0", got)
+		t.Errorf("hot key: %v allocs per %d selects, want 0", got, query.SelectSampleEvery)
 	}
 
 	capW := 30.0
-	if got := testing.AllocsPerRun(100, func() {
-		capW += s.CapQuantumW() // a key never asked before
-		if resp, err := s.Select(ctx, query.Request{Kernel: hot.Kernel, CapW: capW}); err != nil || resp.Cached {
-			t.Fatalf("first miss: cached %v, %v", resp.Cached, err)
+	if got := testing.AllocsPerRun(20, func() {
+		for i := 0; i < query.SelectSampleEvery; i++ {
+			capW += s.CapQuantumW() // a key never asked before
+			if _, err := s.Select(ctx, query.Request{Kernel: hot.Kernel, CapW: capW}); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}); got != 0 {
-		t.Errorf("first miss: %v allocs/op, want 0", got)
+		t.Errorf("fresh key: %v allocs per %d selects, want 0", got, query.SelectSampleEvery)
 	}
 }
 
@@ -591,12 +555,12 @@ func TestSelectAllocs(t *testing.T) {
 //   - every response equals core.SelectAmong over the model's own
 //     predictions at the effective cap.
 //
-// The sweep runs three times, so every key is served as a first miss,
-// then as the miss that admits it, then (doorkeeper collisions aside)
-// from the cache.
+// The sweep runs twice: on a fresh service, which compiles each
+// shard's predictions on first use, and again after a byte-identical
+// reload, which reuses them. No response may claim to be cached.
 func TestSelectMetamorphic(t *testing.T) {
 	mA, _ := testModels(t)
-	s := newTestService(t, mA, query.Options{CacheSize: 1 << 18})
+	s := newTestService(t, mA, query.Options{})
 	ctx := context.Background()
 	zs := []float64{0, 0.5, 1, 2}
 	const gridPerW, maxCapW = 32, 60
@@ -606,8 +570,12 @@ func TestSelectMetamorphic(t *testing.T) {
 	}
 	caps = append(caps, 1e308)
 
-	for pass := 0; pass < 3; pass++ {
-		cached := 0
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			if _, _, err := s.Reload(mA); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for _, kernel := range s.Kernels() {
 			sr, _ := s.SampleRuns(kernel)
 			preds, cluster, err := mA.PredictAll(sr)
@@ -627,7 +595,7 @@ func TestSelectMetamorphic(t *testing.T) {
 						t.Fatalf("pass %d %s cap %v z %v: "+format, append([]any{pass + 1, kernel, capW, z}, args...)...)
 					}
 					if resp.Cached {
-						cached++
+						at("response claims cached")
 					}
 					eff := resp.EffectiveCapW
 					if math.IsNaN(eff) || math.IsInf(eff, 0) || eff > capW {
@@ -651,12 +619,6 @@ func TestSelectMetamorphic(t *testing.T) {
 					prevCap[zi], smallerZ = sel, sel
 				}
 			}
-		}
-		switch {
-		case pass < 2 && cached != 0:
-			t.Fatalf("pass %d: %d responses cached before their key's second miss", pass+1, cached)
-		case pass == 2 && cached == 0:
-			t.Fatal("pass 3: no response served from the cache")
 		}
 	}
 }

@@ -111,8 +111,7 @@ func TestSoakSelectionService(t *testing.T) {
 		},
 	}, 7)
 	s := newTestService(t, mA, query.Options{
-		MaxInFlight: 6,   // 8 closed-loop clients, 6 slots: overload is reachable, not constant
-		CacheSize:   256, // smaller than the key space, so misses persist
+		MaxInFlight: 6, // 8 closed-loop clients, 6 slots: overload is reachable, not constant
 		Faults:      inj,
 	})
 	o := newSoakOracle(t, s, mA, mB)
@@ -239,7 +238,6 @@ func TestStressHotReloadRace(t *testing.T) {
 	const goroutines = 8
 	s := newTestService(t, mA, query.Options{
 		MaxInFlight: goroutines, // a slot per caller: every request must be served
-		CacheSize:   128,
 	})
 	o := newSoakOracle(t, s, mA, mB)
 
