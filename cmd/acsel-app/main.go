@@ -25,6 +25,7 @@ import (
 	"acsel/internal/metrics"
 	"acsel/internal/profiler"
 	"acsel/internal/rts"
+	"acsel/internal/trace"
 )
 
 func main() {
@@ -59,7 +60,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *metricsDump != "" {
-		if err := metrics.DumpFile(*metricsDump); err != nil {
+		if err := trace.WriteFile(*metricsDump, metrics.Default.WriteJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "acsel-app: metrics dump:", err)
 			os.Exit(1)
 		}

@@ -82,7 +82,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *metricsDump != "" {
-		if err := metrics.DumpFile(*metricsDump); err != nil {
+		if err := trace.WriteFile(*metricsDump, metrics.Default.WriteJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "acsel-bench: metrics dump:", err)
 			os.Exit(1)
 		}

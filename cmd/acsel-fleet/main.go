@@ -33,6 +33,7 @@ import (
 	"acsel/internal/hierarchy"
 	"acsel/internal/metrics"
 	"acsel/internal/supervise"
+	"acsel/internal/trace"
 )
 
 func main() {
@@ -134,7 +135,12 @@ func run(ctx context.Context, cfg config, stderr io.Writer) error {
 		}
 	}()
 	if cfg.AddrFile != "" {
-		if err := writeAtomic(cfg.AddrFile, []byte(addr+"\n")); err != nil {
+		// The process test polls for this file; trace.WriteFile renames
+		// it into place whole, so a partial address is never read.
+		if err := trace.WriteFile(cfg.AddrFile, func(w io.Writer) error {
+			_, err := fmt.Fprintln(w, addr)
+			return err
+		}); err != nil {
 			return err
 		}
 	}
@@ -181,14 +187,4 @@ func run(ctx context.Context, cfg config, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "acsel-fleet: done: %d rounds, %d member(s), %.1f/%.1f W assigned\n",
 		st.Round, len(st.Members), st.AssignedTotalW, st.BudgetW)
 	return nil
-}
-
-// writeAtomic writes a small control file atomically: the process
-// test polls for the address file and must never read a partial one.
-func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

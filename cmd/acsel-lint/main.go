@@ -36,6 +36,7 @@ import (
 	"strings"
 
 	"acsel/internal/lint"
+	"acsel/internal/trace"
 )
 
 func main() {
@@ -94,17 +95,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *sarifOut != "" {
 		w := stdout
 		if *sarifOut != "-" {
-			f, err := os.Create(*sarifOut)
-			if err != nil {
+			if err := trace.WriteFile(*sarifOut, func(w io.Writer) error {
+				return lint.WriteSARIF(w, root, diags, suite)
+			}); err != nil {
 				fmt.Fprintln(stderr, err)
-				return 2
-			}
-			werr := lint.WriteSARIF(f, root, diags, suite)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				fmt.Fprintln(stderr, werr)
 				return 2
 			}
 		} else if err := lint.WriteSARIF(w, root, diags, suite); err != nil {

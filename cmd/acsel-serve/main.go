@@ -1,7 +1,7 @@
 // Command acsel-serve runs the adaptive runtime as a supervised,
 // crash-safe long-running service: it trains offline (leave-bench-out,
 // like acsel-app), then drives the application's kernels epoch after
-// epoch under a panic-isolating supervisor with an epoch watchdog,
+// epoch under a panic-isolating supervisor with an epoch deadline,
 // journaling every executed step to an append-only checkpoint journal
 // and compacting it to an atomic snapshot on an epoch interval and on
 // SIGTERM. On start it recovers from the journal: restore the last
@@ -41,7 +41,7 @@ func main() {
 	flag.IntVar(&cfg.Epochs, "epochs", 8, "epochs to run before a clean exit (0 = run until signalled)")
 	flag.IntVar(&cfg.CheckpointEvery, "checkpoint-every", 4, "epochs between snapshot compactions (0 disables periodic compaction)")
 	flag.DurationVar(&cfg.EpochDelay, "epoch-delay", 0, "pause between epochs (a real service paces itself)")
-	flag.DurationVar(&cfg.EpochDeadline, "epoch-deadline", 0, "watchdog deadline per epoch; a stalled epoch restarts the worker (0 disables)")
+	flag.DurationVar(&cfg.EpochDeadline, "epoch-deadline", 0, "deadline for one epoch's steps; an epoch that overruns it restarts the worker (0 disables)")
 	flag.StringVar(&cfg.Addr, "addr", "", "serve /healthz, /readyz, /metrics, and /debug/pprof on this address")
 	flag.StringVar(&cfg.Fleet, "fleet", "", "join the fleet coordinator at this base URL (requires -addr; serves /fleet/report and /fleet/cap)")
 	flag.StringVar(&cfg.NodeName, "node-name", "", "fleet member name (default: the bench/input pair)")

@@ -9,4 +9,6 @@ var (
 		"Epochs the serve loop completed (including the epoch a recovery resumed into).")
 	mDegradedSyncs = metrics.NewCounter("acsel_serve_degraded_syncs_total",
 		"Per-step journal syncs forced while a seam breaker was not closed.")
+	mWatchdogTimeouts = metrics.NewCounterVec("acsel_supervise_watchdog_timeouts_total",
+		"Epoch deadline expiries, by watchdog name.", "watchdog")
 )

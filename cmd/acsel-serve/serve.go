@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"reflect"
 	"sync/atomic"
 	"time"
@@ -22,6 +21,7 @@ import (
 	"acsel/internal/query"
 	"acsel/internal/rts"
 	"acsel/internal/supervise"
+	"acsel/internal/trace"
 )
 
 // runSummary is the JSON document written at clean exit. The crash
@@ -44,6 +44,8 @@ type runSummary struct {
 // service is one running instance of the daemon.
 type service struct {
 	cfg    config
+	model  *core.Model     // trained at start; also served by -query
+	faults *fault.Injector // the -fault-plan, nil for a clean run
 	rt     *rts.Runtime
 	app    []kernels.Kernel
 	w      *checkpoint.Writer
@@ -75,11 +77,6 @@ type service struct {
 
 	sup   *supervise.Supervisor
 	ready atomic.Value // lifecycle string: starting / serving / stopping
-
-	// cancelEpoch is the watchdog's lever: cancelling the worker's
-	// per-invocation context restarts the worker without stopping the
-	// service.
-	cancelEpoch atomic.Value // context.CancelFunc
 }
 
 var (
@@ -92,69 +89,10 @@ var (
 // is spent or ctx is cancelled (SIGTERM/SIGINT), then snapshots the
 // journal and writes the summary. Both exits are clean.
 func run(ctx context.Context, cfg config, stderr io.Writer) error {
-	if cfg.Journal == "" {
-		return errors.New("-journal is required")
-	}
-	if cfg.Epochs < 0 || cfg.CheckpointEvery < 0 {
-		return errors.New("-epochs and -checkpoint-every must be non-negative")
-	}
-	var inj *fault.Injector
-	if cfg.FaultPlan != "" {
-		var err error
-		if inj, err = fault.ParsePlan(cfg.FaultPlan); err != nil {
-			return err
-		}
-	}
-
-	var training, app []kernels.Kernel
-	for _, c := range kernels.Combos() {
-		if c.Benchmark == cfg.Bench {
-			if c.Input == cfg.Input {
-				app = c.Kernels
-			}
-			continue
-		}
-		training = append(training, c.Kernels...)
-	}
-	if len(app) == 0 {
-		return fmt.Errorf("unknown benchmark/input %s/%s", cfg.Bench, cfg.Input)
-	}
-
-	prof := profiler.New()
-	opts := core.DefaultTrainOptions()
-	if cfg.TrainIterations > 0 {
-		opts.Iterations = cfg.TrainIterations
-	}
-	fmt.Fprintf(stderr, "training on %d kernels (leave-%s-out)...\n", len(training), cfg.Bench)
-	profiles, err := core.Characterize(prof, training, opts)
+	s, err := newService(cfg, stderr)
 	if err != nil {
 		return err
 	}
-	model, err := core.Train(prof.Space, profiles, opts)
-	if err != nil {
-		return err
-	}
-
-	rt, err := rts.New(model, rts.Options{
-		CapW: cfg.CapW, FL: cfg.FL, VarAwareZ: cfg.Z,
-		Faults: inj, Watchdog: true,
-	})
-	if err != nil {
-		return err
-	}
-
-	s := &service{
-		cfg: cfg, rt: rt, app: app, stderr: stderr,
-		prev: map[string]rts.KernelHealth{},
-		brSMU: supervise.NewBreaker(supervise.BreakerOptions{
-			Name: "smu", FailureThreshold: 3, OpenCalls: 8, HalfOpenSuccesses: 2}),
-		brPState: supervise.NewBreaker(supervise.BreakerOptions{
-			Name: "pstate", FailureThreshold: 3, OpenCalls: 8, HalfOpenSuccesses: 2}),
-		brKernel: supervise.NewBreaker(supervise.BreakerOptions{
-			Name: "kernel", FailureThreshold: 2, OpenCalls: 8, HalfOpenSuccesses: 2}),
-	}
-	s.ready.Store("starting")
-
 	if err := s.recover(); err != nil {
 		return err
 	}
@@ -171,9 +109,9 @@ func run(ctx context.Context, cfg config, stderr io.Writer) error {
 	if cfg.Addr != "" {
 		mux := metrics.Default.NewMux()
 		if cfg.Query {
-			qs, qerr := query.NewService(model, query.Options{
+			qs, qerr := query.NewService(s.model, query.Options{
 				MaxInFlight: cfg.QueryInFlight,
-				Faults:      inj,
+				Faults:      s.faults,
 			})
 			if qerr != nil {
 				return qerr
@@ -192,7 +130,7 @@ func run(ctx context.Context, cfg config, stderr io.Writer) error {
 			if name == "" {
 				name = fmt.Sprintf("%s-%s", cfg.Bench, cfg.Input)
 			}
-			agent, aerr := fleet.NewAgent(name, rt, app, fleet.AgentOptions{
+			agent, aerr := fleet.NewAgent(name, s.rt, s.app, fleet.AgentOptions{
 				Coordinator:    cfg.Fleet,
 				HeartbeatEvery: cfg.HeartbeatEvery,
 				OrphanAfter:    cfg.OrphanAfter,
@@ -233,29 +171,8 @@ func run(ctx context.Context, cfg config, stderr io.Writer) error {
 			fmt.Fprintf(stderr, "acsel-serve: worker restart %d after %v (backoff %v)\n", attempt, err, backoff)
 		},
 	})
-	var wd *supervise.Watchdog
-	if cfg.EpochDeadline > 0 {
-		wd = supervise.NewWatchdog("epoch", cfg.EpochDeadline, func() {
-			if cancel, ok := s.cancelEpoch.Load().(context.CancelFunc); ok {
-				cancel()
-			}
-		})
-		defer wd.Stop()
-	}
-
 	s.ready.Store("serving")
-	err = s.sup.Run(ctx, func(parent context.Context) error {
-		ictx, cancel := context.WithCancel(parent)
-		defer cancel()
-		s.cancelEpoch.Store(cancel)
-		werr := s.loop(ictx, wd)
-		if werr != nil && parent.Err() == nil && ictx.Err() != nil {
-			// Only the watchdog cancels ictx without the parent: surface
-			// it as a restartable failure, not a shutdown.
-			return fmt.Errorf("epoch watchdog: deadline %v exceeded", cfg.EpochDeadline)
-		}
-		return werr
-	})
+	err = s.sup.Run(ctx, s.loop)
 	s.ready.Store("stopping")
 	if err != nil && !errors.Is(err, context.Canceled) {
 		return err
@@ -275,16 +192,82 @@ func run(ctx context.Context, cfg config, stderr io.Writer) error {
 	return nil
 }
 
+// newService checks cfg, trains the model (leaving the application's
+// benchmark out) and builds the runtime and its seam breakers. The
+// journal is not opened yet: recover does that.
+func newService(cfg config, stderr io.Writer) (*service, error) {
+	if cfg.Journal == "" {
+		return nil, errors.New("-journal is required")
+	}
+	if cfg.Epochs < 0 || cfg.CheckpointEvery < 0 {
+		return nil, errors.New("-epochs and -checkpoint-every must be non-negative")
+	}
+	var inj *fault.Injector
+	if cfg.FaultPlan != "" {
+		var err error
+		if inj, err = fault.ParsePlan(cfg.FaultPlan); err != nil {
+			return nil, err
+		}
+	}
+
+	var training, app []kernels.Kernel
+	for _, c := range kernels.Combos() {
+		if c.Benchmark == cfg.Bench {
+			if c.Input == cfg.Input {
+				app = c.Kernels
+			}
+			continue
+		}
+		training = append(training, c.Kernels...)
+	}
+	if len(app) == 0 {
+		return nil, fmt.Errorf("unknown benchmark/input %s/%s", cfg.Bench, cfg.Input)
+	}
+
+	prof := profiler.New()
+	opts := core.DefaultTrainOptions()
+	if cfg.TrainIterations > 0 {
+		opts.Iterations = cfg.TrainIterations
+	}
+	fmt.Fprintf(stderr, "training on %d kernels (leave-%s-out)...\n", len(training), cfg.Bench)
+	profiles, err := core.Characterize(prof, training, opts)
+	if err != nil {
+		return nil, err
+	}
+	model, err := core.Train(prof.Space, profiles, opts)
+	if err != nil {
+		return nil, err
+	}
+
+	rt, err := rts.New(model, rts.Options{
+		CapW: cfg.CapW, FL: cfg.FL, VarAwareZ: cfg.Z,
+		Faults: inj, Watchdog: true,
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	s := &service{
+		cfg: cfg, model: model, faults: inj, rt: rt, app: app, stderr: stderr,
+		prev: map[string]rts.KernelHealth{},
+		brSMU: supervise.NewBreaker(supervise.BreakerOptions{
+			Name: "smu", FailureThreshold: 3, OpenCalls: 8, HalfOpenSuccesses: 2}),
+		brPState: supervise.NewBreaker(supervise.BreakerOptions{
+			Name: "pstate", FailureThreshold: 3, OpenCalls: 8, HalfOpenSuccesses: 2}),
+		brKernel: supervise.NewBreaker(supervise.BreakerOptions{
+			Name: "kernel", FailureThreshold: 2, OpenCalls: 8, HalfOpenSuccesses: 2}),
+	}
+	s.ready.Store("starting")
+	return s, nil
+}
+
 // loop is the supervised worker: epochs until the budget is spent.
-func (s *service) loop(ctx context.Context, wd *supervise.Watchdog) error {
+func (s *service) loop(ctx context.Context) error {
 	for s.cfg.Epochs == 0 || s.epoch < s.cfg.Epochs {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if wd != nil {
-			wd.Pet()
-		}
-		if err := s.runEpoch(ctx); err != nil {
+		if err := s.timedEpoch(ctx); err != nil {
 			return err
 		}
 		// A completed epoch is progress: the next failure backs off from
@@ -306,6 +289,24 @@ func (s *service) loop(ctx context.Context, wd *supervise.Watchdog) error {
 	return nil
 }
 
+// timedEpoch runs one epoch, under the -epoch-deadline when one is
+// set. An epoch that outlives its deadline — not cancelled by ctx —
+// fails with a restartable error, so the supervisor restarts the worker
+// rather than stopping the service.
+func (s *service) timedEpoch(ctx context.Context) error {
+	if s.cfg.EpochDeadline <= 0 {
+		return s.runEpoch(ctx)
+	}
+	ectx, cancel := context.WithTimeout(ctx, s.cfg.EpochDeadline)
+	defer cancel()
+	err := s.runEpoch(ectx)
+	if err != nil && ctx.Err() == nil && errors.Is(ectx.Err(), context.DeadlineExceeded) {
+		mWatchdogTimeouts.With("epoch").Inc()
+		return fmt.Errorf("epoch watchdog: deadline %v exceeded", s.cfg.EpochDeadline)
+	}
+	return err
+}
+
 // runEpoch drives every kernel once (resuming mid-epoch after a
 // recovery), journaling each executed step.
 func (s *service) runEpoch(ctx context.Context) error {
@@ -313,26 +314,8 @@ func (s *service) runEpoch(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		k := s.app[s.pos]
-		step, err := s.rt.RunKernel(k)
-		if err != nil {
-			return fmt.Errorf("epoch %d %s: %w", s.epoch, k.ID(), err)
-		}
-		rec, err := rts.EncodeStep(step)
-		if err != nil {
+		if err := s.step(); err != nil {
 			return err
-		}
-		if err := s.w.Append(rec); err != nil {
-			return err
-		}
-		s.observeSeams(k.ID(), step)
-		if s.degraded() {
-			// An open seam breaker is evidence the node is in trouble;
-			// buy durability per step while it lasts.
-			if err := s.w.Sync(); err != nil {
-				return err
-			}
-			mDegradedSyncs.Inc()
 		}
 	}
 	s.pos = 0
@@ -341,22 +324,49 @@ func (s *service) runEpoch(ctx context.Context) error {
 	return s.w.Sync()
 }
 
+// step runs the kernel at the current schedule position, journals the
+// step and feeds the seam breakers with it.
+func (s *service) step() error {
+	k := s.app[s.pos]
+	step, err := s.rt.RunKernel(k)
+	if err != nil {
+		return fmt.Errorf("epoch %d %s: %w", s.epoch, k.ID(), err)
+	}
+	rec, err := rts.EncodeStep(step)
+	if err != nil {
+		return err
+	}
+	if err := s.w.Append(rec); err != nil {
+		return err
+	}
+	s.observeSeams(k.ID(), step)
+	if s.degraded() {
+		// An open seam breaker is evidence the node is in trouble;
+		// buy durability per step while it lasts.
+		if err := s.w.Sync(); err != nil {
+			return err
+		}
+		mDegradedSyncs.Inc()
+	}
+	return nil
+}
+
 // recover opens the journal (truncating any torn tail), restores the
 // last snapshot, and deterministically replays the journaled tail
 // steps — verifying each replayed step is byte-identical to what the
 // journal recorded, so configuration drift between runs is caught
 // rather than silently diverging.
 func (s *service) recover() error {
-	if _, info, err := checkpoint.ReadFile(s.cfg.Journal); err == nil && info.Truncated {
-		s.tornTail = true
-		fmt.Fprintf(s.stderr, "acsel-serve: journal has a torn tail; keeping %d records (%d bytes)\n",
-			info.Records, info.ValidBytes)
-	}
-	w, recs, err := checkpoint.OpenAppend(s.cfg.Journal)
+	w, recs, info, err := checkpoint.OpenAppend(s.cfg.Journal)
 	if err != nil {
 		return err
 	}
 	s.w = w
+	if info.Truncated {
+		s.tornTail = true
+		fmt.Fprintf(s.stderr, "acsel-serve: journal has a torn tail; keeping %d records (%d bytes)\n",
+			info.Records, info.ValidBytes)
+	}
 	if len(recs) == 0 {
 		// Fresh journal: anchor it with a snapshot of the fresh runtime
 		// so every journal starts with a restorable record.
@@ -485,9 +495,9 @@ func (s *service) readyz(w http.ResponseWriter, _ *http.Request) {
 		state, degraded, s.brSMU.State(), s.brPState.State(), s.brKernel.State())
 }
 
-// writeSummary renders the run summary JSON (atomically: the crash
-// test polls for this file, so it must never observe a half-written
-// one).
+// writeSummary renders the run summary JSON (atomically, through
+// trace.WriteFile: the crash test polls for this file, so it must
+// never observe a half-written one).
 func (s *service) writeSummary() error {
 	if s.cfg.SummaryPath == "" {
 		return nil
@@ -503,13 +513,9 @@ func (s *service) writeSummary() error {
 		TornTail:      s.tornTail,
 		Summary:       s.rt.Summarize(),
 	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := s.cfg.SummaryPath + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, s.cfg.SummaryPath)
+	return trace.WriteFile(s.cfg.SummaryPath, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(doc)
+	})
 }

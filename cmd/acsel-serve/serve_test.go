@@ -200,6 +200,25 @@ func TestServeSigtermSnapshotsAndResumes(t *testing.T) {
 	compareSummaries(t, want, got)
 }
 
+// TestServeEpochDeadlineRestartsThenGivesUp: an epoch that outlives
+// -epoch-deadline fails with a restartable error; once the restart
+// budget is spent, run reports it, naming the watchdog, and every
+// expiry is counted.
+func TestServeEpochDeadlineRestartsThenGivesUp(t *testing.T) {
+	cfg := baseConfig(t.TempDir(), "deadline")
+	cfg.EpochDeadline = time.Nanosecond
+	cfg.MaxRestarts = 1
+	before := mWatchdogTimeouts.With("epoch").Value()
+	err := run(context.Background(), cfg, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "exhausted 1 restarts") ||
+		!strings.Contains(err.Error(), "epoch watchdog: deadline 1ns exceeded") {
+		t.Fatalf("err = %v, want the exhausted-restarts error naming the epoch watchdog", err)
+	}
+	if got := mWatchdogTimeouts.With("epoch").Value() - before; got != 2 {
+		t.Errorf("epoch watchdog timeouts rose by %v, want 2 (first run and one restart)", got)
+	}
+}
+
 func TestServeRejectsBadConfig(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {
@@ -253,5 +272,66 @@ func TestReadyzReflectsLifecycleAndBreakers(t *testing.T) {
 	}
 	if body := rec.Body.String(); !strings.Contains(body, "breaker smu: open") {
 		t.Errorf("degraded body does not name the open breaker:\n%s", body)
+	}
+}
+
+// TestReadyzFollowsSeamBreakersEndToEnd drives the service's epochs step
+// by step and reads /readyz after every step. Under sensor dropouts the
+// SMU breaker must open (503 naming it) on some step, and every step
+// that ends degraded must force one journal sync; a clean run never
+// leaves 200.
+func TestReadyzFollowsSeamBreakersEndToEnd(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, plan string
+	}{{"clean", ""}, {"dropout", "sensor-dropout:3"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := config{
+				Bench: "LULESH", Input: "Large", CapW: 24,
+				FaultPlan: tc.plan, Epochs: 8, TrainIterations: 1,
+				Journal: filepath.Join(dir, tc.name+".acsj"),
+			}
+			s, err := newService(cfg, io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.recover(); err != nil {
+				t.Fatal(err)
+			}
+			defer s.w.Close() //lint:ignore errcheck test journal
+			s.ready.Store("serving")
+
+			syncs := mDegradedSyncs.Value()
+			steps, degraded, smuOpen := 0, 0, false
+			for epoch := 0; epoch < cfg.Epochs; epoch++ {
+				for s.pos = 0; s.pos < len(s.app); s.pos++ {
+					if err := s.step(); err != nil {
+						t.Fatal(err)
+					}
+					steps++
+					rec := httptest.NewRecorder()
+					s.readyz(rec, nil)
+					switch rec.Code {
+					case 200:
+					case 503:
+						degraded++
+						smuOpen = smuOpen || strings.Contains(rec.Body.String(), "breaker smu: open")
+					default:
+						t.Fatalf("step %d: readyz = %d", steps, rec.Code)
+					}
+				}
+			}
+			if got := mDegradedSyncs.Value() - syncs; got != float64(degraded) {
+				t.Errorf("degraded syncs rose by %v over %d degraded steps", got, degraded)
+			}
+			t.Logf("%d of %d steps degraded", degraded, steps)
+			if tc.plan == "" {
+				if degraded != 0 {
+					t.Errorf("clean run left 200 on %d of %d steps", degraded, steps)
+				}
+			} else if !smuOpen {
+				t.Errorf("no step under %s answered 503 with the SMU breaker open (%d of %d degraded)", tc.plan, degraded, steps)
+			}
+		})
 	}
 }

@@ -4,8 +4,9 @@
 // the hardware." It exposes per-compute-unit P-state requests, enforces
 // the Trinity voltage-plane rule — all CPU compute units share one
 // voltage plane whose voltage is set by the fastest active CU — and
-// implements the OS governor policies through which the schedulers
-// drive DVFS, with transition-latency accounting.
+// realizes whole configurations for the runtime, which drives DVFS
+// directly (the userspace policy: "we require direct control over CPU
+// P-states"), so no governor policy is modelled.
 package acpi
 
 import (
@@ -25,58 +26,24 @@ const NumCU = apu.NumCores / 2
 // hardware.
 const TransitionLatencySec = 50e-6
 
-// Governor selects how P-state requests are resolved.
-type Governor int
-
-const (
-	// GovernorUserspace honors explicit per-CU requests (what the
-	// paper's runtime uses: "we require direct control over CPU
-	// P-states").
-	GovernorUserspace Governor = iota
-	// GovernorPerformance pins every CU to the highest P-state.
-	GovernorPerformance
-	// GovernorPowersave pins every CU to the lowest P-state.
-	GovernorPowersave
-)
-
-// String names the governor like sysfs does.
-func (g Governor) String() string {
-	switch g {
-	case GovernorUserspace:
-		return "userspace"
-	case GovernorPerformance:
-		return "performance"
-	case GovernorPowersave:
-		return "powersave"
-	}
-	return fmt.Sprintf("Governor(%d)", int(g))
-}
-
 // Manager tracks per-CU P-state requests and resolves the shared
 // voltage plane. It is safe for concurrent use (the paper's runtime
 // adjusts P-states from the application thread while measurement runs
 // elsewhere).
 type Manager struct {
 	mu        sync.Mutex
-	governor  Governor
 	requested [NumCU]int // index into apu.CPUPStates
 	gpuState  int        // index into apu.GPUPStates
-	// transitions counts P-state changes, for overhead accounting.
-	transitions int
-	// faults, when non-nil, injects transition failures and delays
+	// faults, when non-nil, injects transition failures
 	// (fault.SitePState) into ApplyFor.
 	faults *fault.Injector
-	// failedApplies and delayedApplies count injected transition
-	// faults; extraLatencySec accrues the delay penalty.
-	failedApplies   int
-	delayedApplies  int
-	extraLatencySec float64
+	// failedApplies counts injected transition failures.
+	failedApplies int
 }
 
-// NewManager starts at the lowest CPU and GPU P-states under the
-// userspace governor.
+// NewManager starts at the lowest CPU and GPU P-states.
 func NewManager() *Manager {
-	return &Manager{governor: GovernorUserspace}
+	return &Manager{}
 }
 
 // ErrBadCU is returned for out-of-range compute-unit indices.
@@ -99,41 +66,7 @@ func (m *Manager) SetFaultInjector(in *fault.Injector) {
 	m.faults = in
 }
 
-// SetGovernor switches policy; performance/powersave immediately
-// overwrite all CU requests.
-func (m *Manager) SetGovernor(g Governor) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.governor = g
-	switch g {
-	case GovernorPerformance:
-		for cu := range m.requested {
-			if m.requested[cu] != len(apu.CPUPStates)-1 {
-				m.requested[cu] = len(apu.CPUPStates) - 1
-				m.transitions++
-			}
-		}
-	case GovernorPowersave:
-		for cu := range m.requested {
-			if m.requested[cu] != 0 {
-				m.requested[cu] = 0
-				m.transitions++
-			}
-		}
-	}
-}
-
-// Governor returns the active policy.
-func (m *Manager) Governor() Governor {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.governor
-}
-
-// RequestCPU asks for P-state index ps on compute unit cu. Under
-// non-userspace governors the request is rejected, mirroring the sysfs
-// behaviour of writing to scaling_setspeed without the userspace
-// governor.
+// RequestCPU asks for P-state index ps on compute unit cu.
 func (m *Manager) RequestCPU(cu, ps int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -143,24 +76,8 @@ func (m *Manager) RequestCPU(cu, ps int) error {
 	if ps < 0 || ps >= len(apu.CPUPStates) {
 		return fmt.Errorf("%w: CPU %d", ErrBadPState, ps)
 	}
-	if m.governor != GovernorUserspace {
-		return fmt.Errorf("acpi: governor %v rejects explicit requests", m.governor)
-	}
-	if m.requested[cu] != ps {
-		m.requested[cu] = ps
-		m.transitions++
-	}
+	m.requested[cu] = ps
 	return nil
-}
-
-// RequestCPUFreq is RequestCPU by frequency.
-func (m *Manager) RequestCPUFreq(cu int, freqGHz float64) error {
-	for i, p := range apu.CPUPStates {
-		if apu.SameFreq(p.FreqGHz, freqGHz) {
-			return m.RequestCPU(cu, i)
-		}
-	}
-	return fmt.Errorf("%w: %.3g GHz", apu.ErrUnknownPState, freqGHz)
 }
 
 // RequestGPU sets the GPU P-state (its own plane, independent voltage).
@@ -170,10 +87,7 @@ func (m *Manager) RequestGPU(ps int) error {
 	if ps < 0 || ps >= len(apu.GPUPStates) {
 		return fmt.Errorf("%w: GPU %d", ErrBadPState, ps)
 	}
-	if m.gpuState != ps {
-		m.gpuState = ps
-		m.transitions++
-	}
+	m.gpuState = ps
 	return nil
 }
 
@@ -187,13 +101,6 @@ func (m *Manager) CUFrequency(cu int) (float64, error) {
 		return 0, fmt.Errorf("%w: %d", ErrBadCU, cu)
 	}
 	return apu.CPUPStates[m.requested[cu]].FreqGHz, nil
-}
-
-// GPUFrequency returns the granted GPU frequency.
-func (m *Manager) GPUFrequency() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return apu.GPUPStates[m.gpuState].FreqGHz
 }
 
 // PlaneVoltage resolves the shared CPU voltage plane: "since all
@@ -234,23 +141,6 @@ func (m *Manager) EffectivePower(cu int) (float64, error) {
 	return (plane * plane) / (own * own), nil
 }
 
-// Transitions returns the total number of P-state changes performed.
-func (m *Manager) Transitions() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.transitions
-}
-
-// TransitionOverheadSec returns the cumulative DVFS transition cost,
-// including the extra latency of injected delayed applies.
-func (m *Manager) TransitionOverheadSec() float64 {
-	m.mu.Lock()
-	extra := m.extraLatencySec
-	transitions := m.transitions
-	m.mu.Unlock()
-	return float64(transitions)*TransitionLatencySec + extra
-}
-
 // FailedApplies returns how many ApplyFor calls an injected fault
 // aborted (counting each failed attempt).
 func (m *Manager) FailedApplies() int {
@@ -259,21 +149,12 @@ func (m *Manager) FailedApplies() int {
 	return m.failedApplies
 }
 
-// DelayedApplies returns how many applies completed late under an
-// injected PStateDelay fault.
-func (m *Manager) DelayedApplies() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.delayedApplies
-}
-
 // ApplyFor is Apply under a fault plan: the transition event is keyed
 // by the caller's identity (kernel key) and an attempt ordinal, so a
 // failed transition can be retried deterministically — the retry is a
 // different event and may succeed. An injected PStateFail aborts the
-// apply with ErrTransitionFailed before any state changes; a
-// PStateDelay lets it complete but books Magnitude× the transition
-// latency into TransitionOverheadSec.
+// apply with ErrTransitionFailed before any state changes; other
+// faults drawn at the site (PStateDelay) leave the apply unchanged.
 func (m *Manager) ApplyFor(cfg apu.Config, key string, attempt int) error {
 	m.mu.Lock()
 	faults := m.faults.At(fault.SitePState, key, attempt)
@@ -282,12 +163,6 @@ func (m *Manager) ApplyFor(cfg apu.Config, key string, attempt int) error {
 			m.failedApplies++
 			m.mu.Unlock()
 			return fmt.Errorf("%w: %s attempt %d", ErrTransitionFailed, key, attempt)
-		}
-	}
-	for _, f := range faults {
-		if f.Kind == fault.PStateDelay {
-			m.delayedApplies++
-			m.extraLatencySec += (f.Magnitude - 1) * TransitionLatencySec
 		}
 	}
 	m.mu.Unlock()

@@ -100,6 +100,8 @@ func TestStepDownUpCPU(t *testing.T) {
 	}
 }
 
+// TestStepDownUpGPU checks the GPU's one direction: GPU+FL only ever
+// steps the GPU P-state down (rapl.Step), so there is no StepUpGPU.
 func TestStepDownUpGPU(t *testing.T) {
 	f, ok := StepDownGPU(0.649)
 	if !ok || f != 0.311 {
@@ -107,13 +109,6 @@ func TestStepDownUpGPU(t *testing.T) {
 	}
 	if _, ok := StepDownGPU(MinGPUFreq()); ok {
 		t.Error("StepDownGPU at min should fail")
-	}
-	f, ok = StepUpGPU(0.649)
-	if !ok || f != 0.819 {
-		t.Errorf("StepUpGPU = %v, %v", f, ok)
-	}
-	if _, ok := StepUpGPU(MaxGPUFreq()); ok {
-		t.Error("StepUpGPU at max should fail")
 	}
 }
 

@@ -172,17 +172,3 @@ func StepDownGPU(freqGHz float64) (float64, bool) {
 	}
 	return freqGHz, false
 }
-
-// StepUpGPU returns the next higher GPU P-state frequency, with ok
-// false at the maximum.
-func StepUpGPU(freqGHz float64) (float64, bool) {
-	for i, p := range GPUPStates {
-		if SameFreq(p.FreqGHz, freqGHz) {
-			if i == len(GPUPStates)-1 {
-				return freqGHz, false
-			}
-			return GPUPStates[i+1].FreqGHz, true
-		}
-	}
-	return freqGHz, false
-}

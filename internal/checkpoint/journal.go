@@ -172,26 +172,27 @@ func Create(path string) (*Writer, error) {
 // OpenAppend opens an existing journal for appending, first reading
 // its intact records and truncating any torn tail so new appends land
 // on a valid prefix. A missing file is created fresh. The intact
-// records are returned so recovery and appending share one pass.
-func OpenAppend(path string) (*Writer, []Record, error) {
+// records and what the read found are returned so recovery and
+// appending share one pass.
+func OpenAppend(path string) (*Writer, []Record, Info, error) {
 	recs, info, err := ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		w, cerr := Create(path)
-		return w, nil, cerr
+		return w, nil, Info{}, cerr
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, Info{}, err
 	}
 	if info.Truncated {
 		if err := os.Truncate(path, info.ValidBytes); err != nil {
-			return nil, nil, err
+			return nil, nil, Info{}, err
 		}
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, Info{}, err
 	}
-	return &Writer{path: path, f: f}, recs, nil
+	return &Writer{path: path, f: f}, recs, info, nil
 }
 
 // Append frames and writes one record. The frame is written with a
@@ -219,42 +220,17 @@ func (w *Writer) Close() error {
 	return w.f.Close()
 }
 
-// WriteAtomic replaces the journal at path with exactly recs, via a
-// temp file in the same directory renamed over the target — the
-// snapshot+compaction step. A crash at any point leaves either the
-// old journal or the new one, never a hybrid.
-func WriteAtomic(path string, recs []Record) error {
-	f, err := replace(path, recs)
-	if err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// Compact replaces the writer's journal with exactly recs, as
-// WriteAtomic does, and moves the writer onto the new file, so later
-// appends extend the compacted journal. On error the old journal is
-// left in place and the writer keeps appending to it.
+// Compact replaces the writer's journal with exactly recs — the
+// snapshot+compaction step — and moves the writer onto the new file, so
+// later appends extend the compacted journal. The records go to a
+// synced temp file in the same directory that is renamed over the
+// journal, so a crash at any point leaves either the old journal or the
+// new one, never a hybrid. On error the old journal is left in place
+// and the writer keeps appending to it.
 func (w *Writer) Compact(recs ...Record) error {
-	f, err := replace(w.path, recs)
+	tmp, err := os.CreateTemp(filepath.Dir(w.path), filepath.Base(w.path)+".tmp*")
 	if err != nil {
 		return err
-	}
-	w.f.Close() //lint:ignore errcheck the replaced journal's contents are gone from its path
-	w.f = f
-	return nil
-}
-
-// replace writes recs as a whole journal to a synced temp file beside
-// path and renames it over path, returning the file still open and
-// positioned at its end.
-func replace(path string, recs []Record) (*os.File, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return nil, err
 	}
 	cleanup := func() {
 		tmp.Close()           //lint:ignore errcheck already failing
@@ -262,27 +238,29 @@ func replace(path string, recs []Record) (*os.File, error) {
 	}
 	if _, err := tmp.Write(header()); err != nil {
 		cleanup()
-		return nil, err
+		return err
 	}
 	var bytes float64
 	for _, rec := range recs {
 		buf := frame(rec)
 		if _, err := tmp.Write(buf); err != nil {
 			cleanup()
-			return nil, err
+			return err
 		}
 		bytes += float64(len(buf))
 	}
 	if err := tmp.Sync(); err != nil {
 		cleanup()
-		return nil, err
+		return err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if err := os.Rename(tmp.Name(), w.path); err != nil {
 		cleanup()
-		return nil, err
+		return err
 	}
 	mSnapshots.Inc()
 	mAppended.Add(float64(len(recs)))
 	mBytes.Add(bytes)
-	return tmp, nil
+	w.f.Close() //lint:ignore errcheck the replaced journal's contents are gone from its path
+	w.f = tmp
+	return nil
 }

@@ -195,12 +195,12 @@ func TestOpenAppendTruncatesTornTailAndResumes(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, recs, err := OpenAppend(path)
+	w, recs, info, err := OpenAppend(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("recovered %d records, want 2", len(recs))
+	if len(recs) != 2 || info.Records != 2 || !info.Truncated {
+		t.Fatalf("recovered %d records (info %+v), want 2 and a torn tail", len(recs), info)
 	}
 	mustAppend(t, w, Record{Type: 9, Data: []byte("after crash")})
 	if err := w.Close(); err != nil {
@@ -217,9 +217,9 @@ func TestOpenAppendTruncatesTornTailAndResumes(t *testing.T) {
 
 func TestOpenAppendCreatesMissing(t *testing.T) {
 	path := tempJournal(t)
-	w, recs, err := OpenAppend(path)
-	if err != nil || recs != nil {
-		t.Fatalf("recs=%v err=%v", recs, err)
+	w, recs, info, err := OpenAppend(path)
+	if err != nil || recs != nil || info != (Info{}) {
+		t.Fatalf("recs=%v info=%+v err=%v", recs, info, err)
 	}
 	mustAppend(t, w, Record{Type: 1, Data: []byte("x")})
 	if err := w.Close(); err != nil {
@@ -231,14 +231,23 @@ func TestOpenAppendCreatesMissing(t *testing.T) {
 	}
 }
 
+// TestWriteAtomicCompacts checks that Compact rewrites a journal in
+// place as exactly its records, shrinking it and leaving no temp file.
 func TestWriteAtomicCompacts(t *testing.T) {
 	path, _ := writeJournal(t, 6)
 	before, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w, old, info, err := OpenAppend(path)
+	if err != nil || len(old) != 6 || info.Truncated {
+		t.Fatalf("open: recs=%d info=%+v err=%v", len(old), info, err)
+	}
 	snap := []Record{{Type: 1, Data: []byte(`{"compacted":true}`)}}
-	if err := WriteAtomic(path, snap); err != nil {
+	if err := w.Compact(snap...); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	recs, info, err := ReadFile(path)
@@ -266,11 +275,19 @@ func TestWriteAtomicCompacts(t *testing.T) {
 }
 
 func TestAppendAfterCompaction(t *testing.T) {
-	path, _ := writeJournal(t, 2)
-	if err := WriteAtomic(path, []Record{{Type: 1, Data: []byte("snap")}}); err != nil {
+	path := tempJournal(t)
+	w0, err := Create(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	w, recs, err := OpenAppend(path)
+	mustAppend(t, w0, Record{Type: 2, Data: []byte("s0")}, Record{Type: 2, Data: []byte("s1")})
+	if err := w0.Compact(Record{Type: 1, Data: []byte("snap")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w0.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, recs, _, err := OpenAppend(path)
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("recs=%v err=%v", recs, err)
 	}

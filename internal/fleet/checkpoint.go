@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"acsel/internal/checkpoint"
+	"acsel/internal/wire"
 )
 
 // RecordAssignment is the journal record type for one round's
@@ -47,13 +48,14 @@ func EncodeAssignment(cp AssignmentCheckpoint) (checkpoint.Record, error) {
 	return checkpoint.Record{Type: RecordAssignment, Data: data}, nil
 }
 
-// DecodeAssignment parses an assignment record.
+// DecodeAssignment parses an assignment record strictly: an unknown
+// field or trailing data is an error.
 func DecodeAssignment(rec checkpoint.Record) (AssignmentCheckpoint, error) {
 	var cp AssignmentCheckpoint
 	if rec.Type != RecordAssignment {
 		return cp, fmt.Errorf("fleet: record type %d is not an assignment", rec.Type)
 	}
-	if err := json.Unmarshal(rec.Data, &cp); err != nil {
+	if err := wire.Unmarshal(rec.Data, &cp); err != nil {
 		return cp, fmt.Errorf("fleet: decode assignment checkpoint: %w", err)
 	}
 	if cp.Version != checkpointVersion {

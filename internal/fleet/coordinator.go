@@ -101,7 +101,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	}
 	c := &Coordinator{opts: opts, members: map[string]*member{}}
 	if opts.Journal != "" {
-		w, recs, err := checkpoint.OpenAppend(opts.Journal)
+		w, recs, _, err := checkpoint.OpenAppend(opts.Journal)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: open journal: %w", err)
 		}

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"os"
 	"time"
 )
 
@@ -101,21 +100,3 @@ func (r *Registry) Serve(addr string) (string, func() error, error) {
 
 // Serve starts the Default registry's observability listener.
 func Serve(addr string) (string, func() error, error) { return Default.Serve(addr) }
-
-// DumpFile writes the registry's JSON snapshot to path (the
-// -metrics-dump contract: headless runs keep their telemetry).
-func (r *Registry) DumpFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		// The write error is the interesting one; close best-effort.
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// DumpFile snapshots the Default registry to path.
-func DumpFile(path string) error { return Default.DumpFile(path) }

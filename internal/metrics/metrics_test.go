@@ -585,25 +585,6 @@ func TestServeEndpoints(t *testing.T) {
 	}
 }
 
-func TestDumpFile(t *testing.T) {
-	r := NewRegistry()
-	r.NewCounter("dumped_total", "").Add(1)
-	path := filepath.Join(t.TempDir(), "snap.json")
-	if err := r.DumpFile(path); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(b), `"dumped_total"`) {
-		t.Errorf("dump:\n%s", b)
-	}
-	if err := r.DumpFile(filepath.Join(path, "not-a-dir", "x.json")); err == nil {
-		t.Error("impossible path accepted")
-	}
-}
-
 // wrapperSmokeDerived is registered once per process: a derived
 // counter cannot be registered twice, and TestDefaultRegistryWrappers
 // must pass when it runs more than once (go test -count=2).

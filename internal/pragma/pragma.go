@@ -109,17 +109,3 @@ func Preprocess(src string) (string, []Instrumented, error) {
 func leadingWhitespace(s string) string {
 	return s[:len(s)-len(strings.TrimLeft(s, " \t"))]
 }
-
-// Kernels lists the kernel names a source file instruments, without
-// rewriting it.
-func Kernels(src string) ([]string, error) {
-	_, sites, err := Preprocess(src)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, s := range sites {
-		names = append(names, s.Kernel)
-	}
-	return names, nil
-}

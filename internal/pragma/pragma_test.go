@@ -137,23 +137,6 @@ func TestPreprocessPassThrough(t *testing.T) {
 	}
 }
 
-func TestKernels(t *testing.T) {
-	src := `#pragma acsel profile("k1")
-a();
-#pragma acsel profile("k2")
-b();`
-	names, err := Kernels(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 || names[0] != "k1" || names[1] != "k2" {
-		t.Fatalf("names = %v", names)
-	}
-	if _, err := Kernels(`#pragma acsel profile(broken)`); err == nil {
-		t.Error("error expected")
-	}
-}
-
 func TestErrorMessage(t *testing.T) {
 	e := &Error{Line: 3, Msg: "boom"}
 	if !strings.Contains(e.Error(), "line 3") || !strings.Contains(e.Error(), "boom") {

@@ -85,10 +85,10 @@ func TestPooledRunAfterFaultedRunsMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestConcurrentProfileAllConfigsMatchFresh: concurrent sweeps share
-// the generator pool; every sample must still equal the fresh
-// generator's. make test-race runs it under the race detector.
-func TestConcurrentProfileAllConfigsMatchFresh(t *testing.T) {
+// TestConcurrentSweepsMatchFresh: concurrent sweeps share the generator
+// pool; every sample must still equal the fresh generator's. make
+// test-race runs it under the race detector.
+func TestConcurrentSweepsMatchFresh(t *testing.T) {
 	ks := []kernels.Kernel{
 		testKernel(),
 		kernels.Instantiate(kernels.Suite()[1].Name, kernels.Suite()[1].Kernels[0], "Small"),
@@ -109,7 +109,7 @@ func TestConcurrentProfileAllConfigsMatchFresh(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			w := g % len(want)
-			got[g], errs[g] = p.ProfileAllConfigs(ks[w%len(ks)], 1+w/len(ks))
+			got[g], errs[g] = sweep(p, ks[w%len(ks)], 1+w/len(ks))
 		}(g)
 	}
 	wg.Wait()

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -189,35 +188,6 @@ func (p *Profiler) RunConfigAttempt(k kernels.Kernel, cfg apu.Config, iteration,
 		return Sample{}, fmt.Errorf("%w: %v", ErrUnknownConfig, cfg)
 	}
 	return p.RunAttempt(k, id, iteration, attempt)
-}
-
-// ProfileAllConfigs runs kernel k once at every configuration in the
-// space, fanning out across CPUs. The returned samples are ordered by
-// configuration ID regardless of scheduling.
-func (p *Profiler) ProfileAllConfigs(k kernels.Kernel, iteration int) ([]Sample, error) {
-	n := p.Space.Len()
-	out := make([]Sample, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for id := 0; id < n; id++ {
-		// Acquire before spawning so at most one goroutine exists per
-		// semaphore slot (same discipline as core.Characterize).
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[id], errs[id] = p.Run(k, id, iteration)
-		}(id)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // History returns a copy of all recorded samples in recording order:

@@ -3,6 +3,7 @@ package profiler
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"sync"
 	"testing"
@@ -14,6 +15,24 @@ import (
 func testKernel() kernels.Kernel {
 	b := kernels.Suite()[0]
 	return kernels.Instantiate(b.Name, b.Kernels[0], "Small")
+}
+
+// sweep runs k once at every configuration concurrently, one goroutine
+// per configuration as core.Characterize fans out, and returns the
+// samples ordered by configuration ID.
+func sweep(p *Profiler, k kernels.Kernel, iteration int) ([]Sample, error) {
+	out := make([]Sample, p.Space.Len())
+	errs := make([]error, len(out))
+	var wg sync.WaitGroup
+	for id := range out {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			out[id], errs[id] = p.Run(k, id, iteration)
+		}(id)
+	}
+	wg.Wait()
+	return out, errors.Join(errs...)
 }
 
 func TestRunRecordsSample(t *testing.T) {
@@ -42,7 +61,7 @@ func TestRunRecordsSample(t *testing.T) {
 // so a long-running caller's memory does not grow with its runs.
 func TestHistoryOffByDefault(t *testing.T) {
 	p := New()
-	if _, err := p.ProfileAllConfigs(testKernel(), 0); err != nil {
+	if _, err := sweep(p, testKernel(), 0); err != nil {
 		t.Fatal(err)
 	}
 	if h := p.History(); len(h) != 0 {
@@ -90,46 +109,6 @@ func TestRunConfig(t *testing.T) {
 	}
 }
 
-func TestProfileAllConfigs(t *testing.T) {
-	p := New()
-	p.KeepHistory = true
-	k := testKernel()
-	ss, err := p.ProfileAllConfigs(k, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ss) != p.Space.Len() {
-		t.Fatalf("samples = %d, want %d", len(ss), p.Space.Len())
-	}
-	for i, s := range ss {
-		if s.ConfigID != i {
-			t.Fatalf("sample %d has config %d (order broken)", i, s.ConfigID)
-		}
-	}
-	if len(p.History()) != p.Space.Len() {
-		t.Errorf("history = %d", len(p.History()))
-	}
-}
-
-func TestProfileAllConfigsMatchesSequential(t *testing.T) {
-	// Concurrency must not perturb determinism.
-	k := testKernel()
-	par, err := New().ProfileAllConfigs(k, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := New()
-	for id := 0; id < seq.Space.Len(); id++ {
-		s, err := seq.Run(k, id, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.TimeSec != par[id].TimeSec || s.Counters != par[id].Counters {
-			t.Fatalf("config %d: parallel and sequential profiles differ", id)
-		}
-	}
-}
-
 // TestJSONRoundTrip decodes WriteJSON's output with encoding/json and
 // compares it with History: the runs below are recorded in the order
 // WriteJSON sorts by, so the two must match sample for sample.
@@ -167,7 +146,7 @@ func TestWriteJSONDeterministic(t *testing.T) {
 		p.KeepHistory = true
 		for iter := 0; iter < 2; iter++ {
 			for _, k := range ks {
-				if _, err := p.ProfileAllConfigs(k, iter); err != nil {
+				if _, err := sweep(p, k, iter); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -204,17 +183,6 @@ func TestConcurrentRunsSafe(t *testing.T) {
 	wg.Wait()
 	if len(p.History()) != 80 {
 		t.Errorf("history = %d, want 80", len(p.History()))
-	}
-}
-
-func BenchmarkProfileAllConfigs(b *testing.B) {
-	p := New()
-	k := testKernel()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.ProfileAllConfigs(k, 0); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 	"acsel/internal/checkpoint"
 	"acsel/internal/core"
 	"acsel/internal/profiler"
+	"acsel/internal/wire"
 )
 
 // SnapshotVersion guards the snapshot schema; Restore accepts it and
@@ -71,6 +72,12 @@ type KernelCheckpoint struct {
 	ApplyRetries  int     `json:"apply_retries"`
 	ApplyFailures int     `json:"apply_failures"`
 	BackoffSec    float64 `json:"backoff_sec"`
+
+	// MinPowerID is the floor configuration early version-1 snapshots
+	// carried. It is declared only so the strict decoder accepts those
+	// snapshots; Restore ignores it (the floor is derived from the
+	// predictions) and Snapshot never writes it.
+	MinPowerID json.RawMessage `json:"min_power_id,omitempty"`
 }
 
 // Snapshot is the runtime's complete checkpointable state.
@@ -245,13 +252,14 @@ func EncodeSnapshot(snap *Snapshot) (checkpoint.Record, error) {
 	return checkpoint.Record{Type: RecordSnapshot, Data: data}, nil
 }
 
-// DecodeSnapshot parses a RecordSnapshot journal record.
+// DecodeSnapshot parses a RecordSnapshot journal record strictly: an
+// unknown field or trailing data is an error.
 func DecodeSnapshot(rec checkpoint.Record) (*Snapshot, error) {
 	if rec.Type != RecordSnapshot {
 		return nil, fmt.Errorf("rts: record type %d is not a snapshot", rec.Type)
 	}
 	var snap Snapshot
-	if err := json.Unmarshal(rec.Data, &snap); err != nil {
+	if err := wire.Unmarshal(rec.Data, &snap); err != nil {
 		return nil, fmt.Errorf("rts: decoding snapshot: %w", err)
 	}
 	return &snap, nil
@@ -266,13 +274,14 @@ func EncodeStep(s Step) (checkpoint.Record, error) {
 	return checkpoint.Record{Type: RecordStep, Data: data}, nil
 }
 
-// DecodeStep parses a RecordStep journal record.
+// DecodeStep parses a RecordStep journal record strictly (see
+// DecodeSnapshot).
 func DecodeStep(rec checkpoint.Record) (Step, error) {
 	if rec.Type != RecordStep {
 		return Step{}, fmt.Errorf("rts: record type %d is not a step", rec.Type)
 	}
 	var s Step
-	if err := json.Unmarshal(rec.Data, &s); err != nil {
+	if err := wire.Unmarshal(rec.Data, &s); err != nil {
 		return Step{}, fmt.Errorf("rts: decoding step: %w", err)
 	}
 	return s, nil

@@ -1,6 +1,7 @@
 package rts
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -315,5 +316,47 @@ func TestDecodeRejectsWrongRecordType(t *testing.T) {
 	s, err := DecodeStep(rec)
 	if err != nil || s.Kernel != "k" {
 		t.Errorf("step round trip: %+v, %v", s, err)
+	}
+}
+
+// TestDecodeIsStrict: a snapshot or step record with an unknown field
+// or trailing bytes is rejected, not silently half-read.
+func TestDecodeIsStrict(t *testing.T) {
+	snap, err := EncodeSnapshot(&Snapshot{Version: SnapshotVersion, CapW: 1,
+		Kernels: []KernelCheckpoint{{Key: "k"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step, err := EncodeStep(Step{Kernel: "k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoders := map[string]struct {
+		rec    checkpoint.Record
+		decode func(checkpoint.Record) error
+	}{
+		"snapshot": {snap, func(r checkpoint.Record) error { _, err := DecodeSnapshot(r); return err }},
+		"step":     {step, func(r checkpoint.Record) error { _, err := DecodeStep(r); return err }},
+	}
+	for name, d := range decoders {
+		if err := d.decode(d.rec); err != nil {
+			t.Fatalf("%s: clean record rejected: %v", name, err)
+		}
+		data := d.rec.Data
+		unknown := append(append([]byte(nil), data[:len(data)-1]...), `,"bogus":1}`...)
+		if err := d.decode(checkpoint.Record{Type: d.rec.Type, Data: unknown}); err == nil {
+			t.Errorf("%s: unknown field accepted", name)
+		}
+		trailing := append(append([]byte(nil), data...), ` {}`...)
+		if err := d.decode(checkpoint.Record{Type: d.rec.Type, Data: trailing}); err == nil {
+			t.Errorf("%s: trailing data accepted", name)
+		}
+		// A nested unknown field is rejected too.
+		if name == "snapshot" {
+			nested := bytes.Replace(data, []byte(`"key":"k"`), []byte(`"key":"k","bogus":1`), 1)
+			if err := d.decode(checkpoint.Record{Type: d.rec.Type, Data: nested}); err == nil {
+				t.Errorf("%s: unknown kernel field accepted", name)
+			}
+		}
 	}
 }

@@ -478,7 +478,10 @@ func (rt *Runtime) runPinned(k kernels.Kernel, st *kernelState, key string, capW
 	}
 
 	measured := s.TotalPowerW()
-	flActive := rt.opts.FL || (armed && st.rung >= RungModelFL)
+	// FL runs when the options ask for it or the ladder has demoted the
+	// kernel onto its rung; an unarmed runtime never leaves its base
+	// rung (only demote and promote move it).
+	flActive := rt.opts.FL || st.rung >= RungModelFL
 	if flActive && trusted && measured > capW {
 		// Feedback: step the pinned configuration down for future
 		// iterations (GPU knob first on GPU configs, then CPU).
@@ -611,7 +614,7 @@ func (st *kernelState) setPredictions(preds []core.Prediction) {
 
 // reselect pins the configuration core.SelectAmong picks from the
 // cached predictions for capW, selecting through their compiled
-// core.Selector. A kernel on the bottom rung of an armed ladder stays
+// core.Selector. A kernel on the bottom rung of the ladder stays
 // floored at minimum predicted power regardless of what the cap would
 // allow — recovery goes through promote, not through a cap change.
 // The floor is SelectAmong's fallback: selecting under a cap of −Inf
@@ -620,7 +623,7 @@ func (rt *Runtime) reselect(st *kernelState, capW float64) error {
 	if st.preds == nil {
 		return errors.New("rts: reselect before adaptation")
 	}
-	floored := rt.ladderArmed() && st.rung == RungMinPower
+	floored := st.rung == RungMinPower
 	selCapW, z := capW, rt.opts.VarAwareZ
 	if floored {
 		selCapW, z = math.Inf(-1), 0

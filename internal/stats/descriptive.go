@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -16,43 +13,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// WeightedMean returns Σ wᵢxᵢ / Σ wᵢ. It is the aggregation the paper
-// uses for benchmark-level numbers ("averaged across all kernels …
-// weighted by how much of the benchmark time is spent in each kernel").
-// A zero total weight yields 0.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic("stats: WeightedMean length mismatch")
-	}
-	var sw, swx float64
-	for i := range xs {
-		sw += ws[i]
-		swx += ws[i] * xs[i]
-	}
-	if AlmostZero(sw) {
-		return 0
-	}
-	return swx / sw
-}
-
-// Variance returns the population variance of xs (0 for fewer than two
-// observations).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, v := range xs {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Median returns the median of xs (0 for an empty slice). xs is not
 // modified.
@@ -67,80 +27,4 @@ func Median(xs []float64) float64 {
 		return cp[n/2]
 	}
 	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) via linear interpolation
-// between order statistics. xs is not modified.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return minOf(xs)
-	}
-	if q >= 1 {
-		return maxOf(xs)
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	pos := q * float64(len(cp)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return cp[lo]
-	}
-	frac := pos - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
-}
-
-// GeoMean returns the geometric mean of strictly positive values; any
-// non-positive value yields 0.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range xs {
-		if v <= 0 {
-			return 0
-		}
-		s += math.Log(v)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
-func minOf(xs []float64) float64 {
-	m := xs[0]
-	for _, v := range xs[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-func maxOf(xs []float64) float64 {
-	m := xs[0]
-	for _, v := range xs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the minimum of xs (0 for empty).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return minOf(xs)
-}
-
-// Max returns the maximum of xs (0 for empty).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return maxOf(xs)
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -263,38 +264,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	m := WeightedMean([]float64{1, 3}, []float64{1, 3})
-	if !near(m, 2.5, 1e-12) {
-		t.Errorf("WeightedMean = %v", m)
-	}
-	if WeightedMean([]float64{1}, []float64{0}) != 0 {
-		t.Error("zero-weight mean should be 0")
-	}
-}
-
-func TestWeightedMeanPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	WeightedMean([]float64{1}, []float64{1, 2})
-}
-
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if v := Variance(xs); !near(v, 4, 1e-12) {
-		t.Errorf("Variance = %v", v)
-	}
-	if s := StdDev(xs); !near(s, 2, 1e-12) {
-		t.Errorf("StdDev = %v", s)
-	}
-	if Variance([]float64{1}) != 0 {
-		t.Error("Variance of singleton should be 0")
-	}
-}
-
 func TestMedian(t *testing.T) {
 	if m := Median([]float64{3, 1, 2}); m != 2 {
 		t.Errorf("odd median = %v", m)
@@ -313,47 +282,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if q := Quantile(xs, 0); q != 1 {
-		t.Errorf("q0 = %v", q)
-	}
-	if q := Quantile(xs, 1); q != 5 {
-		t.Errorf("q1 = %v", q)
-	}
-	if q := Quantile(xs, 0.5); !near(q, 3, 1e-12) {
-		t.Errorf("q0.5 = %v", q)
-	}
-	if q := Quantile(xs, 0.25); !near(q, 2, 1e-12) {
-		t.Errorf("q0.25 = %v", q)
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("Quantile(nil)")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 100}); !near(g, 10, 1e-9) {
-		t.Errorf("GeoMean = %v", g)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Error("GeoMean with negative should be 0")
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil)")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 2}
-	if Min(xs) != -1 || Max(xs) != 3 {
-		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Error("empty Min/Max")
-	}
-}
-
 // Property (testing/quick): mean is bounded by min and max.
 func TestMeanBounded(t *testing.T) {
 	f := func(a [7]float64) bool {
@@ -364,7 +292,7 @@ func TestMeanBounded(t *testing.T) {
 			a[i] = math.Mod(a[i], 1e9)
 		}
 		m := Mean(a[:])
-		return m >= Min(a[:])-1e-6 && m <= Max(a[:])+1e-6
+		return m >= slices.Min(a[:])-1e-6 && m <= slices.Max(a[:])+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

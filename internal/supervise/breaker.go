@@ -1,7 +1,6 @@
 package supervise
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 )
@@ -14,8 +13,8 @@ const (
 	// Closed passes every call through; consecutive failures count
 	// toward tripping.
 	Closed BreakerState = iota
-	// Open fails fast without calling; after OpenCalls rejections the
-	// breaker moves to half-open.
+	// Open rejects calls (Allow reports false); after OpenCalls
+	// rejections the breaker moves to half-open.
 	Open
 	// HalfOpen admits probe calls; sustained success closes the
 	// breaker, any failure reopens it.
@@ -34,9 +33,6 @@ func (s BreakerState) String() string {
 	}
 	return fmt.Sprintf("BreakerState(%d)", int(s))
 }
-
-// ErrOpen is returned by Do while the breaker rejects calls.
-var ErrOpen = errors.New("supervise: circuit breaker open")
 
 // BreakerOptions tunes a breaker. The cooldown is counted in rejected
 // calls, not wall time: the runtime service is driven by epochs, so
@@ -67,13 +63,11 @@ const (
 type Breaker struct {
 	opts BreakerOptions
 
-	mu        sync.Mutex
-	state     BreakerState
-	failures  int // consecutive failures while closed
-	rejected  int // calls rejected while open
-	probeOK   int // consecutive successes while half-open
-	trips     int // lifetime closed->open transitions
-	rejectAll int // lifetime rejected calls
+	mu       sync.Mutex
+	state    BreakerState
+	failures int // consecutive failures while closed
+	rejected int // calls rejected while open
+	probeOK  int // consecutive successes while half-open
 }
 
 // NewBreaker builds a closed breaker.
@@ -102,13 +96,6 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// Counts reports lifetime trips (closed→open) and rejected calls.
-func (b *Breaker) Counts() (trips, rejected int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips, b.rejectAll
-}
-
 // transition moves the state machine and records it. Callers hold b.mu.
 func (b *Breaker) transition(to BreakerState) {
 	b.state = to
@@ -129,7 +116,6 @@ func (b *Breaker) Allow() bool {
 		return true
 	default: // Open
 		b.rejected++
-		b.rejectAll++
 		mBreakerRejected.With(b.opts.Name).Inc()
 		if b.rejected >= b.opts.OpenCalls {
 			b.transition(HalfOpen)
@@ -151,13 +137,11 @@ func (b *Breaker) Record(err error) {
 		}
 		b.failures++
 		if b.failures >= b.opts.FailureThreshold {
-			b.trips++
 			b.transition(Open)
 		}
 	case HalfOpen:
 		if err != nil {
 			// The probe failed: the seam is still broken.
-			b.trips++
 			b.transition(Open)
 			return
 		}
@@ -169,15 +153,4 @@ func (b *Breaker) Record(err error) {
 		// An outcome recorded while open (e.g. an in-flight call that
 		// straddled the trip) neither helps nor hurts.
 	}
-}
-
-// Do runs fn through the breaker: ErrOpen without calling when the
-// breaker rejects, otherwise fn's error after recording it.
-func (b *Breaker) Do(fn func() error) error {
-	if !b.Allow() {
-		return ErrOpen
-	}
-	err := fn()
-	b.Record(err)
-	return err
 }

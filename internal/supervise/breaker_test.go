@@ -9,6 +9,28 @@ import (
 	"acsel/internal/fault"
 )
 
+// errRejected stands for a call the open breaker turned away.
+var errRejected = errors.New("rejected by the open breaker")
+
+// do feeds one call through b: fn runs, and its outcome is recorded,
+// only when Allow admits it.
+func do(b *Breaker, fn func() error) error {
+	if !b.Allow() {
+		return errRejected
+	}
+	err := fn()
+	b.Record(err)
+	return err
+}
+
+// trips and rejections read b's lifetime closed→open transitions and
+// rejected calls from its metric families.
+func trips(b *Breaker) float64 {
+	return mBreakerTransitions.With(b.opts.Name, Open.String()).Value()
+}
+
+func rejections(b *Breaker) float64 { return mBreakerRejected.With(b.opts.Name).Value() }
+
 func TestBreakerStateStrings(t *testing.T) {
 	if Closed.String() != "closed" || Open.String() != "open" || HalfOpen.String() != "half-open" {
 		t.Fatal("state strings")
@@ -21,18 +43,19 @@ func TestBreakerStateStrings(t *testing.T) {
 func TestBreakerTripCooldownRecover(t *testing.T) {
 	b := NewBreaker(BreakerOptions{Name: "smu-test",
 		FailureThreshold: 3, OpenCalls: 2, HalfOpenSuccesses: 2})
+	trips0, rejected0 := trips(b), rejections(b)
 	boom := errors.New("sensor dead")
 	fail := func() error { return boom }
 	okFn := func() error { return nil }
 
 	// Closed absorbs scattered failures; a success resets the streak.
-	if err := b.Do(fail); !errors.Is(err, boom) {
+	if err := do(b, fail); !errors.Is(err, boom) {
 		t.Fatal("closed breaker swallowed the call error")
 	}
-	if err := b.Do(fail); !errors.Is(err, boom) {
+	if err := do(b, fail); !errors.Is(err, boom) {
 		t.Fatal(err)
 	}
-	if err := b.Do(okFn); err != nil {
+	if err := do(b, okFn); err != nil {
 		t.Fatal(err)
 	}
 	if b.State() != Closed {
@@ -41,7 +64,7 @@ func TestBreakerTripCooldownRecover(t *testing.T) {
 
 	// Three consecutive failures trip it.
 	for i := 0; i < 3; i++ {
-		if err := b.Do(fail); !errors.Is(err, boom) {
+		if err := do(b, fail); !errors.Is(err, boom) {
 			t.Fatal(err)
 		}
 	}
@@ -53,8 +76,8 @@ func TestBreakerTripCooldownRecover(t *testing.T) {
 	// half-open.
 	ran := false
 	for i := 0; i < 2; i++ {
-		if err := b.Do(func() error { ran = true; return nil }); !errors.Is(err, ErrOpen) {
-			t.Fatalf("rejected call %d: err = %v, want ErrOpen", i, err)
+		if err := do(b, func() error { ran = true; return nil }); !errors.Is(err, errRejected) {
+			t.Fatalf("rejected call %d: err = %v, want errRejected", i, err)
 		}
 	}
 	if ran {
@@ -65,44 +88,44 @@ func TestBreakerTripCooldownRecover(t *testing.T) {
 	}
 
 	// Two probe successes close it.
-	if err := b.Do(okFn); err != nil || b.State() != HalfOpen {
+	if err := do(b, okFn); err != nil || b.State() != HalfOpen {
 		t.Fatalf("first probe: err=%v state=%v", err, b.State())
 	}
-	if err := b.Do(okFn); err != nil || b.State() != Closed {
+	if err := do(b, okFn); err != nil || b.State() != Closed {
 		t.Fatalf("second probe: err=%v state=%v", err, b.State())
 	}
 
-	trips, rejected := b.Counts()
-	if trips != 1 || rejected != 2 {
-		t.Errorf("counts = (%d trips, %d rejected), want (1, 2)", trips, rejected)
+	if n, r := trips(b)-trips0, rejections(b)-rejected0; n != 1 || r != 2 {
+		t.Errorf("counts = (%v trips, %v rejected), want (1, 2)", n, r)
 	}
 }
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	b := NewBreaker(BreakerOptions{Name: "pstate-test",
 		FailureThreshold: 1, OpenCalls: 1, HalfOpenSuccesses: 1})
+	trips0 := trips(b)
 	boom := errors.New("transition failed")
-	if err := b.Do(func() error { return boom }); !errors.Is(err, boom) {
+	if err := do(b, func() error { return boom }); !errors.Is(err, boom) {
 		t.Fatal(err)
 	}
 	if b.State() != Open {
 		t.Fatalf("state %v, want open", b.State())
 	}
-	if err := b.Do(func() error { return nil }); !errors.Is(err, ErrOpen) {
+	if err := do(b, func() error { return nil }); !errors.Is(err, errRejected) {
 		t.Fatal("cooldown call ran")
 	}
 	if b.State() != HalfOpen {
 		t.Fatalf("state %v, want half-open", b.State())
 	}
 	// The probe fails: straight back to open.
-	if err := b.Do(func() error { return boom }); !errors.Is(err, boom) {
+	if err := do(b, func() error { return boom }); !errors.Is(err, boom) {
 		t.Fatal(err)
 	}
 	if b.State() != Open {
 		t.Fatalf("state %v after failed probe, want open", b.State())
 	}
-	if trips, _ := b.Counts(); trips != 2 {
-		t.Errorf("trips = %d, want 2", trips)
+	if n := trips(b) - trips0; n != 2 {
+		t.Errorf("trips = %v, want 2", n)
 	}
 }
 
@@ -116,7 +139,7 @@ func chaosBreakerTrace(seed int64, n int) []BreakerState {
 		FailureThreshold: 2, OpenCalls: 3, HalfOpenSuccesses: 1})
 	trace := make([]BreakerState, 0, n)
 	for i := 0; i < n; i++ {
-		_ = b.Do(func() error { //lint:ignore errcheck outcome folded into the trace
+		_ = do(b, func() error { //lint:ignore errcheck outcome folded into the trace
 			if len(in.At(fault.SitePState, fault.EventKey("seam", i), 0)) > 0 {
 				return errors.New("injected")
 			}
@@ -169,7 +192,7 @@ func TestBreakerConcurrentUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				_ = b.Do(func() error { //lint:ignore errcheck smoke test
+				_ = do(b, func() error { //lint:ignore errcheck smoke test
 					if (g+i)%3 == 0 {
 						return errors.New("sporadic")
 					}

@@ -3,15 +3,13 @@ package supervise
 import "acsel/internal/metrics"
 
 // Metric families of the supervision layer: how often workers are
-// restarted (and why), whether epochs blow their deadlines, and each
-// circuit breaker's live position and transition history.
+// restarted (and why), and each circuit breaker's live position and
+// transition history.
 var (
 	mRestarts = metrics.NewCounterVec("acsel_supervise_restarts_total",
 		"Worker restarts performed by a supervisor, by worker name.", "worker")
 	mPanics = metrics.NewCounterVec("acsel_supervise_panics_total",
 		"Worker panics recovered by a supervisor, by worker name.", "worker")
-	mWatchdogTimeouts = metrics.NewCounterVec("acsel_supervise_watchdog_timeouts_total",
-		"Epoch watchdog deadline expiries, by watchdog name.", "watchdog")
 	mBreakerState = metrics.NewGaugeVec("acsel_breaker_state", //lint:ignore metricname enum gauge (0=closed 1=open 2=half-open), unitless by construction
 		"Circuit breaker state (0=closed, 1=open, 2=half-open), by breaker name.", "breaker")
 	mBreakerTransitions = metrics.NewCounterVec("acsel_breaker_transitions_total",

@@ -1,9 +1,10 @@
 // Package supervise keeps a long-running runtime service alive: a
-// panic-isolating supervisor that restarts its worker with exponential
-// backoff and deterministic jitter, a timer-based watchdog that bounds
-// how long one epoch may take, and a circuit breaker for the hardware
-// seams (SMU, P-state, counters) whose sustained failure should stop
-// the service from hammering a broken path.
+// panic-isolating restart loop that reruns its worker with exponential
+// backoff and deterministic jitter, and a circuit breaker that observes
+// the hardware seams (SMU, P-state, counters). The breaker gates
+// nothing: its caller feeds it outcomes (Allow, then Record) and reads
+// its State to report degradation. Deadlines are the caller's, as
+// context deadlines.
 //
 // The same design constraint as internal/fault applies everywhere:
 // decisions must be deterministic. Backoff jitter is hashed from the

@@ -143,57 +143,3 @@ func TestResetBackoffRestartsTheClimb(t *testing.T) {
 		}
 	}
 }
-
-func TestWatchdogFiresOnceAndRearmsOnPet(t *testing.T) {
-	fired := make(chan struct{}, 4)
-	w := NewWatchdog("epoch", 20*time.Millisecond, func() { fired <- struct{}{} })
-	defer w.Stop()
-	waitFire := func(label string) {
-		select {
-		case <-fired:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: watchdog never fired", label)
-		}
-	}
-	waitFire("first deadline")
-	// One-shot: without a Pet there must be no second expiry.
-	select {
-	case <-fired:
-		t.Fatal("watchdog fired twice without a Pet")
-	case <-time.After(100 * time.Millisecond):
-	}
-	w.Pet()
-	waitFire("re-armed deadline")
-}
-
-func TestWatchdogStopPreventsFiring(t *testing.T) {
-	fired := make(chan struct{}, 1)
-	w := NewWatchdog("stopped", 20*time.Millisecond, func() { fired <- struct{}{} })
-	w.Stop()
-	select {
-	case <-fired:
-		t.Fatal("stopped watchdog fired")
-	case <-time.After(150 * time.Millisecond):
-	}
-	// Pet after Stop must stay disarmed.
-	w.Pet()
-	select {
-	case <-fired:
-		t.Fatal("petting a stopped watchdog re-armed it")
-	case <-time.After(100 * time.Millisecond):
-	}
-}
-
-func TestWatchdogPetExtendsDeadline(t *testing.T) {
-	fired := make(chan struct{}, 1)
-	w := NewWatchdog("petted", 10*time.Second, func() { fired <- struct{}{} })
-	defer w.Stop()
-	for i := 0; i < 3; i++ {
-		w.Pet()
-	}
-	select {
-	case <-fired:
-		t.Fatal("watchdog fired despite a 10s deadline")
-	case <-time.After(50 * time.Millisecond):
-	}
-}

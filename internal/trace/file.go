@@ -3,28 +3,34 @@ package trace
 import (
 	"io"
 	"os"
+	"path/filepath"
 )
 
-// WriteFile creates path, streams write's output into it, and closes
-// the file *on the write path*, returning the Close error. The
-// `defer f.Close()` idiom the command-line tools used silently dropped
-// that error — and for a freshly written file Close is exactly where a
-// short write or full disk surfaces (errcheck's defer-Close extension
-// now flags the pattern). A failed write removes the partial file so a
-// truncated CSV or model export is never mistaken for a complete one.
+// WriteFile is how the command-line tools write an output file: write's
+// output goes to a temp file beside path, which is renamed over path
+// only after write and Close both succeed. Close is checked on the
+// write path — for a fresh file it is where a short write or a full
+// disk surfaces. On any failure the temp file is removed and path is
+// left as it was, so a truncated CSV, model export or metrics dump is
+// never mistaken for a complete one, and a reader polling for path
+// never sees a partial file.
 func WriteFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()       //lint:ignore errcheck write error takes precedence
-		os.Remove(path) //lint:ignore errcheck best-effort cleanup of partial output
-		return err
+	err = f.Chmod(0o644)
+	if err == nil {
+		err = write(f)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(path) //lint:ignore errcheck best-effort cleanup of partial output
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name()) //lint:ignore errcheck best-effort cleanup of partial output
+	}
+	return err
 }

@@ -1,8 +1,9 @@
-// Package trace exports profiling samples, characterization stats, and
-// evaluation cases as CSV — the interchange format for the kind of
-// external statistical analysis the paper performed in R (§IV-B lists
-// R 3.0.1 in the toolchain). Writers are streaming and allocation-light
-// so full-suite exports stay cheap.
+// Package trace exports characterization stats and evaluation cases as
+// CSV — the interchange format for the kind of external statistical
+// analysis the paper performed in R (§IV-B lists R 3.0.1 in the
+// toolchain). Writers are streaming and allocation-light so full-suite
+// exports stay cheap. WriteFile is how every program writes an output
+// file, these CSVs and all others.
 package trace
 
 import (
@@ -12,7 +13,6 @@ import (
 
 	"acsel/internal/core"
 	"acsel/internal/eval"
-	"acsel/internal/profiler"
 )
 
 // f formats a float with shortest exact precision: ParseFloat of the
@@ -21,41 +21,6 @@ import (
 // values, so exports no longer round-tripped and downstream statistical
 // analysis saw corrupted data.
 func f(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// WriteSamplesCSV streams profiler samples: one row per instrumented
-// kernel invocation with identification, configuration, timing, power,
-// and the raw counter values.
-func WriteSamplesCSV(w io.Writer, samples []profiler.Sample) error {
-	cw := csv.NewWriter(w)
-	header := []string{
-		"kernel_id", "benchmark", "input", "kernel", "config_id",
-		"device", "cpu_ghz", "threads", "gpu_ghz", "iteration",
-		"time_sec", "cpu_power_w", "nbgpu_power_w",
-		"instructions", "l1d_misses", "l2d_misses", "tlb_misses",
-		"cond_branches", "vector_instr", "stalled_cycles", "core_cycles",
-		"ref_cycles", "idle_fpu_cycles", "interrupts", "dram_accesses",
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, s := range samples {
-		row := []string{
-			s.KernelID, s.Benchmark, s.Input, s.Kernel, strconv.Itoa(s.ConfigID),
-			s.Config.Device.String(), f(s.Config.CPUFreqGHz), strconv.Itoa(s.Config.Threads),
-			f(s.Config.GPUFreqGHz), strconv.Itoa(s.Iteration),
-			f(s.TimeSec), f(s.CPUPowerW), f(s.NBGPUW),
-			f(s.Counters.Instructions), f(s.Counters.L1DMisses), f(s.Counters.L2DMisses),
-			f(s.Counters.TLBMisses), f(s.Counters.CondBranches), f(s.Counters.VectorInstr),
-			f(s.Counters.StalledCycles), f(s.Counters.CoreCycles), f(s.Counters.RefCycles),
-			f(s.Counters.IdleFPUCycles), f(s.Counters.Interrupts), f(s.Counters.DRAMAccesses),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
 
 // WriteProfilesCSV streams characterization summaries: one row per
 // (kernel, configuration) with mean time, performance, and power, and a

@@ -14,10 +14,9 @@ import (
 	"acsel/internal/sched"
 )
 
-func sampleData(t *testing.T) (*profiler.Profiler, []*core.KernelProfile) {
+func sampleData(t *testing.T) []*core.KernelProfile {
 	t.Helper()
 	p := profiler.New()
-	p.KeepHistory = true
 	k := kernels.Instantiate("LU", kernels.Suite()[3].Kernels[0], "Small")
 	opts := core.DefaultTrainOptions()
 	opts.Iterations = 1
@@ -25,7 +24,7 @@ func sampleData(t *testing.T) (*profiler.Profiler, []*core.KernelProfile) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, profs
+	return profs
 }
 
 func parseCSV(t *testing.T, buf *bytes.Buffer) [][]string {
@@ -37,32 +36,8 @@ func parseCSV(t *testing.T, buf *bytes.Buffer) [][]string {
 	return rows
 }
 
-func TestWriteSamplesCSV(t *testing.T) {
-	p, _ := sampleData(t)
-	samples := p.History()
-	var buf bytes.Buffer
-	if err := WriteSamplesCSV(&buf, samples); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, &buf)
-	if len(rows) != len(samples)+1 {
-		t.Fatalf("rows = %d, want %d", len(rows), len(samples)+1)
-	}
-	// Header width equals every row width (csv.Reader enforces, but
-	// verify the first data row parses numerically where expected).
-	timeCol := indexOf(t, rows[0], "time_sec")
-	v, err := strconv.ParseFloat(rows[1][timeCol], 64)
-	if err != nil || v <= 0 {
-		t.Errorf("time_sec cell %q", rows[1][timeCol])
-	}
-	devCol := indexOf(t, rows[0], "device")
-	if rows[1][devCol] != "CPU" && rows[1][devCol] != "GPU" {
-		t.Errorf("device cell %q", rows[1][devCol])
-	}
-}
-
 func TestWriteProfilesCSV(t *testing.T) {
-	_, profs := sampleData(t)
+	profs := sampleData(t)
 	var buf bytes.Buffer
 	if err := WriteProfilesCSV(&buf, profs); err != nil {
 		t.Fatal(err)
@@ -107,13 +82,6 @@ func TestWriteCasesCSV(t *testing.T) {
 
 func TestEmptyInputsProduceHeaderOnly(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteSamplesCSV(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	if rows := parseCSV(t, &buf); len(rows) != 1 {
-		t.Errorf("rows = %d", len(rows))
-	}
-	buf.Reset()
 	if err := WriteCasesCSV(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -156,48 +124,18 @@ func TestFloatFormatRoundTrips(t *testing.T) {
 }
 
 // TestWritersRoundTripExactly writes real characterization data (with a
-// few cells doctored to full-precision values) through all three
-// writers and parses it back: every float column must reproduce the
-// in-memory float64 bit-for-bit.
+// few cells doctored to full-precision values) through both writers
+// and parses it back: every float column must reproduce the in-memory
+// float64 bit-for-bit.
 func TestWritersRoundTripExactly(t *testing.T) {
-	p, profs := sampleData(t)
-	samples := p.History()
-	if len(samples) == 0 {
-		t.Fatal("no samples")
-	}
-	samples[0].TimeSec = math.Pi * 1e-3
-	samples[0].CPUPowerW = 10.0 / 3.0
-	samples[0].NBGPUW = 2.0000000001234567
-	samples[0].Counters.Instructions = 123456789.123456789
-
-	var buf bytes.Buffer
-	if err := WriteSamplesCSV(&buf, samples); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, &buf)
-	sampleCols := map[string]func(s profiler.Sample) float64{
-		"time_sec":      func(s profiler.Sample) float64 { return s.TimeSec },
-		"cpu_power_w":   func(s profiler.Sample) float64 { return s.CPUPowerW },
-		"nbgpu_power_w": func(s profiler.Sample) float64 { return s.NBGPUW },
-		"instructions":  func(s profiler.Sample) float64 { return s.Counters.Instructions },
-		"dram_accesses": func(s profiler.Sample) float64 { return s.Counters.DRAMAccesses },
-	}
-	for name, get := range sampleCols {
-		col := indexOf(t, rows[0], name)
-		for i, s := range samples {
-			if got := parseCell(t, rows[i+1][col]); got != get(s) {
-				t.Errorf("samples row %d col %s: %q parses to %v, want %v", i, name, rows[i+1][col], got, get(s))
-			}
-		}
-	}
-
+	profs := sampleData(t)
 	profs[0].Stats[0].MeanTime = 1.0 / 7.0
 	profs[0].Stats[0].MeanPower = math.Pi * 10
-	buf.Reset()
+	var buf bytes.Buffer
 	if err := WriteProfilesCSV(&buf, profs); err != nil {
 		t.Fatal(err)
 	}
-	rows = parseCSV(t, &buf)
+	rows := parseCSV(t, &buf)
 	timeCol := indexOf(t, rows[0], "mean_time_sec")
 	perfCol := indexOf(t, rows[0], "mean_perf")
 	powCol := indexOf(t, rows[0], "mean_power_w")
@@ -268,23 +206,6 @@ func indexOf(t *testing.T, header []string, name string) int {
 	return -1
 }
 
-func BenchmarkWriteSamplesCSV(b *testing.B) {
-	p := profiler.New()
-	p.KeepHistory = true
-	k := kernels.Instantiate("LU", kernels.Suite()[3].Kernels[0], "Small")
-	if _, err := p.ProfileAllConfigs(k, 0); err != nil {
-		b.Fatal(err)
-	}
-	samples := p.History()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := WriteSamplesCSV(&buf, samples); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // failWriter errors after n bytes, exercising the writers' error paths.
 type failWriter struct{ n int }
 
@@ -308,11 +229,7 @@ type writeError struct{}
 func (*writeError) Error() string { return "synthetic write failure" }
 
 func TestWritersPropagateErrors(t *testing.T) {
-	p, profs := sampleData(t)
-	samples := p.History()
-	if err := WriteSamplesCSV(&failWriter{n: 10}, samples); err == nil {
-		t.Error("samples writer swallowed the error")
-	}
+	profs := sampleData(t)
 	if err := WriteProfilesCSV(&failWriter{n: 10}, profs); err == nil {
 		t.Error("profiles writer swallowed the error")
 	}
