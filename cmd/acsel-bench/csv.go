@@ -1,10 +1,10 @@
-// Package trace exports characterization stats and evaluation cases as
+// The -csv-dir export: characterization stats and evaluation cases as
 // CSV — the interchange format for the kind of external statistical
 // analysis the paper performed in R (§IV-B lists R 3.0.1 in the
 // toolchain). Writers are streaming and allocation-light so full-suite
-// exports stay cheap. WriteFile is how every program writes an output
-// file, these CSVs and all others.
-package trace
+// exports stay cheap.
+
+package main
 
 import (
 	"encoding/csv"
@@ -15,17 +15,17 @@ import (
 	"acsel/internal/eval"
 )
 
-// f formats a float with shortest exact precision: ParseFloat of the
-// result returns the identical float64. A fixed 10-significant-digit
+// csvFloat formats a float with shortest exact precision: ParseFloat of
+// the result returns the identical float64. A fixed 10-significant-digit
 // format (the previous behaviour) silently truncated power/time/counter
 // values, so exports no longer round-tripped and downstream statistical
 // analysis saw corrupted data.
-func f(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+func csvFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// WriteProfilesCSV streams characterization summaries: one row per
+// writeProfilesCSV streams characterization summaries: one row per
 // (kernel, configuration) with mean time, performance, and power, and a
 // flag marking Pareto-frontier membership.
-func WriteProfilesCSV(w io.Writer, profiles []*core.KernelProfile) error {
+func writeProfilesCSV(w io.Writer, profiles []*core.KernelProfile) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
 		"kernel_id", "benchmark", "input", "config_id",
@@ -41,7 +41,7 @@ func WriteProfilesCSV(w io.Writer, profiles []*core.KernelProfile) error {
 		for _, st := range kp.Stats {
 			if err := cw.Write([]string{
 				kp.KernelID, kp.Benchmark, kp.Input, strconv.Itoa(st.ConfigID),
-				f(st.MeanTime), f(st.MeanPerf), f(st.MeanPower), f(st.MeanCPUW), f(st.MeanNBW),
+				csvFloat(st.MeanTime), csvFloat(st.MeanPerf), csvFloat(st.MeanPower), csvFloat(st.MeanCPUW), csvFloat(st.MeanNBW),
 				strconv.FormatBool(onFront[st.ConfigID]),
 			}); err != nil {
 				return err
@@ -52,9 +52,9 @@ func WriteProfilesCSV(w io.Writer, profiles []*core.KernelProfile) error {
 	return cw.Error()
 }
 
-// WriteCasesCSV streams evaluation cases: one row per (kernel, cap,
+// writeCasesCSV streams evaluation cases: one row per (kernel, cap,
 // method) with the decision and oracle-relative outcome.
-func WriteCasesCSV(w io.Writer, cases []eval.Case) error {
+func writeCasesCSV(w io.Writer, cases []eval.Case) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
 		"kernel_id", "combo", "method", "cap_w",
@@ -66,12 +66,12 @@ func WriteCasesCSV(w io.Writer, cases []eval.Case) error {
 	}
 	for _, c := range cases {
 		if err := cw.Write([]string{
-			c.KernelID, c.Combo, c.Method.String(), f(c.CapW),
+			c.KernelID, c.Combo, c.Method.String(), csvFloat(c.CapW),
 			strconv.Itoa(c.Decision.ConfigID), c.Decision.Config.Device.String(),
-			f(c.Decision.Config.CPUFreqGHz), strconv.Itoa(c.Decision.Config.Threads),
-			f(c.Decision.Config.GPUFreqGHz),
-			f(c.Decision.TruePerf), f(c.Decision.TruePower),
-			strconv.FormatBool(c.Under), f(c.PerfRatio), f(c.PowerRatio), f(c.Weight),
+			csvFloat(c.Decision.Config.CPUFreqGHz), strconv.Itoa(c.Decision.Config.Threads),
+			csvFloat(c.Decision.Config.GPUFreqGHz),
+			csvFloat(c.Decision.TruePerf), csvFloat(c.Decision.TruePower),
+			strconv.FormatBool(c.Under), csvFloat(c.PerfRatio), csvFloat(c.PowerRatio), csvFloat(c.Weight),
 			strconv.FormatBool(c.Infeasible),
 		}); err != nil {
 			return err

@@ -1,4 +1,4 @@
-package trace
+package main
 
 import (
 	"bytes"
@@ -39,7 +39,7 @@ func parseCSV(t *testing.T, buf *bytes.Buffer) [][]string {
 func TestWriteProfilesCSV(t *testing.T) {
 	profs := sampleData(t)
 	var buf bytes.Buffer
-	if err := WriteProfilesCSV(&buf, profs); err != nil {
+	if err := writeProfilesCSV(&buf, profs); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, &buf)
@@ -67,7 +67,7 @@ func TestWriteCasesCSV(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := WriteCasesCSV(&buf, cases); err != nil {
+	if err := writeCasesCSV(&buf, cases); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, &buf)
@@ -82,14 +82,14 @@ func TestWriteCasesCSV(t *testing.T) {
 
 func TestEmptyInputsProduceHeaderOnly(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteCasesCSV(&buf, nil); err != nil {
+	if err := writeCasesCSV(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if rows := parseCSV(t, &buf); len(rows) != 1 {
 		t.Errorf("rows = %d", len(rows))
 	}
 	buf.Reset()
-	if err := WriteProfilesCSV(&buf, nil); err != nil {
+	if err := writeProfilesCSV(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if rows := parseCSV(t, &buf); len(rows) != 1 {
@@ -112,13 +112,13 @@ func TestFloatFormatRoundTrips(t *testing.T) {
 		0,
 		-math.Pi * 1e8,
 	} {
-		cell := f(v)
+		cell := csvFloat(v)
 		got, err := strconv.ParseFloat(cell, 64)
 		if err != nil {
-			t.Fatalf("f(%v) = %q: %v", v, cell, err)
+			t.Fatalf("csvFloat(%v) = %q: %v", v, cell, err)
 		}
 		if got != v {
-			t.Errorf("f(%v) = %q parses back to %v", v, cell, got)
+			t.Errorf("csvFloat(%v) = %q parses back to %v", v, cell, got)
 		}
 	}
 }
@@ -132,7 +132,7 @@ func TestWritersRoundTripExactly(t *testing.T) {
 	profs[0].Stats[0].MeanTime = 1.0 / 7.0
 	profs[0].Stats[0].MeanPower = math.Pi * 10
 	var buf bytes.Buffer
-	if err := WriteProfilesCSV(&buf, profs); err != nil {
+	if err := writeProfilesCSV(&buf, profs); err != nil {
 		t.Fatal(err)
 	}
 	rows := parseCSV(t, &buf)
@@ -162,7 +162,7 @@ func TestWritersRoundTripExactly(t *testing.T) {
 		},
 	}
 	buf.Reset()
-	if err := WriteCasesCSV(&buf, cases); err != nil {
+	if err := writeCasesCSV(&buf, cases); err != nil {
 		t.Fatal(err)
 	}
 	rows = parseCSV(t, &buf)
@@ -230,11 +230,11 @@ func (*writeError) Error() string { return "synthetic write failure" }
 
 func TestWritersPropagateErrors(t *testing.T) {
 	profs := sampleData(t)
-	if err := WriteProfilesCSV(&failWriter{n: 10}, profs); err == nil {
+	if err := writeProfilesCSV(&failWriter{n: 10}, profs); err == nil {
 		t.Error("profiles writer swallowed the error")
 	}
 	cases := []eval.Case{{KernelID: "x", Method: sched.MethodModel}}
-	if err := WriteCasesCSV(&failWriter{n: 10}, cases); err == nil {
+	if err := writeCasesCSV(&failWriter{n: 10}, cases); err == nil {
 		t.Error("cases writer swallowed the error")
 	}
 }

@@ -264,13 +264,13 @@ func exportCSV(dir string, ev *eval.Evaluation) error {
 		return err
 	}
 	err := trace.WriteFile(filepath.Join(dir, "profiles.csv"), func(w io.Writer) error {
-		return trace.WriteProfilesCSV(w, ev.Profiles)
+		return writeProfilesCSV(w, ev.Profiles)
 	})
 	if err != nil {
 		return err
 	}
 	err = trace.WriteFile(filepath.Join(dir, "cases.csv"), func(w io.Writer) error {
-		return trace.WriteCasesCSV(w, ev.Cases)
+		return writeCasesCSV(w, ev.Cases)
 	})
 	if err != nil {
 		return err

@@ -10,6 +10,7 @@ import (
 	"acsel/internal/apu"
 	"acsel/internal/stats"
 	"acsel/internal/tree"
+	"acsel/internal/wire"
 )
 
 // persistedModel is the on-disk form of Model. The configuration space
@@ -75,10 +76,13 @@ func (m *Model) Save(w io.Writer) error {
 	return enc.Encode(pm)
 }
 
-// Load restores a model saved with Save.
+// Load restores a model saved with Save. It decodes strictly (see
+// wire.Decode): an unknown field, trailing data or a tree node that
+// tests a feature the classifier does not have is an error here, not a
+// panic in the first selection.
 func Load(r io.Reader) (*Model, error) {
 	var pm persistedModel
-	if err := json.NewDecoder(r).Decode(&pm); err != nil {
+	if err := wire.Decode(r, &pm); err != nil {
 		return nil, fmt.Errorf("core: decoding model: %w", err)
 	}
 	if pm.Version != modelVersion {

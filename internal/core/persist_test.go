@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -79,5 +80,62 @@ func TestLoadRejectsMissingPieces(t *testing.T) {
 	s = strings.Replace(s, `"tree"`, `"tree_gone"`, 1)
 	if _, err := Load(strings.NewReader(s)); err == nil {
 		t.Fatal("expected missing-classifier error")
+	}
+}
+
+// savedDoc is a trained model's Save output as a generic JSON document,
+// for tests that corrupt one field.
+func savedDoc(t *testing.T) map[string]any {
+	t.Helper()
+	_, m, _ := trained(t)
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// TestLoadIsStrict: a model file that would decode loosely — an unknown
+// field at the top or inside the tree, trailing data, or a tree node
+// testing a feature the classifier does not have (which would panic in
+// Tree.Classify) — fails Load, and Save output still loads.
+func TestLoadIsStrict(t *testing.T) {
+	encode := func(doc map[string]any) string {
+		data, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	valid := encode(savedDoc(t))
+	if _, err := Load(strings.NewReader(valid)); err != nil {
+		t.Fatalf("Save output no longer loads: %v", err)
+	}
+	unknown := savedDoc(t)
+	unknown["extra"] = 1
+	unknownInTree := savedDoc(t)
+	unknownInTree["tree"].(map[string]any)["extra"] = 1
+	feature999 := savedDoc(t)
+	root := feature999["tree"].(map[string]any)["root"].(map[string]any)
+	if root["leaf"] == true {
+		t.Fatal("the trained tree is a single leaf")
+	}
+	root["feature"] = 999
+	negative := savedDoc(t)
+	negative["tree"].(map[string]any)["root"].(map[string]any)["feature"] = -1
+	for name, input := range map[string]string{
+		"unknown field":         encode(unknown),
+		"unknown field in tree": encode(unknownInTree),
+		"trailing data":         valid + "garbage",
+		"feature 999":           encode(feature999),
+		"negative feature":      encode(negative),
+	} {
+		if _, err := Load(strings.NewReader(input)); err == nil {
+			t.Errorf("%s: Load accepted the model", name)
+		}
 	}
 }

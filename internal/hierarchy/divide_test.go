@@ -2,13 +2,15 @@ package hierarchy
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
-	"acsel/internal/fault"
-	"acsel/internal/power"
+	"acsel/internal/core"
+	"acsel/internal/kernels"
+	"acsel/internal/rts"
 )
 
 // randomViews builds synthetic views for divider property tests:
@@ -125,26 +127,35 @@ func TestDemandSharesZeroTotal(t *testing.T) {
 	}
 }
 
-// TestClusterStepJoinsErrors injects a certain sensor dropout on every
-// node's SMU seam and checks Step reports every node's failure, not
-// just the first: concurrent multi-node failures used to collapse to
-// one arbitrary error.
+// TestClusterStepJoinsErrors builds both nodes over a model without a
+// classifier, so every node fails when its kernels adapt on the second
+// Step, and checks Step reports every node's failure, not just the
+// first: concurrent multi-node failures used to collapse to one
+// arbitrary error.
 func TestClusterStepJoinsErrors(t *testing.T) {
-	c := twoNodeCluster(t, Uniform, 48)
-	inj := fault.NewInjector(fault.Scenario{
-		Name:  "certain-dropout",
-		Rules: []fault.Rule{{Site: fault.SiteSMU, Kind: fault.SensorDropout, Prob: 1}},
-	}, 1)
-	for _, n := range c.Nodes {
-		// Arm the profiler seam only: with the runtime's own ladder
-		// disarmed, a dropout is a hard error from RunKernel.
-		n.Runtime.Profiler().Faults = inj
+	m, apps := sharedModel(t)
+	noTree := *m
+	noTree.Tree = nil
+	var nodes []*Node
+	for i, app := range [][]kernels.Kernel{apps["comd"], apps["lulesh"]} {
+		rt, err := rts.New(&noTree, rts.Options{CapW: 24})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, &Node{Name: fmt.Sprintf("n%d", i), Runtime: rt, App: app})
 	}
-	_, err := c.Step()
+	c, err := NewCluster(nodes, 48, Uniform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Step(); err != nil {
+		t.Fatalf("sample step failed: %v", err)
+	}
+	_, err = c.Step()
 	if err == nil {
-		t.Fatal("Step succeeded under a certain sensor dropout")
+		t.Fatal("Step succeeded without a classifier")
 	}
-	if !errors.Is(err, power.ErrSensorDropout) {
+	if !errors.Is(err, core.ErrNoModel) {
 		t.Fatalf("joined error does not preserve the cause: %v", err)
 	}
 	for _, name := range []string{"n0", "n1"} {

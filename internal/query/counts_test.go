@@ -325,3 +325,30 @@ func TestAdmissionNeverExceedsMaxInFlight(t *testing.T) {
 		t.Fatalf("peak concurrent computations = %d, want %d (MaxInFlight)", got, maxInFlight)
 	}
 }
+
+// TestPanicGivesBackInFlightSlot: a selection that panics mid-compute
+// still returns its in-flight slot, so on a one-slot service the next
+// request is served rather than shed.
+func TestPanicGivesBackInFlightSlot(t *testing.T) {
+	mA, _ := testModels(t)
+	var panicked atomic.Bool
+	opts := query.Options{MaxInFlight: 1}
+	opts.SetComputeGate(func() {
+		if panicked.CompareAndSwap(false, true) {
+			panic("injected compute panic")
+		}
+	})
+	s := newTestService(t, mA, opts)
+	req := query.Request{Kernel: s.Kernels()[0], CapW: 21}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the gate's panic did not reach the caller")
+			}
+		}()
+		_, _ = s.Select(context.Background(), req)
+	}()
+	if _, err := s.Select(context.Background(), req); err != nil {
+		t.Fatalf("after a panicked selection: %v", err)
+	}
+}

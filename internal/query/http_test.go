@@ -230,6 +230,56 @@ func TestHTTPModelsInfoAndReload(t *testing.T) {
 	}
 }
 
+// TestHTTPReloadRejectsOutOfRangeFeature: a reload of a model file whose
+// tree tests feature 999 answers 400, and the service keeps answering
+// from its old generation instead of panicking in the first selection.
+func TestHTTPReloadRejectsOutOfRangeFeature(t *testing.T) {
+	mA, mB := testModels(t)
+	s := newTestService(t, mA, query.Options{})
+	srv, c := newTestServer(t, s)
+	hash, seq := s.Generation()
+
+	data, err := os.ReadFile(saveModel(t, t.TempDir(), mB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["tree"].(map[string]any)["root"].(map[string]any)["feature"] = 999
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "feature999.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(query.ReloadRequest{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+query.PathModels, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("reload of a feature-999 model answered %d, want 400", resp.StatusCode)
+	}
+	if h, q := s.Generation(); h != hash || q != seq {
+		t.Fatalf("generation moved to %s/%d, want %s/%d", h, q, hash, seq)
+	}
+	k := s.Kernels()[0]
+	sel, err := c.Select(context.Background(), query.Request{Kernel: k, CapW: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel.ModelHash != hash || sel.Selection != oracle(t, s, mA, k, sel.EffectiveCapW, 0) {
+		t.Fatalf("selection after the rejected reload: %+v", sel)
+	}
+}
+
 // TestHugeFiniteCaps: ±1e308 is a valid cap. It must come back as a
 // finite effective cap with the oracle's selection in process, over raw
 // HTTP and through Client, instead of an infinite cap that JSON cannot

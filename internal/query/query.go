@@ -405,6 +405,9 @@ func (s *Service) Select(ctx context.Context, req Request) (Response, error) {
 		outcomeShed.Inc()
 		return Response{}, fmt.Errorf("%w: %d selections in flight", ErrOverloaded, s.opts.MaxInFlight)
 	}
+	// The slot goes back on every exit, a panic included: a leaked slot
+	// would shed every later request once MaxInFlight of them leak.
+	defer s.inFlight.Add(-1)
 	if s.opts.computeGate != nil {
 		s.opts.computeGate()
 	}
@@ -416,7 +419,6 @@ func (s *Service) Select(ctx context.Context, req Request) (Response, error) {
 	if stop != nil {
 		stop()
 	}
-	s.inFlight.Add(-1)
 	switch {
 	case err == nil:
 		outcomeServed.Inc()

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"acsel/internal/checkpoint"
 	"acsel/internal/fault"
 )
 
@@ -153,6 +154,48 @@ func TestRestoreVersion1Fixture(t *testing.T) {
 		t.Fatalf("restored summary:\ngot  %+v\nwant %+v", got, wantSum)
 	}
 	if got := rt.Steps(); !reflect.DeepEqual(got, lastN(snap.Steps, StepWindow)) || rt.NumSteps() != 30 {
+		t.Fatalf("restored %d steps, retained %d", rt.NumSteps(), len(got))
+	}
+	if got := driveSteps(t, rt, held[:6], 30, 42); !reflect.DeepEqual(got, wantNext) {
+		t.Fatal("restored runtime's next steps differ from the original run's")
+	}
+}
+
+// TestRestoreVersion2Fixture restores a version-2 snapshot — totals and
+// the retained window — of the same blackout run the version-1 fixture
+// holds, cut after 30 steps. It pins the bounded format: every key a
+// written snapshot carries must still restore to that run's Summary,
+// retained window and next 12 steps.
+func TestRestoreVersion2Fixture(t *testing.T) {
+	m, held := trainedModel(t)
+	data, err := os.ReadFile("testdata/snapshot_v2.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeSnapshot(checkpoint.Record{Type: RecordSnapshot, Data: data})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantSum Summary
+	var wantNext []Step
+	readFixture(t, "snapshot_v2_summary.json", &wantSum)
+	readFixture(t, "snapshot_v2_next_steps.json", &wantNext)
+	if snap.Version != 2 || snap.Totals.Steps != 30 || len(snap.Recent) != 30 || len(snap.Kernels) != 6 {
+		t.Fatalf("fixture is version %d with %d steps, %d retained, %d kernels",
+			snap.Version, snap.Totals.Steps, len(snap.Recent), len(snap.Kernels))
+	}
+	sc, _ := fault.ScenarioByName("blackout")
+	rt, err := New(m, Options{CapW: 22, Faults: fault.NewInjector(sc, 7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.Summarize(); !reflect.DeepEqual(got, wantSum) {
+		t.Fatalf("restored summary:\ngot  %+v\nwant %+v", got, wantSum)
+	}
+	if got := rt.Steps(); !reflect.DeepEqual(got, snap.Recent) || rt.NumSteps() != 30 {
 		t.Fatalf("restored %d steps, retained %d", rt.NumSteps(), len(got))
 	}
 	if got := driveSteps(t, rt, held[:6], 30, 42); !reflect.DeepEqual(got, wantNext) {

@@ -172,18 +172,18 @@ func TestLadderDemoteAndPromoteMechanics(t *testing.T) {
 		}
 	}
 	st := rt.kernels[k.ID()]
-	if st.rung != RungModel {
-		t.Fatalf("base rung = %v", st.rung)
+	if st.Rung != RungModel {
+		t.Fatalf("base rung = %v", st.Rung)
 	}
-	modelPin := st.pinned
+	modelPin := st.Pinned
 
 	rt.demote(st, 24)
-	if st.rung != RungModelFL || st.pinned != modelPin {
-		t.Fatalf("first demotion: rung %v pinned %v", st.rung, st.pinned)
+	if st.Rung != RungModelFL || st.Pinned != modelPin {
+		t.Fatalf("first demotion: rung %v pinned %v", st.Rung, st.Pinned)
 	}
 	rt.demote(st, 24)
-	if st.rung != RungMinPower {
-		t.Fatalf("second demotion: rung %v", st.rung)
+	if st.Rung != RungMinPower {
+		t.Fatalf("second demotion: rung %v", st.Rung)
 	}
 	floor := st.preds[0]
 	for _, p := range st.preds[1:] {
@@ -192,37 +192,37 @@ func TestLadderDemoteAndPromoteMechanics(t *testing.T) {
 		}
 	}
 	floorCfg := floor.Config
-	if st.pinned != floorCfg {
-		t.Errorf("min-power rung pinned %v, floor is %v", st.pinned, floorCfg)
+	if st.Pinned != floorCfg {
+		t.Errorf("min-power rung pinned %v, floor is %v", st.Pinned, floorCfg)
 	}
 	// A cap change while floored must not climb off the floor.
 	if err := rt.reselect(st, 30); err != nil {
 		t.Fatal(err)
 	}
-	if st.pinned != floorCfg {
+	if st.Pinned != floorCfg {
 		t.Error("cap change unfloored a min-power kernel")
 	}
 	// Demoting at the floor is a no-op.
 	rt.demote(st, 24)
-	if st.rung != RungMinPower || st.demotions != 2 {
-		t.Errorf("floor demotion moved state: rung %v demotions %d", st.rung, st.demotions)
+	if st.Rung != RungMinPower || st.Demotions != 2 {
+		t.Errorf("floor demotion moved state: rung %v demotions %d", st.Rung, st.Demotions)
 	}
 
 	rt.promote(st, 24)
-	if st.rung != RungModelFL || st.recoveries != 1 {
-		t.Fatalf("promotion: rung %v recoveries %d", st.rung, st.recoveries)
+	if st.Rung != RungModelFL || st.Recoveries != 1 {
+		t.Fatalf("promotion: rung %v recoveries %d", st.Rung, st.Recoveries)
 	}
-	if st.pinned == floorCfg && st.pinned != modelPin {
+	if st.Pinned == floorCfg && st.Pinned != modelPin {
 		t.Error("promotion did not re-select off the floor")
 	}
 	rt.promote(st, 24)
-	if st.rung != RungModel {
-		t.Fatalf("second promotion: rung %v", st.rung)
+	if st.Rung != RungModel {
+		t.Fatalf("second promotion: rung %v", st.Rung)
 	}
 	// Promoting past the base rung is a no-op.
 	rt.promote(st, 24)
-	if st.rung != RungModel || st.recoveries != 2 {
-		t.Errorf("over-promotion moved state: rung %v recoveries %d", st.rung, st.recoveries)
+	if st.Rung != RungModel || st.Recoveries != 2 {
+		t.Errorf("over-promotion moved state: rung %v recoveries %d", st.Rung, st.Recoveries)
 	}
 
 	h, ok := rt.HealthFor(k.ID())
@@ -247,15 +247,15 @@ func TestFLBaseRungWithOptionOn(t *testing.T) {
 		}
 	}
 	st := rt.kernels[k.ID()]
-	if st.rung != RungModelFL || st.baseRung != RungModelFL {
-		t.Errorf("FL option: rung %v base %v, want model+fl", st.rung, st.baseRung)
+	if st.Rung != RungModelFL || st.BaseRung != RungModelFL {
+		t.Errorf("FL option: rung %v base %v, want model+fl", st.Rung, st.BaseRung)
 	}
 	// Recovery must stop at the FL base rung, never below it.
 	rt.demote(st, 24)
 	rt.promote(st, 24)
 	rt.promote(st, 24)
-	if st.rung != RungModelFL {
-		t.Errorf("recovered past the base rung to %v", st.rung)
+	if st.Rung != RungModelFL {
+		t.Errorf("recovered past the base rung to %v", st.Rung)
 	}
 }
 

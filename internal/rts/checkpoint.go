@@ -1,8 +1,8 @@
 // Checkpoint/restore for the adaptive runtime: Snapshot captures every
-// piece of learned and health state a kill would otherwise lose — the
-// per-kernel adaptation (samples, cluster, pinned configuration), the
+// piece of learned and health state a kill would otherwise lose — each
+// kernel's KernelRecord (samples, cluster, pinned configuration,
 // degradation-ladder position, retry/quarantine/dropout counters, the
-// divergence tracker, the running step totals and the last StepWindow
+// divergence EWMA), the running step totals and the last StepWindow
 // steps — and Restore rebuilds a runtime whose observable behaviour
 // (Steps, Summarize, HealthFor, and every future RunKernel decision)
 // is reflect.DeepEqual-identical to one that never stopped. A snapshot
@@ -21,10 +21,8 @@ import (
 	"fmt"
 	"sort"
 
-	"acsel/internal/apu"
 	"acsel/internal/checkpoint"
 	"acsel/internal/core"
-	"acsel/internal/profiler"
 	"acsel/internal/wire"
 )
 
@@ -45,33 +43,12 @@ const (
 
 // KernelCheckpoint is one kernel's persisted adaptation state.
 type KernelCheckpoint struct {
-	Key  string `json:"key"`
-	Iter int    `json:"iter"`
+	Key string `json:"key"`
 	// Adapted records whether classification has happened (iter >= 2
 	// on an uninterrupted run); Restore recomputes the predictions from
 	// the samples only when true.
-	Adapted   bool            `json:"adapted"`
-	CPUSample profiler.Sample `json:"cpu_sample"`
-	GPUSample profiler.Sample `json:"gpu_sample"`
-	Cluster   int             `json:"cluster"`
-	Pinned    apu.Config      `json:"pinned"`
-	PinnedCap float64         `json:"pinned_cap"`
-
-	Rung       Rung        `json:"rung"`
-	BaseRung   Rung        `json:"base_rung"`
-	Healthy    int         `json:"healthy"`
-	Unhealthy  int         `json:"unhealthy"`
-	DivEWMA    float64     `json:"div_ewma"`
-	DivSamples int         `json:"div_samples"`
-	Applied    *apu.Config `json:"applied,omitempty"`
-
-	Demotions     int     `json:"demotions"`
-	Recoveries    int     `json:"recoveries"`
-	Quarantined   int     `json:"quarantined"`
-	Dropouts      int     `json:"dropouts"`
-	ApplyRetries  int     `json:"apply_retries"`
-	ApplyFailures int     `json:"apply_failures"`
-	BackoffSec    float64 `json:"backoff_sec"`
+	Adapted bool `json:"adapted"`
+	KernelRecord
 
 	// MinPowerID is the floor configuration early version-1 snapshots
 	// carried. It is declared only so the strict decoder accepts those
@@ -110,35 +87,8 @@ func (rt *Runtime) Snapshot() *Snapshot {
 	sort.Strings(keys)
 	for _, key := range keys {
 		st := rt.kernels[key]
-		ewma, n := st.div.State()
-		kc := KernelCheckpoint{
-			Key:           key,
-			Iter:          st.iter,
-			Adapted:       st.preds != nil,
-			CPUSample:     st.cpuSample,
-			GPUSample:     st.gpuSample,
-			Cluster:       st.cluster,
-			Pinned:        st.pinned,
-			PinnedCap:     st.pinnedCap,
-			Rung:          st.rung,
-			BaseRung:      st.baseRung,
-			Healthy:       st.healthy,
-			Unhealthy:     st.unhealthy,
-			DivEWMA:       ewma,
-			DivSamples:    n,
-			Demotions:     st.demotions,
-			Recoveries:    st.recoveries,
-			Quarantined:   st.quarantined,
-			Dropouts:      st.dropouts,
-			ApplyRetries:  st.applyRetries,
-			ApplyFailures: st.applyFailures,
-			BackoffSec:    st.backoffSec,
-		}
-		if st.applied != nil {
-			cp := *st.applied
-			kc.Applied = &cp
-		}
-		snap.Kernels = append(snap.Kernels, kc)
+		snap.Kernels = append(snap.Kernels,
+			KernelCheckpoint{Key: key, Adapted: st.preds != nil, KernelRecord: st.KernelRecord})
 	}
 	snap.Totals = rt.steps.totals
 	snap.Recent = rt.steps.last(StepWindow)
@@ -178,30 +128,9 @@ func (rt *Runtime) Restore(snap *Snapshot) error {
 		if _, dup := kernels[kc.Key]; dup {
 			return fmt.Errorf("%w: duplicate kernel key %q", ErrBadSnapshot, kc.Key)
 		}
-		st := &kernelState{
-			iter:          kc.Iter,
-			cpuSample:     kc.CPUSample,
-			gpuSample:     kc.GPUSample,
-			cluster:       kc.Cluster,
-			pinned:        kc.Pinned,
-			pinnedCap:     kc.PinnedCap,
-			rung:          kc.Rung,
-			baseRung:      kc.BaseRung,
-			healthy:       kc.Healthy,
-			unhealthy:     kc.Unhealthy,
-			demotions:     kc.Demotions,
-			recoveries:    kc.Recoveries,
-			quarantined:   kc.Quarantined,
-			dropouts:      kc.Dropouts,
-			applyRetries:  kc.ApplyRetries,
-			applyFailures: kc.ApplyFailures,
-			backoffSec:    kc.BackoffSec,
-		}
-		st.div.SetState(kc.DivEWMA, kc.DivSamples)
-		if kc.Applied != nil {
-			cp := *kc.Applied
-			st.applied = &cp
-		}
+		st := &kernelState{KernelRecord: kc.KernelRecord}
+		// A corrupt negative count must not make the EWMA look observed.
+		st.DivSamples = max(st.DivSamples, 0)
 		if kc.Adapted {
 			preds, _, err := rt.model.PredictAll(core.SampleRuns{CPU: kc.CPUSample, GPU: kc.GPUSample})
 			if err != nil {

@@ -231,12 +231,12 @@ func TestRestoreAcceptsMinPowerIDSnapshot(t *testing.T) {
 	k := held[0]
 	driveSteps(t, rt, []kernels.Kernel{k}, 0, 3)
 	st := rt.kernels[k.ID()]
-	for st.rung < RungMinPower {
+	for st.Rung < RungMinPower {
 		if err := rt.demote(st, 24); err != nil {
 			t.Fatal(err)
 		}
 	}
-	floorCfg := st.pinned
+	floorCfg := st.Pinned
 
 	data, err := json.Marshal(rt.Snapshot())
 	if err != nil {

@@ -71,8 +71,8 @@ type Options struct {
 	Faults *fault.Injector
 	// Watchdog arms the cap-violation watchdog and degradation ladder
 	// even without fault injection (production posture). With both
-	// Faults nil and Watchdog false the runtime behaves exactly as
-	// before this layer existed.
+	// Faults nil and Watchdog false no kernel leaves its base rung and
+	// Summary.Health stays nil.
 	Watchdog bool
 }
 
@@ -137,33 +137,81 @@ type Step struct {
 // healthy sensor.
 func (s Step) Trusted() bool { return !s.Quarantined && !s.SensorLost }
 
-// kernelState tracks one kernel's adaptation.
-type kernelState struct {
-	iter      int
-	cpuSample profiler.Sample
-	gpuSample profiler.Sample
-	cluster   int
-	preds     []core.Prediction
-	selector  *core.Selector // preds compiled for cluster; set with preds
-	pinned    apu.Config
-	pinnedCap float64 // cap the pin was chosen for
+// KernelRecord is one kernel's learned and health state: everything a
+// snapshot persists about it. Predictions are not part of it; they
+// are a function of the model and the two samples.
+type KernelRecord struct {
+	Iter      int             `json:"iter"`
+	CPUSample profiler.Sample `json:"cpu_sample"`
+	GPUSample profiler.Sample `json:"gpu_sample"`
+	Cluster   int             `json:"cluster"`
+	Pinned    apu.Config      `json:"pinned"`
+	PinnedCap float64         `json:"pinned_cap"` // cap the pin was chosen for
 
-	// Degradation-ladder state, meaningful only when the watchdog is
-	// armed (Options.Watchdog or a fault plan).
-	rung          Rung
-	baseRung      Rung // rung recovery stops at (ModelFL when FL opt is on)
-	healthy       int  // consecutive healthy pinned iterations
-	unhealthy     int  // consecutive unhealthy pinned iterations
-	div           core.DivergenceTracker
-	applied       *apu.Config // config the hardware actually holds
-	demotions     int
-	recoveries    int
-	quarantined   int
-	dropouts      int
-	applyRetries  int
-	applyFailures int
-	backoffSec    float64
+	// Degradation-ladder state. Only an armed watchdog (Options.Watchdog
+	// or a fault plan) moves the rung and the health streaks.
+	Rung      Rung `json:"rung"`
+	BaseRung  Rung `json:"base_rung"` // rung recovery stops at (ModelFL when FL opt is on)
+	Healthy   int  `json:"healthy"`   // consecutive healthy pinned iterations
+	Unhealthy int  `json:"unhealthy"` // consecutive unhealthy pinned iterations
+	// DivEWMA smooths the relative error |measured−predicted|/predicted
+	// of the running configuration's power over DivSamples trusted
+	// readings since the last reselection or ladder move.
+	DivEWMA    float64 `json:"div_ewma"`
+	DivSamples int     `json:"div_samples"`
+	// Applied is the config the hardware actually holds (nil before
+	// the first successful apply). It is re-pointed, never written
+	// through, so a snapshot may share it.
+	Applied *apu.Config `json:"applied,omitempty"`
+
+	Demotions     int     `json:"demotions"`
+	Recoveries    int     `json:"recoveries"`
+	Quarantined   int     `json:"quarantined"`
+	Dropouts      int     `json:"dropouts"`
+	ApplyRetries  int     `json:"apply_retries"`
+	ApplyFailures int     `json:"apply_failures"`
+	BackoffSec    float64 `json:"backoff_sec"`
 }
+
+// kernelState tracks one kernel's adaptation: its record, and the
+// predictions adapt (or Restore) derived from the record's samples.
+type kernelState struct {
+	KernelRecord
+	preds    []core.Prediction
+	selector *core.Selector // preds compiled for Cluster; set with preds
+}
+
+// divAlpha is the weight of the newest reading in the divergence
+// EWMA: high enough that three consecutive bad readings dominate the
+// average, low enough that one does not.
+const divAlpha = 0.5
+
+// observeDivergence folds one (predicted, measured) watt pair into the
+// kernel's divergence EWMA. Non-finite or non-positive inputs are
+// ignored; the sanity gate quarantines those upstream.
+func (r *KernelRecord) observeDivergence(predictedW, measuredW float64) {
+	if !usableW(predictedW) || !usableW(measuredW) {
+		return
+	}
+	rel := math.Abs(measuredW-predictedW) / predictedW
+	if r.DivSamples == 0 {
+		r.DivEWMA = rel
+	} else {
+		r.DivEWMA = divAlpha*rel + (1-divAlpha)*r.DivEWMA
+	}
+	r.DivSamples++
+}
+
+// diverged reports whether the divergence EWMA exceeds frac; false
+// before any reading.
+func (r *KernelRecord) diverged(frac float64) bool { return r.DivSamples > 0 && r.DivEWMA > frac }
+
+// resetDivergence clears the EWMA when the prediction it compares
+// against no longer describes the running config (reselection, a
+// ladder move).
+func (r *KernelRecord) resetDivergence() { r.DivEWMA, r.DivSamples = 0, 0 }
+
+func usableW(w float64) bool { return !math.IsNaN(w) && !math.IsInf(w, 0) && w > 0 }
 
 // KernelHealth is one kernel's robustness state, surfaced through
 // Summary.Health when the watchdog is armed.
@@ -278,9 +326,10 @@ func New(model *core.Model, opts Options) (*Runtime, error) {
 }
 
 // ladderArmed reports whether the watchdog and degradation ladder are
-// active. They arm automatically under fault injection; with them off
-// the runtime's behaviour is bit-identical to the pre-robustness
-// implementation.
+// active. They arm automatically under fault injection. It gates only
+// the watchdog's decisions — the health streaks, the divergence EWMA,
+// demote and promote, and Summary.Health; every iteration is applied
+// and measured the same way either way.
 func (rt *Runtime) ladderArmed() bool { return rt.opts.Watchdog || rt.opts.Faults != nil }
 
 // Profiler exposes the runtime's profiling library. The runtime leaves
@@ -339,30 +388,30 @@ func (rt *Runtime) RunKernelAt(k kernels.Kernel, callsite string) (Step, error) 
 	defer rt.mu.Unlock()
 	st, ok := rt.kernels[key]
 	if !ok {
-		st = &kernelState{cluster: -1}
+		st = &kernelState{KernelRecord: KernelRecord{Cluster: -1}}
 		if rt.opts.FL {
-			st.rung = RungModelFL
+			st.Rung = RungModelFL
 		}
-		st.baseRung = st.rung
+		st.BaseRung = st.Rung
 		rt.kernels[key] = st
 	}
 	capW := rt.capW
 
 	var step Step
 	switch {
-	case st.iter == 0:
-		s, meta, err := rt.runSample(k, st, apu.SampleConfigCPU(), 0)
+	case st.Iter == 0:
+		s, meta, err := rt.measure(k, st, apu.SampleConfigCPU())
 		if err != nil {
 			return Step{}, err
 		}
-		st.cpuSample = s
+		st.CPUSample = s
 		step = newStep(k, st, PhaseSampleCPU, s, capW, meta)
-	case st.iter == 1:
-		s, meta, err := rt.runSample(k, st, apu.SampleConfigGPU(), 1)
+	case st.Iter == 1:
+		s, meta, err := rt.measure(k, st, apu.SampleConfigGPU())
 		if err != nil {
 			return Step{}, err
 		}
-		st.gpuSample = s
+		st.GPUSample = s
 		if err := rt.adapt(st, capW); err != nil {
 			return Step{}, err
 		}
@@ -374,46 +423,35 @@ func (rt *Runtime) RunKernelAt(k kernels.Kernel, callsite string) (Step, error) 
 		}
 		step = s
 	}
-	st.iter++
+	st.Iter++
 	rt.steps.record(step)
 	return step, nil
 }
 
-// runSample executes one sampling iteration. With the watchdog armed it
-// goes through measure, so persistent sensor failures are tolerated
-// rather than fatal: the degraded sample — zero power after a dropout,
-// the claimed wattage after an implausible reading — flows into
-// classification, and the resulting misprediction is exactly what the
-// degradation ladder exists to catch.
-func (rt *Runtime) runSample(k kernels.Kernel, st *kernelState, cfg apu.Config, iter int) (profiler.Sample, stepMeta, error) {
-	if !rt.ladderArmed() {
-		s, err := rt.prof.RunConfig(k, cfg, iter)
-		return s, stepMeta{}, err
-	}
-	return rt.measure(k, st, cfg, iter)
-}
-
-// measure runs one armed iteration of k at cfg. A sensor dropout is
+// measure runs iteration st.Iter of k at cfg. A sensor dropout is
 // re-read up to the retry budget; a dropout that persists, or an
 // implausible reading, is counted against the kernel and marked in the
 // returned stepMeta (sensorLost, quarantined) instead of failing the
-// iteration. Any other error is returned.
-func (rt *Runtime) measure(k kernels.Kernel, st *kernelState, cfg apu.Config, iter int) (profiler.Sample, stepMeta, error) {
-	s, err := rt.prof.RunConfigAttempt(k, cfg, iter, 0)
+// iteration. On a sample iteration the degraded reading — zero power
+// after a dropout, the claimed wattage after an implausible one — flows
+// into classification, and the resulting misprediction is exactly what
+// the degradation ladder exists to catch. Any other error is returned.
+func (rt *Runtime) measure(k kernels.Kernel, st *kernelState, cfg apu.Config) (profiler.Sample, stepMeta, error) {
+	s, err := rt.prof.RunConfigAttempt(k, cfg, st.Iter, 0)
 	for a := 1; errors.Is(err, power.ErrSensorDropout) && a <= rt.measureRetries; a++ {
-		st.dropouts++
+		st.Dropouts++
 		mDropouts.Inc()
-		s, err = rt.prof.RunConfigAttempt(k, cfg, iter, a)
+		s, err = rt.prof.RunConfigAttempt(k, cfg, st.Iter, a)
 	}
-	meta := stepMeta{rung: st.rung}
+	meta := stepMeta{rung: st.Rung}
 	switch {
 	case err == nil:
 	case errors.Is(err, power.ErrSensorDropout):
-		st.dropouts++
+		st.Dropouts++
 		mDropouts.Inc()
 		meta.sensorLost = true
 	case errors.Is(err, power.ErrImplausibleReading):
-		st.quarantined++
+		st.Quarantined++
 		mQuarantined.Inc()
 		meta.quarantined = true
 	default:
@@ -423,49 +461,39 @@ func (rt *Runtime) measure(k kernels.Kernel, st *kernelState, cfg apu.Config, it
 }
 
 // runPinned executes one pinned iteration: re-selection on cap change,
-// the P-state apply (with bounded retry under faults), the measured
-// run (with dropout re-reads and the sanity gate), the feedback
-// limiter, and the watchdog's health bookkeeping.
+// the P-state apply (with bounded retry), the measured run (with
+// dropout re-reads and the sanity gate), the feedback limiter, and,
+// with the watchdog armed, its health bookkeeping.
 func (rt *Runtime) runPinned(k kernels.Kernel, st *kernelState, key string, capW float64) (Step, error) {
-	armed := rt.ladderArmed()
-	if !stats.AlmostEqual(st.pinnedCap, capW) {
+	if !stats.AlmostEqual(st.PinnedCap, capW) {
 		// Cap changed: re-select from cached predictions (no re-profiling).
 		if err := rt.reselect(st, capW); err != nil {
 			return Step{}, err
 		}
-		st.div.Reset()
+		st.resetDivergence()
 	}
 
-	runCfg := st.pinned
-	if !armed {
-		if err := rt.pm.Apply(st.pinned); err != nil {
-			return Step{}, err
-		}
-	} else if err := rt.applyWithRetry(st, key); err != nil {
+	runCfg := st.Pinned
+	if err := rt.applyWithRetry(st, key); err != nil {
 		if !errors.Is(err, acpi.ErrTransitionFailed) {
 			return Step{}, err
 		}
 		// Retry budget exhausted: the transition never happened, so the
 		// hardware kept whatever configuration it last held. Run there
 		// and let the watchdog see the consequences.
-		st.applyFailures++
+		st.ApplyFailures++
 		mApplyFailures.Inc()
-		if st.applied != nil {
-			runCfg = *st.applied
+		if st.Applied != nil {
+			runCfg = *st.Applied
 		}
-	} else {
-		cp := st.pinned
-		st.applied = &cp
+	} else if st.Applied == nil || *st.Applied != st.Pinned {
+		// Re-pointed only when the pin moved, so a steady pinned step
+		// allocates nothing here.
+		cp := st.Pinned
+		st.Applied = &cp
 	}
 
-	var s profiler.Sample
-	var err error
-	meta := stepMeta{rung: st.rung}
-	if armed {
-		s, meta, err = rt.measure(k, st, runCfg, st.iter)
-	} else {
-		s, err = rt.prof.RunConfig(k, runCfg, st.iter)
-	}
+	s, meta, err := rt.measure(k, st, runCfg)
 	if err != nil {
 		return Step{}, err
 	}
@@ -481,41 +509,41 @@ func (rt *Runtime) runPinned(k kernels.Kernel, st *kernelState, key string, capW
 	// FL runs when the options ask for it or the ladder has demoted the
 	// kernel onto its rung; an unarmed runtime never leaves its base
 	// rung (only demote and promote move it).
-	flActive := rt.opts.FL || st.rung >= RungModelFL
+	flActive := rt.opts.FL || st.Rung >= RungModelFL
 	if flActive && trusted && measured > capW {
 		// Feedback: step the pinned configuration down for future
 		// iterations (GPU knob first on GPU configs, then CPU).
 		policy := rapl.PolicyCPU
-		if st.pinned.Device == apu.GPUDevice {
+		if st.Pinned.Device == apu.GPUDevice {
 			policy = rapl.PolicyGPU
 		}
-		if next, changed := rapl.Step(st.pinned, rapl.StepDown, policy); changed {
-			st.pinned = next
+		if next, changed := rapl.Step(st.Pinned, rapl.StepDown, policy); changed {
+			st.Pinned = next
 		}
 	}
 
-	if armed {
+	if rt.ladderArmed() {
 		if trusted {
-			st.div.Observe(rt.predictedW(st, runCfg), measured)
-			mDivergence.Set(st.div.Value())
-			if measured > capW || st.div.Diverged(rt.divergeFrac) {
-				st.unhealthy++
-				st.healthy = 0
+			st.observeDivergence(rt.predictedW(st, runCfg), measured)
+			mDivergence.Set(st.DivEWMA)
+			if measured > capW || st.diverged(rt.divergeFrac) {
+				st.Unhealthy++
+				st.Healthy = 0
 			} else {
-				st.healthy++
-				st.unhealthy = 0
+				st.Healthy++
+				st.Unhealthy = 0
 			}
 		} else {
 			// A blind iteration cannot confirm the cap held; it counts
 			// against the kernel's health.
-			st.unhealthy++
-			st.healthy = 0
+			st.Unhealthy++
+			st.Healthy = 0
 		}
-		if st.unhealthy >= rt.demoteAfter {
+		if st.Unhealthy >= rt.demoteAfter {
 			if err := rt.demote(st, capW); err != nil {
 				return Step{}, err
 			}
-		} else if st.rung > st.baseRung && st.healthy >= rt.promoteAfter {
+		} else if st.Rung > st.BaseRung && st.Healthy >= rt.promoteAfter {
 			rt.promote(st, capW)
 		}
 	}
@@ -527,17 +555,21 @@ func (rt *Runtime) runPinned(k kernels.Kernel, st *kernelState, key string, capW
 // budget. Each retry is a fresh deterministic fault event (the attempt
 // ordinal keys it), and the exponential backoff between attempts is
 // booked into the kernel's health record rather than slept — the
-// simulation has no wall clock.
+// simulation has no wall clock. A nil injector never fires, so the
+// event key is built only when a plan is wired.
 func (rt *Runtime) applyWithRetry(st *kernelState, key string) error {
-	evKey := fmt.Sprintf("%s#i%d", key, st.iter)
+	var evKey string
+	if rt.opts.Faults != nil {
+		evKey = fmt.Sprintf("%s#i%d", key, st.Iter)
+	}
 	var err error
 	for attempt := 0; attempt <= rt.applyRetries; attempt++ {
 		if attempt > 0 {
-			st.applyRetries++
+			st.ApplyRetries++
 			mPStateRetries.Inc()
-			st.backoffSec += acpi.TransitionLatencySec * float64(int(1)<<uint(attempt-1))
+			st.BackoffSec += acpi.TransitionLatencySec * float64(int(1)<<uint(attempt-1))
 		}
-		err = rt.pm.ApplyFor(st.pinned, evKey, attempt)
+		err = rt.pm.ApplyFor(st.Pinned, evKey, attempt)
 		if err == nil || !errors.Is(err, acpi.ErrTransitionFailed) {
 			return err
 		}
@@ -548,15 +580,15 @@ func (rt *Runtime) applyWithRetry(st *kernelState, key string) error {
 // demote walks the kernel one rung down the ladder and, at the
 // bottom, pins the minimum predicted-power configuration.
 func (rt *Runtime) demote(st *kernelState, capW float64) error {
-	st.unhealthy, st.healthy = 0, 0
-	if st.rung >= RungMinPower {
+	st.Unhealthy, st.Healthy = 0, 0
+	if st.Rung >= RungMinPower {
 		return nil
 	}
-	st.rung++
-	st.demotions++
+	st.Rung++
+	st.Demotions++
 	mLadderTransitions.With("demote").Inc()
-	st.div.Reset()
-	if st.rung == RungMinPower {
+	st.resetDivergence()
+	if st.Rung == RungMinPower {
 		return rt.reselect(st, capW)
 	}
 	return nil
@@ -565,17 +597,17 @@ func (rt *Runtime) demote(st *kernelState, capW float64) error {
 // promote walks the kernel one rung back up after sustained healthy
 // readings and re-selects the configuration for the restored rung.
 func (rt *Runtime) promote(st *kernelState, capW float64) {
-	st.unhealthy, st.healthy = 0, 0
-	if st.rung <= st.baseRung {
+	st.Unhealthy, st.Healthy = 0, 0
+	if st.Rung <= st.BaseRung {
 		return
 	}
-	st.rung--
-	st.recoveries++
-	st.div.Reset()
+	st.Rung--
+	st.Recoveries++
+	st.resetDivergence()
 	if err := rt.reselect(st, capW); err != nil {
 		// reselect only fails before adaptation; stay demoted.
-		st.rung++
-		st.recoveries--
+		st.Rung++
+		st.Recoveries--
 		return
 	}
 	mLadderTransitions.With("promote").Inc()
@@ -595,11 +627,11 @@ func (rt *Runtime) predictedW(st *kernelState, cfg apu.Config) float64 {
 // adapt classifies the kernel from its two samples, caches its
 // predictions, and pins the initial configuration.
 func (rt *Runtime) adapt(st *kernelState, capW float64) error {
-	preds, cluster, err := rt.model.PredictAll(core.SampleRuns{CPU: st.cpuSample, GPU: st.gpuSample})
+	preds, cluster, err := rt.model.PredictAll(core.SampleRuns{CPU: st.CPUSample, GPU: st.GPUSample})
 	if err != nil {
 		return err
 	}
-	st.cluster = cluster
+	st.Cluster = cluster
 	st.setPredictions(preds)
 	rt.gen++
 	return rt.reselect(st, capW)
@@ -609,7 +641,7 @@ func (rt *Runtime) adapt(st *kernelState, capW float64) error {
 // them for selection in its cluster.
 func (st *kernelState) setPredictions(preds []core.Prediction) {
 	st.preds = preds
-	st.selector = core.NewSelector(preds, st.cluster)
+	st.selector = core.NewSelector(preds, st.Cluster)
 }
 
 // reselect pins the configuration core.SelectAmong picks from the
@@ -623,7 +655,7 @@ func (rt *Runtime) reselect(st *kernelState, capW float64) error {
 	if st.preds == nil {
 		return errors.New("rts: reselect before adaptation")
 	}
-	floored := st.rung == RungMinPower
+	floored := st.Rung == RungMinPower
 	selCapW, z := capW, rt.opts.VarAwareZ
 	if floored {
 		selCapW, z = math.Inf(-1), 0
@@ -635,8 +667,8 @@ func (rt *Runtime) reselect(st *kernelState, capW float64) error {
 	if !sel.MeetsCapPredicted && !floored {
 		mReselectFallback.Inc()
 	}
-	st.pinned = sel.Config
-	st.pinnedCap = capW
+	st.Pinned = sel.Config
+	st.PinnedCap = capW
 	return nil
 }
 
@@ -665,12 +697,12 @@ func newStep(k kernels.Kernel, st *kernelState, ph Phase, s profiler.Sample, cap
 		Kernel:      k.ID(),
 		Phase:       ph,
 		Config:      s.Config,
-		Cluster:     st.cluster,
+		Cluster:     st.Cluster,
 		TimeSec:     s.TimeSec,
 		PowerW:      powerW,
 		EnergyJ:     powerW * s.TimeSec,
 		UnderCap:    powerW <= capW,
-		Iteration:   st.iter,
+		Iteration:   st.Iter,
 		Rung:        meta.rung,
 		Quarantined: meta.quarantined,
 		SensorLost:  meta.sensorLost,
@@ -859,15 +891,15 @@ func (rt *Runtime) Summarize() Summary {
 
 func (rt *Runtime) healthOf(st *kernelState) KernelHealth {
 	return KernelHealth{
-		Rung:          st.rung,
-		Demotions:     st.demotions,
-		Recoveries:    st.recoveries,
-		Quarantined:   st.quarantined,
-		Dropouts:      st.dropouts,
-		ApplyRetries:  st.applyRetries,
-		ApplyFailures: st.applyFailures,
-		BackoffSec:    st.backoffSec,
-		Divergence:    st.div.Value(),
+		Rung:          st.Rung,
+		Demotions:     st.Demotions,
+		Recoveries:    st.Recoveries,
+		Quarantined:   st.Quarantined,
+		Dropouts:      st.Dropouts,
+		ApplyRetries:  st.ApplyRetries,
+		ApplyFailures: st.ApplyFailures,
+		BackoffSec:    st.BackoffSec,
+		Divergence:    st.DivEWMA,
 	}
 }
 
@@ -890,10 +922,10 @@ func (rt *Runtime) SelectionFor(kernelID string) (apu.Config, int, bool) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	st, ok := rt.kernels[kernelID]
-	if !ok || st.iter < 2 {
+	if !ok || st.Iter < 2 {
 		return apu.Config{}, -1, false
 	}
-	return st.pinned, st.cluster, true
+	return st.Pinned, st.Cluster, true
 }
 
 // SelectorFor returns an adapted kernel's compiled predictions, the

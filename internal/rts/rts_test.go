@@ -325,6 +325,31 @@ func TestACPIStateFollowsPin(t *testing.T) {
 	}
 }
 
+// TestPinnedStepAllocs pins what BenchmarkRunKernelPinned measures: a
+// pinned step of an unarmed runtime allocates at most 3 times, so the
+// per-step cost of fleet rounds cannot grow unnoticed.
+func TestPinnedStepAllocs(t *testing.T) {
+	m, held := trainedModel(t)
+	rt, err := New(m, Options{CapW: 24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := held[0]
+	for i := 0; i < 2; i++ {
+		if _, err := rt.RunKernel(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := rt.RunKernel(k); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("a pinned step allocates %v times, want at most 3", allocs)
+	}
+}
+
 func BenchmarkRunKernelPinned(b *testing.B) {
 	var training []kernels.Kernel
 	var held []kernels.Kernel

@@ -127,12 +127,12 @@ func TestReselectBreaksPerfTiesByLowerID(t *testing.T) {
 	}
 	preds[3].Perf, preds[3].PowerW = 5, 10
 	preds[7].Perf, preds[7].PowerW = 5, 8
-	st := &kernelState{cluster: 0}
+	st := &kernelState{KernelRecord: KernelRecord{Cluster: 0}}
 	st.setPredictions(preds)
 	if err := rt.reselect(st, 20); err != nil {
 		t.Fatal(err)
 	}
-	if st.pinned != m.Space.Configs[3] {
-		t.Errorf("tie pinned %v, want config 3 (%v)", st.pinned, m.Space.Configs[3])
+	if st.Pinned != m.Space.Configs[3] {
+		t.Errorf("tie pinned %v, want config 3 (%v)", st.Pinned, m.Space.Configs[3])
 	}
 }

@@ -1,3 +1,7 @@
+// Package trace is how every program writes an output file — CSVs,
+// models, metrics dumps, summaries, SARIF logs — so that a failed write
+// never leaves a partial file. It imports nothing from the repository,
+// so linking it costs a program nothing else.
 package trace
 
 import (

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+
+	"acsel/internal/wire"
 )
 
 // jsonNode mirrors node with exported fields for serialization.
@@ -42,16 +44,18 @@ func (t *Tree) MarshalJSON() ([]byte, error) {
 	})
 }
 
-// UnmarshalJSON restores a tree serialized by MarshalJSON.
+// UnmarshalJSON restores a tree serialized by MarshalJSON. It decodes
+// strictly itself: a decoder's DisallowUnknownFields does not reach a
+// nested UnmarshalJSON.
 func (t *Tree) UnmarshalJSON(data []byte) error {
 	var jt jsonTree
-	if err := json.Unmarshal(data, &jt); err != nil {
+	if err := wire.Unmarshal(data, &jt); err != nil {
 		return err
 	}
 	if jt.Root == nil {
 		return errors.New("tree: missing root")
 	}
-	root, err := fromJSONNode(jt.Root)
+	root, err := fromJSONNode(jt.Root, jt.NFeats)
 	if err != nil {
 		return err
 	}
@@ -80,7 +84,9 @@ func toJSONNode(n *node) *jsonNode {
 	}
 }
 
-func fromJSONNode(j *jsonNode) (*node, error) {
+// fromJSONNode rebuilds a subtree, rejecting an internal node whose
+// feature is outside [0, nFeats): Classify would index past the input.
+func fromJSONNode(j *jsonNode, nFeats int) (*node, error) {
 	n := &node{
 		feature:   j.Feature,
 		threshold: j.Threshold,
@@ -98,11 +104,14 @@ func fromJSONNode(j *jsonNode) (*node, error) {
 	if j.Left == nil || j.Right == nil {
 		return nil, fmt.Errorf("tree: internal node missing a child")
 	}
+	if n.feature < 0 || n.feature >= nFeats {
+		return nil, fmt.Errorf("tree: node feature %d outside [0, %d)", n.feature, nFeats)
+	}
 	var err error
-	if n.left, err = fromJSONNode(j.Left); err != nil {
+	if n.left, err = fromJSONNode(j.Left, nFeats); err != nil {
 		return nil, err
 	}
-	if n.right, err = fromJSONNode(j.Right); err != nil {
+	if n.right, err = fromJSONNode(j.Right, nFeats); err != nil {
 		return nil, err
 	}
 	return n, nil
